@@ -22,6 +22,29 @@
 // candidates. ObjectiveCut runs are bit-identical to the pre-objective
 // kernel. See objective.go for the gainModel seam.
 //
+// # Localized FM
+//
+// LocalizedRefine runs many small bounded FM searches in parallel rounds,
+// each seeded from a batch of boundary vertices, and commits their best
+// prefixes serially in a deterministic order (localized.go). The result is
+// bit-identical for every worker count.
+//
+// Gain maintenance: a search never scans a vertex's nets to price it. The
+// run keeps a round-start gain table, one nv × k int64 table holding each
+// movable vertex's (λ−1) gain to every target, built in parallel before the
+// first round. After each commit phase only the movable pins of the
+// gain-relevant nets that committed prefixes touched are recomputed;
+// rolled-back prefixes restore Φ and need no refresh. A search copies a
+// candidate's row into a slot-indexed per-search vector (at most
+// 64 × k per worker) the first time one of its moves touches the
+// candidate's nets. Every later move applies only its threshold
+// crossings: Φ(from) 2→1 (+w on every target of the pin left alone in
+// from), 1→0 (−w for moving to from), Φ(to) 0→1 (+w for moving to to) and
+// 1→2 (−w on every target of the pin that was alone in to). Pricing is
+// then only the feasibility loop. Gains are exact integers and the pick
+// order is strict, so the engine matches a frozen re-pricing copy
+// (localized_reference_test.go) bit for bit.
+//
 // # Concurrency
 //
 // A kernel instance (Bipartition, KWayPartition, a Scratch, and the gain

@@ -1,0 +1,5 @@
+package fm
+
+// LocalizedRefineReference exposes the frozen pre-incremental localized
+// engine (localized_reference_test.go) to the external differential tests.
+var LocalizedRefineReference = localizedRefineReference

@@ -24,9 +24,11 @@ import (
 // assignment and round/move/gain counts, feasible output, and a Gain that
 // matches the from-scratch connectivity reduction. The same input finally
 // drives the localized engine (LocalizedRefine) at a second randomized
-// worker count and cross-checks it against workers=1: identical assignment
-// and search/commit/move/gain counts, feasible output, and a committed-gain
-// ledger that matches the from-scratch connectivity reduction.
+// worker count and cross-checks it against workers=1 and workers=1 against
+// the frozen pre-incremental localized engine (localized_reference_test.go):
+// identical assignment and search/commit/move/gain counts, feasible output,
+// and a committed-gain ledger that matches the from-scratch connectivity
+// reduction.
 func FuzzFMKernel(f *testing.F) {
 	f.Add([]byte{3, 20, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
 	f.Add([]byte{2, 40, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(1))
@@ -207,6 +209,22 @@ func FuzzFMKernel(f *testing.F) {
 			t.Fatalf("localized workers=%d stats %d/%d/%d/%d/%d diverge from workers=1 %d/%d/%d/%d/%d",
 				locWorkers, lGot.Rounds, lGot.Searches, lGot.Committed, lGot.Moves, lGot.Gain,
 				lWant.Rounds, lWant.Searches, lWant.Committed, lWant.Moves, lWant.Gain)
+		}
+		// The workers=1 run must also match the frozen pre-incremental
+		// engine (localized_reference_test.go) bit for bit.
+		lRef, err := fm.LocalizedRefineReference(p, initial, cfg, 1, salt)
+		if err != nil {
+			t.Fatalf("localized reference: %v", err)
+		}
+		if !reflect.DeepEqual(lWant.Assignment, lRef.Assignment) {
+			t.Fatalf("localized assignment diverges from the reference:\n got %v\nwant %v",
+				lWant.Assignment, lRef.Assignment)
+		}
+		if lWant.Rounds != lRef.Rounds || lWant.Searches != lRef.Searches ||
+			lWant.Committed != lRef.Committed || lWant.Moves != lRef.Moves || lWant.Gain != lRef.Gain {
+			t.Fatalf("localized stats %d/%d/%d/%d/%d diverge from the reference %d/%d/%d/%d/%d",
+				lWant.Rounds, lWant.Searches, lWant.Committed, lWant.Moves, lWant.Gain,
+				lRef.Rounds, lRef.Searches, lRef.Committed, lRef.Moves, lRef.Gain)
 		}
 		if err := p.Feasible(lGot.Assignment); err != nil {
 			t.Fatalf("localized result infeasible: %v", err)

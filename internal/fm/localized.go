@@ -24,8 +24,8 @@ import (
 //     seed list ascends by vertex id and is split into fixed-size batches,
 //  2. workers pull batch indices from a shared atomic queue and run one
 //     bounded localized search per batch against the round-start state: the
-//     search prices moves through a per-worker stamped overlay (Φ deltas,
-//     part-weight deltas, overlay assignment) so it never mutates shared
+//     search tracks its own moves in a per-worker stamped overlay (Φ deltas,
+//     balance slacks, per-candidate gain vectors) so it never mutates shared
 //     state, acquires at most locMaxDistinct vertices (the batch seeds plus
 //     pins of nets its own moves touch), moves each acquired vertex at most
 //     once, stops after locStall consecutive non-improving moves, and records
@@ -42,6 +42,17 @@ import (
 //     mid-commit is rolled back move by move and skipped.
 //
 // Rounds repeat until the boundary is empty or a round commits nothing.
+//
+// Gain maintenance: no search scans a vertex's nets to price it. locState
+// keeps a round-start gain table (each movable vertex's gain to every target
+// against the round-start Φ), built once per run and refreshed after each
+// commit phase only for the movable pins of the gain-relevant nets the
+// committed prefixes touched. A search copies a candidate's table row into a
+// slot-indexed vector the first time one of its moves touches the
+// candidate's nets, then applies only the (λ-1) threshold crossings of each
+// later move (see localizedSearch). Gains are exact integers either way, so
+// every pick, prefix and commit matches a search that re-prices from
+// scratch.
 // Every search is a pure function of (round-start state, batch index, salt)
 // and the commit order is a pure function of the recorded results, so the
 // outcome is bit-identical for every worker count >= 1 — the queue only
@@ -103,8 +114,9 @@ type locPrefix struct {
 }
 
 // locState holds the pooled per-run shared state of the localized engine:
-// boundary stamps, the seed queue, per-round results and the commit-phase
-// round stamps. One locState serves a whole LocalizedRefine call.
+// boundary stamps, the seed queue, per-round results, the commit-phase
+// round stamps and the round-start gain table. One locState serves a whole
+// LocalizedRefine call.
 type locState struct {
 	bnd        []int32 // round stamp: vertex is a boundary seed this round
 	seedChunks [][]int32
@@ -113,11 +125,22 @@ type locState struct {
 	order      []int32
 	vRound     []int32 // round a vertex was last committed, -1 = never
 	netRound   []int32 // round a net's Φ row last changed, -1 = never
+	rowRound   []int32 // round a vertex's gain row was last queued for refresh, -1 = never
+	refresh    []int32 // vertices whose gain rows this round's commits invalidated
+	// gain is the round-start gain table: gain[v*k+t] is the (λ-1) gain of
+	// moving movable vertex v from its part to part t against the
+	// round-start Φ. Entries for v's own part and for parts outside its mask
+	// are never read.
+	gain []int64
+	// slackLo and slackHi hold the round-start balance slack per (part,
+	// resource) at q*nr+r: the weight part q may still lose before its
+	// minimum, and gain before its maximum.
+	slackLo, slackHi []int64
 }
 
 var locStatePool = sync.Pool{New: func() any { return &locState{} }}
 
-func (st *locState) prepare(nv, ne, chunks int) {
+func (st *locState) prepare(nv, ne, k, nr, chunks int) {
 	st.bnd = growInt32(st.bnd, nv)
 	for i := range st.bnd {
 		st.bnd[i] = -1
@@ -126,10 +149,18 @@ func (st *locState) prepare(nv, ne, chunks int) {
 	for i := range st.vRound {
 		st.vRound[i] = -1
 	}
+	st.rowRound = growInt32(st.rowRound, nv)
+	for i := range st.rowRound {
+		st.rowRound[i] = -1
+	}
 	st.netRound = growInt32(st.netRound, ne)
 	for i := range st.netRound {
 		st.netRound[i] = -1
 	}
+	st.refresh = st.refresh[:0]
+	st.gain = growInt64(st.gain, nv*k)
+	st.slackLo = growInt64(st.slackLo, k*nr)
+	st.slackHi = growInt64(st.slackHi, k*nr)
 	if cap(st.seedChunks) < chunks {
 		st.seedChunks = make([][]int32, chunks)
 	}
@@ -139,52 +170,90 @@ func (st *locState) prepare(nv, ne, chunks int) {
 	}
 }
 
-// locScratch is one worker's private search state. Every per-vertex and
-// per-net array is generation-stamped: a search bumps gen once and an entry
-// is live only when its stamp equals gen, so searches never pay a clearing
-// scan. gen persists across runs of the same scratch (stale stamps are always
-// from older generations); freshly grown arrays are zero and gen starts at 1,
-// so a stale stamp can never collide with a live generation.
+// gainRow writes into row[t], for each of v's targets t, the (λ-1) gain of
+// moving v from its current part to t against the live Φ: cutModel.moveGain
+// for every target in one scan of v's nets.
+func gainRow(m *cutModel, v int32, row []int64) {
+	h := m.h
+	k := m.k
+	from := int(m.a[v])
+	tgts := m.targets(v)
+	for _, t := range tgts {
+		row[t] = 0
+	}
+	var base int64
+	for _, en := range h.NetsOf(int(v)) {
+		if int(m.fixedCover[en]) == k {
+			continue
+		}
+		nb := int(en) * k
+		w := h.NetWeight(int(en))
+		if m.pinCount[nb+from] == 1 {
+			base += w
+		}
+		for _, t := range tgts {
+			if m.pinCount[nb+int(t)] == 0 {
+				row[t] -= w
+			}
+		}
+	}
+	for _, t := range tgts {
+		row[t] += base
+	}
+}
+
+// locSlot is one candidate of the current search. Slots are numbered in
+// acquisition order, so a search never holds more than locMaxDistinct.
+type locSlot struct {
+	v      int32
+	hash   uint64 // salted per-search vertex hash, the select tie-break
+	g      int64  // cached gain of t
+	t      int8   // cached best feasible target, -1 = none
+	cached bool   // t and g are current
+	locked bool   // moved by this search
+	owned  bool   // the slot's gain vector is live
+}
+
+// locScratch is one worker's private search state. The per-vertex and
+// per-net arrays are generation-stamped: a search bumps gen once and an
+// entry is live only when its stamp equals gen, so searches never pay a
+// clearing scan. gen persists across runs of the same scratch (stale stamps
+// are always from older generations); freshly grown arrays are zero and gen
+// starts at 1, so a stale stamp can never collide with a live generation.
+// Everything else is per candidate slot and reset as slots are acquired.
 type locScratch struct {
 	gen      int32
-	vGen     []int32 // overlay assignment stamp
-	vPart    []int8  // overlay part when vGen == gen
 	acqGen   []int32 // vertex acquired by the current search
-	lockGen  []int32 // vertex moved (locked) by the current search
-	cacheGen []int32 // cached best move is current
-	cacheT   []int8  // cached best feasible target, -1 = none
-	cacheG   []int64 // cached gain of cacheT
+	slotOf   []int32 // the vertex's slot when acqGen == gen
 	netGen   []int32 // Φ overlay row is live
 	phiDelta []int32 // per (net, part) Φ delta at e*k+q when netGen == gen
-	wDelta   [][]int64
-	miss     []int64
-	cand     []int32
-	moves    []locMove
+	slots    []locSlot
+	// vec holds each owned slot's gain vector at s*k+t: the slot vertex's
+	// table row with the deltas of every move of this search applied.
+	vec  []int64
+	scan []int32 // unlocked slots, in no particular order
+	// slackLo and slackHi are the round-start slacks (see locState) minus
+	// the search's own weight moves.
+	slackLo, slackHi []int64
+	moves            []locMove
 }
 
 var locScratchPool = sync.Pool{New: func() any { return &locScratch{} }}
 
 func (ls *locScratch) prepare(nv, ne, k, nr int) {
-	ls.vGen = growInt32(ls.vGen, nv)
-	ls.vPart = growInt8(ls.vPart, nv)
 	ls.acqGen = growInt32(ls.acqGen, nv)
-	ls.lockGen = growInt32(ls.lockGen, nv)
-	ls.cacheGen = growInt32(ls.cacheGen, nv)
-	ls.cacheT = growInt8(ls.cacheT, nv)
-	ls.cacheG = growInt64(ls.cacheG, nv)
+	ls.slotOf = growInt32(ls.slotOf, nv)
 	ls.netGen = growInt32(ls.netGen, ne)
 	ls.phiDelta = growInt32(ls.phiDelta, ne*k)
-	if cap(ls.wDelta) < k {
-		ls.wDelta = append(ls.wDelta[:cap(ls.wDelta)], make([][]int64, k-cap(ls.wDelta))...)
+	if cap(ls.slots) < locMaxDistinct {
+		ls.slots = make([]locSlot, 0, locMaxDistinct)
 	}
-	ls.wDelta = ls.wDelta[:k]
-	for q := 0; q < k; q++ {
-		ls.wDelta[q] = growInt64(ls.wDelta[q], nr)
+	ls.vec = growInt64(ls.vec, locMaxDistinct*k)
+	if cap(ls.scan) < locMaxDistinct {
+		ls.scan = make([]int32, 0, locMaxDistinct)
 	}
-	ls.miss = growInt64(ls.miss, k)
-	if cap(ls.cand) < locMaxDistinct {
-		ls.cand = make([]int32, 0, locMaxDistinct)
-	}
+	ls.slackLo = growInt64(ls.slackLo, k*nr)
+	ls.slackHi = growInt64(ls.slackHi, k*nr)
 	if cap(ls.moves) < locMaxDistinct {
 		ls.moves = make([]locMove, 0, locMaxDistinct)
 	}
@@ -194,17 +263,8 @@ func (ls *locScratch) prepare(nv, ne, k, nr int) {
 // stamp space is exhausted.
 func (ls *locScratch) nextGen() int32 {
 	if ls.gen == math.MaxInt32 {
-		for i := range ls.vGen {
-			ls.vGen[i] = 0
-		}
 		for i := range ls.acqGen {
 			ls.acqGen[i] = 0
-		}
-		for i := range ls.lockGen {
-			ls.lockGen[i] = 0
-		}
-		for i := range ls.cacheGen {
-			ls.cacheGen[i] = 0
 		}
 		for i := range ls.netGen {
 			ls.netGen[i] = 0
@@ -215,78 +275,53 @@ func (ls *locScratch) nextGen() int32 {
 	return ls.gen
 }
 
-// partOf reads v's part through the search overlay.
-func (ls *locScratch) partOf(m *cutModel, v int32, gen int32) int8 {
-	if ls.vGen[v] == gen {
-		return ls.vPart[v]
-	}
-	return m.a[v]
+// acquire makes u a candidate of the current search and returns its slot.
+func (ls *locScratch) acquire(u int32, gen int32, sHash uint64) int32 {
+	s := int32(len(ls.slots))
+	ls.acqGen[u] = gen
+	ls.slotOf[u] = s
+	ls.slots = append(ls.slots, locSlot{v: u, hash: refineHash(sHash, u)})
+	ls.scan = append(ls.scan, s)
+	return s
 }
 
-// feasible reports whether moving v to part t keeps both affected parts
-// balanced under the round-start weights plus the search's own deltas.
-func (ls *locScratch) feasible(m *cutModel, v int32, t int, gen int32) bool {
-	from := int(ls.partOf(m, v, gen))
-	for r := 0; r < m.h.NumResources(); r++ {
+// feasible reports whether moving unlocked v to part t keeps both affected
+// parts balanced under the round-start weights plus the search's own moves.
+func (ls *locScratch) feasible(m *cutModel, v int32, t int) bool {
+	nr := m.h.NumResources()
+	fb, tb := int(m.a[v])*nr, t*nr
+	for r := 0; r < nr; r++ {
 		w := m.h.WeightIn(int(v), r)
-		if m.weight[from][r]+ls.wDelta[from][r]-w < m.p.Balance.Min[from][r] {
-			return false
-		}
-		if m.weight[t][r]+ls.wDelta[t][r]+w > m.p.Balance.Max[t][r] {
+		if w > ls.slackLo[fb+r] || w > ls.slackHi[tb+r] {
 			return false
 		}
 	}
 	return true
 }
 
-// price computes v's best feasible move against the round-start Φ plus the
-// search overlay — cutModel.moveGain term by term, through the overlay. The
-// gain may be negative: localized searches hill-climb and rely on best-prefix
-// recording, unlike the round stage's positive-only proposals. Ties keep the
-// lowest target part.
-func (ls *locScratch) price(m *cutModel, v int32, gen int32) (int8, int64) {
-	h := m.h
+// price returns slot s's best feasible move against the round-start Φ plus
+// the search overlay. The gains come from the slot's own vector once a move
+// of this search touched one of the vertex's nets, and from the round table
+// before that, so pricing never scans nets. The gain may be negative:
+// localized searches hill-climb and rely on best-prefix recording, unlike
+// the round stage's positive-only proposals. Ties keep the lowest target
+// part.
+func (ls *locScratch) price(m *cutModel, st *locState, s int32) (int8, int64) {
 	k := m.k
-	from := int(ls.partOf(m, v, gen))
-	tgts := m.targets(v)
-	miss := ls.miss
-	for _, t := range tgts {
-		miss[t] = 0
+	sl := &ls.slots[s]
+	v := sl.v
+	row := st.gain[int(v)*k : int(v)*k+k]
+	if sl.owned {
+		row = ls.vec[int(s)*k : int(s)*k+k]
 	}
-	var base int64
-	for _, en := range h.NetsOf(int(v)) {
-		if int(m.fixedCover[en]) == k {
-			continue
-		}
-		nb := int(en) * k
-		w := h.NetWeight(int(en))
-		if ls.netGen[en] == gen {
-			if m.pinCount[nb+from]+ls.phiDelta[nb+from] == 1 {
-				base += w
-			}
-			for _, t := range tgts {
-				if m.pinCount[nb+int(t)]+ls.phiDelta[nb+int(t)] == 0 {
-					miss[t] += w
-				}
-			}
-		} else {
-			if m.pinCount[nb+from] == 1 {
-				base += w
-			}
-			for _, t := range tgts {
-				if m.pinCount[nb+int(t)] == 0 {
-					miss[t] += w
-				}
-			}
-		}
-	}
+	from := m.a[v]
 	bt := int8(-1)
 	var bg int64
-	for _, t := range tgts {
-		if int(t) == from {
+	for _, t := range m.targets(v) {
+		if t == from {
 			continue
 		}
-		if g := base - miss[t]; (bt < 0 || g > bg) && ls.feasible(m, v, int(t), gen) {
+		if g := row[t]; (bt < 0 || g > bg) && ls.feasible(m, v, int(t)) {
 			bt, bg = t, g
 		}
 	}
@@ -296,73 +331,77 @@ func (ls *locScratch) price(m *cutModel, v int32, gen int32) (int8, int64) {
 // localizedSearch runs one bounded FM search for batch i of the round's seed
 // queue and records its best strictly-positive prefix in st.results[i]. It is
 // a pure function of the round-start model state, the batch and the salt, so
-// which worker runs it never matters.
+// which worker runs it never matters. Only unlocked candidates are ever
+// priced or checked for balance, and an unlocked vertex still sits in its
+// round-start part, so the search reads parts from the model directly.
 func localizedSearch(m *cutModel, ls *locScratch, st *locState, i int, roundSalt uint64) {
 	h := m.h
 	k := m.k
+	nr := h.NumResources()
 	gen := ls.nextGen()
 	sHash := refineHash(roundSalt, int32(i))
 	lo := i * locSeedsPerSearch
 	hi := min(lo+locSeedsPerSearch, len(st.seeds))
-	ls.cand = ls.cand[:0]
+	ls.slots = ls.slots[:0]
+	ls.scan = ls.scan[:0]
 	for _, s := range st.seeds[lo:hi] {
-		ls.acqGen[s] = gen
-		ls.cand = append(ls.cand, s)
+		ls.acquire(s, gen, sHash)
 	}
-	for q := 0; q < k; q++ {
-		for r := range ls.wDelta[q] {
-			ls.wDelta[q][r] = 0
-		}
-	}
+	copy(ls.slackLo, st.slackLo)
+	copy(ls.slackHi, st.slackHi)
 	ls.moves = ls.moves[:0]
 	var cum, bestG int64
 	bestLen := 0
+	// The previous move's parts. A move only tightens leaving its source
+	// part and entering its target part, so a cached target that was
+	// feasible at the previous scan can only have turned infeasible when
+	// its vertex sits in lastFrom or the target is lastTo.
+	lastFrom, lastTo := int8(-1), int8(-1)
 
 	for len(ls.moves) < locMaxDistinct && len(ls.moves)-bestLen < locStall {
 		// Select the best move among unlocked candidates: gain descending,
-		// then the salted per-search vertex hash, then the vertex id.
-		var bv int32 = -1
-		var bt int8
-		var bg int64
-		var bh uint64
-		for _, v := range ls.cand {
-			if ls.lockGen[v] == gen {
-				continue
-			}
-			if ls.cacheGen[v] != gen {
-				t, g := ls.price(m, v, gen)
-				ls.cacheT[v], ls.cacheG[v] = t, g
-				ls.cacheGen[v] = gen
-			}
-			t, g := ls.cacheT[v], ls.cacheG[v]
-			if t >= 0 && !ls.feasible(m, v, int(t), gen) {
+		// then the salted per-search vertex hash, then the vertex id. The
+		// order is strict, so the scan order cannot change the pick.
+		bj := -1
+		var best *locSlot
+		for j, s := range ls.scan {
+			sl := &ls.slots[s]
+			if !sl.cached {
+				sl.t, sl.g = ls.price(m, st, s)
+				sl.cached = true
+			} else if sl.t >= 0 && (m.a[sl.v] == lastFrom || sl.t == lastTo) && !ls.feasible(m, sl.v, int(sl.t)) {
 				// The cached target went infeasible under the search's own
-				// weight deltas; re-price against the current local state.
-				t, g = ls.price(m, v, gen)
-				ls.cacheT[v], ls.cacheG[v] = t, g
+				// weight moves; re-price against the current local state.
+				sl.t, sl.g = ls.price(m, st, s)
 			}
-			if t < 0 {
+			if sl.t < 0 {
 				continue
 			}
-			hv := refineHash(sHash, v)
-			if bv < 0 || g > bg || (g == bg && (hv < bh || (hv == bh && v < bv))) {
-				bv, bt, bg, bh = v, t, g, hv
+			if best == nil || sl.g > best.g || (sl.g == best.g && (sl.hash < best.hash || (sl.hash == best.hash && sl.v < best.v))) {
+				bj, best = j, sl
 			}
 		}
-		if bv < 0 {
+		if best == nil {
 			break
 		}
 
 		// Apply the move to the overlay, lock the vertex, acquire newly
-		// boundary-adjacent pins and invalidate their cached prices.
-		from := int(ls.partOf(m, bv, gen))
-		ls.vGen[bv] = gen
-		ls.vPart[bv] = bt
-		ls.lockGen[bv] = gen
-		for r := 0; r < h.NumResources(); r++ {
+		// boundary-adjacent pins, invalidate their cached prices and carry
+		// the move's gain deltas into their vectors.
+		bv, bt := best.v, int(best.t)
+		bg := best.g
+		from := int(m.a[bv])
+		best.locked = true
+		last := len(ls.scan) - 1
+		ls.scan[bj] = ls.scan[last]
+		ls.scan = ls.scan[:last]
+		fb, tb := from*nr, bt*nr
+		for r := 0; r < nr; r++ {
 			w := h.WeightIn(int(bv), r)
-			ls.wDelta[from][r] -= w
-			ls.wDelta[bt][r] += w
+			ls.slackLo[fb+r] -= w
+			ls.slackHi[fb+r] += w
+			ls.slackLo[tb+r] += w
+			ls.slackHi[tb+r] -= w
 		}
 		for _, en := range h.NetsOf(int(bv)) {
 			// Nets whose immovable pins cover every part never contribute to
@@ -378,23 +417,67 @@ func localizedSearch(m *cutModel, ls *locScratch, st *locState, i int, roundSalt
 					ls.phiDelta[nb+q] = 0
 				}
 			}
+			// Φ of the two parts the move shifts, before the move.
+			cf := m.pinCount[nb+from] + ls.phiDelta[nb+from]
+			ct := m.pinCount[nb+bt] + ls.phiDelta[nb+bt]
 			ls.phiDelta[nb+from]--
-			ls.phiDelta[nb+int(bt)]++
+			ls.phiDelta[nb+bt]++
+			// Another pin's gains change only where Φ crosses a (λ-1)
+			// threshold: Φ(from) 2→1 leaves one pin alone in from (+w on
+			// all its targets), 1→0 empties from (-w for moving there),
+			// Φ(to) 0→1 occupies to (+w for moving there), 1→2 joins the
+			// pin that was alone in to (-w on all its targets).
+			crosses := cf <= 2 || ct <= 1
+			w := h.NetWeight(int(en))
 			for _, u := range h.Pins(int(en)) {
 				if !m.movable[u] {
 					continue
 				}
-				if ls.acqGen[u] != gen {
-					if len(ls.cand) >= locMaxDistinct {
-						continue
-					}
-					ls.acqGen[u] = gen
-					ls.cand = append(ls.cand, u)
+				var s int32
+				if ls.acqGen[u] == gen {
+					s = ls.slotOf[u]
+				} else if len(ls.slots) < locMaxDistinct {
+					s = ls.acquire(u, gen, sHash)
+				} else {
+					continue
 				}
-				ls.cacheGen[u] = 0
+				sl := &ls.slots[s]
+				if sl.locked {
+					continue
+				}
+				sl.cached = false
+				if !crosses {
+					continue
+				}
+				// Copy on touch: none of u's nets was touched before this
+				// move (u would have been acquired then), so its table row
+				// is exact up to this net.
+				vec := ls.vec[int(s)*k : int(s)*k+k]
+				if !sl.owned {
+					copy(vec, st.gain[int(u)*k:int(u)*k+k])
+					sl.owned = true
+				}
+				if cf == 1 {
+					vec[from] -= w
+				}
+				if ct == 0 {
+					vec[bt] += w
+				}
+				var all int64
+				if pu := int(m.a[u]); cf == 2 && pu == from {
+					all = w
+				} else if ct == 1 && pu == bt {
+					all = -w
+				}
+				if all != 0 {
+					for q := range vec {
+						vec[q] += all
+					}
+				}
 			}
 		}
-		ls.moves = append(ls.moves, locMove{v: bv, from: int8(from), to: bt})
+		lastFrom, lastTo = int8(from), int8(bt)
+		ls.moves = append(ls.moves, locMove{v: bv, from: int8(from), to: int8(bt)})
 		cum += bg
 		if cum > bestG {
 			bestG, bestLen = cum, len(ls.moves)
@@ -438,35 +521,52 @@ func LocalizedRefineWith(p *partition.Problem, initial partition.Assignment, cfg
 	model.init(p, initial, sc)
 	m := model.core()
 	res := &LocalizedResult{Movable: m.nMovable}
-	if m.nMovable == 0 {
-		res.Assignment = m.a.Clone()
-		return res, nil
+	if m.nMovable > 0 {
+		W := max(workers, 1)
+		st := locStatePool.Get().(*locState)
+		defer locStatePool.Put(st)
+		scratches := make([]*locScratch, par.EffectiveWorkers(W, W))
+		for i := range scratches {
+			scratches[i] = locScratchPool.Get().(*locScratch)
+		}
+		defer func() {
+			for _, ls := range scratches {
+				locScratchPool.Put(ls)
+			}
+		}()
+		localizedRounds(model, st, scratches, W, salt, res)
 	}
+	res.Assignment = m.a.Clone() // a is scratch-backed; the result must not alias it
+	return res, nil
+}
 
-	W := workers
-	if W < 1 {
-		W = 1
-	}
-	P := W // chunk count for the boundary scans; never influences results
+// localizedRounds runs the collect/search/commit rounds on an initialized
+// model with at least one movable vertex, accumulating the counters into
+// res. W >= 1 is the worker count, and scratches holds one search scratch
+// per worker slot; it sizes st and the scratches itself.
+func localizedRounds(model gainModel, st *locState, scratches []*locScratch, W int, salt uint64, res *LocalizedResult) {
+	m := model.core()
+	P := W // chunk count for the scans; never influences results
 	h := m.h
 	k := m.k
 	nv := h.NumVertices()
 	ne := h.NumNets()
-
-	st := locStatePool.Get().(*locState)
-	defer locStatePool.Put(st)
-	st.prepare(nv, ne, P)
-	slots := par.EffectiveWorkers(P, W)
-	scratches := make([]*locScratch, slots)
-	for i := range scratches {
-		scratches[i] = locScratchPool.Get().(*locScratch)
-		scratches[i].prepare(nv, ne, k, h.NumResources())
+	nr := h.NumResources()
+	st.prepare(nv, ne, k, nr, P)
+	for _, ls := range scratches {
+		ls.prepare(nv, ne, k, nr)
 	}
-	defer func() {
-		for _, ls := range scratches {
-			locScratchPool.Put(ls)
+
+	// Round-start gain table: one row per movable vertex, rows computed
+	// independently over vertex chunks.
+	par.ForEachWorker(P, W, func(_, c int) {
+		lo, hi := refineChunk(nv, P, c)
+		for v := lo; v < hi; v++ {
+			if m.movable[v] {
+				gainRow(m, int32(v), st.gain[v*k:v*k+k])
+			}
 		}
-	}()
+	})
 
 	for round := 0; ; round++ {
 		res.Rounds = round + 1
@@ -525,6 +625,12 @@ func LocalizedRefineWith(p *partition.Problem, initial partition.Assignment, cfg
 		st.seeds = seeds
 		if len(seeds) == 0 {
 			break
+		}
+		for q := 0; q < k; q++ {
+			for r := 0; r < nr; r++ {
+				st.slackLo[q*nr+r] = m.weight[q][r] - m.p.Balance.Min[q][r]
+				st.slackHi[q*nr+r] = m.p.Balance.Max[q][r] - m.weight[q][r]
+			}
 		}
 
 		// Search: workers pull batch indices from a shared queue; results are
@@ -614,16 +720,30 @@ func LocalizedRefineWith(p *partition.Problem, initial partition.Assignment, cfg
 				applied++
 			}
 			if !ok || total <= 0 {
+				// Rolled back: Φ, the weights and the assignment are restored
+				// exactly, so the gain table needs no refresh.
 				for j := applied - 1; j >= 0; j-- {
 					model.undoMove(pr.moves[j].v, int(pr.moves[j].from))
 				}
 				continue
 			}
+			// Mark the conflict group and queue the gain rows the commit
+			// invalidated: every movable pin of the moved vertices'
+			// gain-relevant nets. That includes the moved vertices
+			// themselves unless none of their nets is gain-relevant, and
+			// then their rows are zero before and after the move.
 			for _, mv := range pr.moves {
 				st.vRound[mv.v] = int32(round)
 				for _, en := range h.NetsOf(int(mv.v)) {
-					if int(m.fixedCover[en]) != k {
-						st.netRound[en] = int32(round)
+					if int(m.fixedCover[en]) == k || st.netRound[en] == int32(round) {
+						continue
+					}
+					st.netRound[en] = int32(round)
+					for _, u := range h.Pins(int(en)) {
+						if m.movable[u] && st.rowRound[u] != int32(round) {
+							st.rowRound[u] = int32(round)
+							st.refresh = append(st.refresh, u)
+						}
 					}
 				}
 			}
@@ -636,8 +756,9 @@ func LocalizedRefineWith(p *partition.Problem, initial partition.Assignment, cfg
 			// No state changed; the next round would replay this one forever.
 			break
 		}
+		for _, v := range st.refresh {
+			gainRow(m, v, st.gain[int(v)*k:int(v)*k+k])
+		}
+		st.refresh = st.refresh[:0]
 	}
-
-	res.Assignment = m.a.Clone() // a is scratch-backed; the result must not alias it
-	return res, nil
 }

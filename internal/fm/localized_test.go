@@ -247,3 +247,88 @@ func TestParallelRefineSideways(t *testing.T) {
 		t.Error("no trial committed a sideways move (flag inert?)")
 	}
 }
+
+// locDiffProblem draws a random fixed-vertex problem for the localized
+// differential test: k in 2..8, 1-2 resources, fixed terminals and two-part
+// OR regions, and instances large enough (up to 200 vertices, nets up to 8
+// pins) that searches fill their locMaxDistinct candidate budget and
+// balance bounds bind mid-search.
+func locDiffProblem(rng *rand.Rand) (*partition.Problem, partition.Assignment, bool) {
+	nv := 30 + rng.IntN(171)
+	nr := 1 + rng.IntN(2)
+	k := 2 + rng.IntN(7)
+	b := hypergraph.NewBuilder(nr)
+	for v := 0; v < nv; v++ {
+		w := make([]int64, nr)
+		for r := range w {
+			w[r] = int64(1 + rng.IntN(4))
+		}
+		b.AddVertex(w...)
+	}
+	ne := nv + rng.IntN(2*nv)
+	for e := 0; e < ne; e++ {
+		sz := min(2+rng.IntN(7), nv)
+		b.AddWeightedNet(int64(1+rng.IntN(3)), rng.Perm(nv)[:sz]...)
+	}
+	p := partition.NewFree(b.MustBuild(), k, 0.05+0.35*rng.Float64())
+	for v := 0; v < nv; v++ {
+		switch rng.IntN(6) {
+		case 0: // fixed terminal
+			p.Fix(v, rng.IntN(k))
+		case 1: // OR region spanning two parts
+			if k > 2 {
+				a := rng.IntN(k)
+				c := (a + 1 + rng.IntN(k-1)) % k
+				p.Restrict(v, partition.Single(a).With(c))
+			}
+		}
+	}
+	initial, err := partition.RandomFeasible(p, rng)
+	if err != nil {
+		return nil, nil, false
+	}
+	return p, initial, true
+}
+
+// TestLocalizedRefineMatchesReference differentially tests the localized
+// engine against the frozen pre-incremental oracle
+// (localized_reference_test.go): the round gain table and the per-search
+// copy-on-touch vectors are bookkeeping only, so every trial must return the
+// identical assignment and identical round/search/commit/move/gain counters
+// for each objective and worker count.
+func TestLocalizedRefineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x10ca11, 5))
+	trials := 0
+	for trials < 40 {
+		p, initial, ok := locDiffProblem(rng)
+		if !ok {
+			continue
+		}
+		trials++
+		salt := rng.Uint64()
+		cfg := fm.Config{}
+		if trials%2 == 0 {
+			cfg.Objective = fm.ObjectiveKM1
+		}
+		want, err := fm.LocalizedRefineReference(p, initial, cfg, 1, salt)
+		if err != nil {
+			t.Fatalf("trial %d: reference: %v", trials, err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			got, err := fm.LocalizedRefine(p, initial, cfg, workers, salt)
+			if err != nil {
+				t.Fatalf("trial %d: workers=%d: %v", trials, workers, err)
+			}
+			if !reflect.DeepEqual(got.Assignment, want.Assignment) {
+				t.Fatalf("trial %d (k=%d, nv=%d): workers=%d assignment diverges from the reference",
+					trials, p.K, p.H.NumVertices(), workers)
+			}
+			if got.Rounds != want.Rounds || got.Searches != want.Searches ||
+				got.Committed != want.Committed || got.Moves != want.Moves || got.Gain != want.Gain {
+				t.Fatalf("trial %d: workers=%d rounds/searches/committed/moves/gain %d/%d/%d/%d/%d, reference %d/%d/%d/%d/%d",
+					trials, workers, got.Rounds, got.Searches, got.Committed, got.Moves, got.Gain,
+					want.Rounds, want.Searches, want.Committed, want.Moves, want.Gain)
+			}
+		}
+	}
+}

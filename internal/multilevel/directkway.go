@@ -36,9 +36,11 @@ func kwayMaxCluster(p *partition.Problem) int64 {
 func pairwiseRefine(p *partition.Problem, a partition.Assignment, cfg fm.Config, maxSweeps int, sc *fm.Scratch) (partition.Assignment, error) {
 	nv := p.H.NumVertices()
 	prev := partition.KMinus1(p.H, a)
+	active := make([]bool, p.K*p.K)
+	allowed := make([]partition.Mask, nv)
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		// A pair is worth refining only if some net spans both parts.
-		active := make([]bool, p.K*p.K)
+		clear(active)
 		for e := 0; e < p.H.NumNets(); e++ {
 			var span partition.Mask
 			for _, v := range p.H.Pins(e) {
@@ -61,7 +63,6 @@ func pairwiseRefine(p *partition.Problem, a partition.Assignment, cfg fm.Config,
 					continue
 				}
 				pair := partition.Single(x).With(y)
-				allowed := make([]partition.Mask, nv)
 				for v := 0; v < nv; v++ {
 					if q := int(a[v]); q == x || q == y {
 						allowed[v] = p.MaskOf(v).Intersect(pair)

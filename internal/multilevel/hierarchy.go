@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime/metrics"
+	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
 	"time"
@@ -338,9 +338,12 @@ func (st *PhaseStats) track(phase int, fn func()) {
 }
 
 // heapAllocObjects returns the cumulative count of heap objects allocated by
-// the process, via the cheap runtime/metrics read (no stop-the-world).
+// the process. It reads runtime.MemStats, which flushes every P's allocation
+// cache first: runtime/metrics' /gc/heap/allocs:objects only counts a small
+// object once its cache span is refilled or flushed, so a phase that
+// allocates a few small objects could read zero there.
 func heapAllocObjects() uint64 {
-	sample := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
-	metrics.Read(sample)
-	return sample[0].Value.Uint64()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
