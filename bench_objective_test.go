@@ -30,7 +30,7 @@ func BenchmarkObjective(b *testing.B) {
 		p := partition.NewFree(nl.H, k, 0.05)
 		rng := rand.New(rand.NewPCG(seed, 0x0b7))
 		t0 := time.Now()
-		res, err := multilevel.MultistartKWay(p, multilevel.Config{Objective: obj}, starts, rng)
+		res, err := solve(p, multilevel.Config{Workers: 1, Objective: obj}, multilevel.Spec{Starts: starts, KWay: true}, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,6 +14,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -35,6 +36,11 @@ import (
 	"repro/internal/place"
 	"repro/internal/rent"
 )
+
+// solve runs multilevel.Solve without cancellation.
+func solve(p *partition.Problem, cfg multilevel.Config, spec multilevel.Spec, rng *rand.Rand) (*multilevel.Result, error) {
+	return multilevel.Solve(context.Background(), p, cfg, spec, rng)
+}
 
 func envFloat(name string, def float64) float64 {
 	if s := os.Getenv(name); s != "" {
@@ -323,7 +329,7 @@ func BenchmarkVCycleAblation(b *testing.B) {
 			plainCut += float64(res.Cut)
 
 			t0 = nowNano()
-			vres, err := multilevel.PartitionWithVCycles(p, multilevel.Config{}, 2, rng)
+			vres, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{VCycles: 2}, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -564,8 +570,8 @@ func TestBenchHarnessSmoke(t *testing.T) {
 }
 
 // BenchmarkMultistart measures the deterministic multistart engine: one
-// serial Multistart baseline plus ParallelMultistart at several worker
-// counts, all computing the identical 8-start result. Worker-scaling rows run
+// serial Solve baseline (Workers: 1) plus Solve at several worker counts,
+// all computing the identical 8-start result. Worker-scaling rows run
 // with GOMAXPROCS raised to the worker count but never past runtime.NumCPU():
 // raising it above the physical core count does not buy parallelism — it
 // adds time-slicing and extra GC worker scheduling, which is exactly what
@@ -595,9 +601,9 @@ func BenchmarkMultistart(b *testing.B) {
 		var res *multilevel.Result
 		var err error
 		if workers == 0 {
-			res, err = multilevel.Multistart(p, multilevel.Config{}, starts, rng)
+			res, err = solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: starts}, rng)
 		} else {
-			res, err = multilevel.ParallelMultistart(p, multilevel.Config{Workers: workers}, starts, rng)
+			res, err = solve(p, multilevel.Config{Workers: workers}, multilevel.Spec{Starts: starts}, rng)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -705,7 +711,7 @@ func BenchmarkSharedMultistart(b *testing.B) {
 	runUnshared := func(seed uint64, st *multilevel.PhaseStats) (*multilevel.Result, time.Duration) {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		t0 := time.Now()
-		res, err := multilevel.Multistart(p, multilevel.Config{Stats: st}, starts, rng)
+		res, err := solve(p, multilevel.Config{Workers: 1, Stats: st}, multilevel.Spec{Starts: starts}, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -714,7 +720,7 @@ func BenchmarkSharedMultistart(b *testing.B) {
 	runShared := func(seed uint64, st *multilevel.PhaseStats) (*multilevel.Result, time.Duration) {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		t0 := time.Now()
-		res, err := multilevel.SharedMultistart(p, multilevel.Config{Stats: st}, starts, hierarchies, rng)
+		res, err := solve(p, multilevel.Config{Workers: 1, Stats: st}, multilevel.Spec{Starts: starts, Hierarchies: hierarchies}, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -67,6 +67,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -266,20 +267,15 @@ func run(o options) error {
 		}
 		cfg := multilevel.Config{Objective: obj, MaxPassFraction: passFraction(o.cutoff), Workers: o.workers, CoarsenWorkers: coarsenWorkers, RefineWorkers: refineWorkers, LocalizedFMWorkers: localizedWorkers, Stats: phases}
 		switch {
-		case p.K == 2 && o.shared:
-			res, err := multilevel.ParallelSharedMultistart(p, cfg, o.starts, o.hierarchies, rng)
-			if err != nil {
-				return err
+		case p.K == 2 || o.kway == "direct":
+			spec := multilevel.Spec{Starts: o.starts, KWay: p.K > 2}
+			if o.shared {
+				spec.Hierarchies = o.hierarchies
+				if spec.Hierarchies < 1 {
+					spec.Hierarchies = (o.starts + 3) / 4
+				}
 			}
-			best, score = res.Assignment, res.Score
-		case p.K == 2:
-			res, err := multilevel.ParallelMultistart(p, cfg, o.starts, rng)
-			if err != nil {
-				return err
-			}
-			best, score = res.Assignment, res.Score
-		case o.kway == "direct":
-			res, err := multilevel.ParallelMultistartKWay(p, cfg, o.starts, rng)
+			res, err := multilevel.Solve(context.Background(), p, cfg, spec, rng)
 			if err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -30,7 +31,7 @@ func main() {
 
 	rng := rand.New(rand.NewPCG(3, 3))
 	base := partition.NewBipartition(h, 0.02)
-	best, err := multilevel.Multistart(base, multilevel.Config{}, 6, rng)
+	best, err := multilevel.Solve(context.Background(), base, multilevel.Config{}, multilevel.Spec{Starts: 6}, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -73,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eight, err := multilevel.Multistart(inst.Problem, multilevel.Config{}, 8, rng)
+	eight, err := multilevel.Solve(context.Background(), inst.Problem, multilevel.Config{}, multilevel.Spec{Starts: 8}, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	feight, err := multilevel.Multistart(free, multilevel.Config{}, 8, rng)
+	feight, err := multilevel.Solve(context.Background(), free, multilevel.Config{}, multilevel.Spec{Starts: 8}, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

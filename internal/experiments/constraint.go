@@ -37,7 +37,7 @@ func ConstraintStudy(name string, h *hypergraph.Hypergraph, cfg SweepConfig) ([]
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xc057))
 	base := partition.NewBipartition(h, cfg.Tolerance)
-	bestRes, err := multilevel.ParallelMultistart(base, withWorkers(cfg.ML, cfg.Workers), cfg.GoodStarts, rng)
+	bestRes, err := solve(base, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: constraint study on %s: %w", name, err)
 	}
@@ -68,7 +68,7 @@ func ConstraintStudy(name string, h *hypergraph.Hypergraph, cfg SweepConfig) ([]
 			return
 		}
 		jobs[i].one = r1.Cut
-		r8, err := multilevel.Multistart(jobs[i].prob, cfg.ML, 8, jrng)
+		r8, err := solve(jobs[i].prob, cfg.ML, 1, multilevel.Spec{Starts: 8}, jrng)
 		if err != nil {
 			jobs[i].err = err
 			return

@@ -50,7 +50,7 @@ func KWayModeStudy(name string, h *hypergraph.Hypergraph, ks []int, cfg SweepCon
 	var cells []cell
 	for _, k := range ks {
 		base := partition.NewFree(h, k, cfg.Tolerance)
-		ref, err := multilevel.ParallelMultistartKWay(base, withWorkers(cfg.ML, cfg.Workers), cfg.GoodStarts, rng)
+		ref, err := solve(base, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts, KWay: true}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: k-way mode study reference (k=%d): %w", k, err)
 		}

@@ -59,7 +59,7 @@ func ObjectiveStudy(name string, h *hypergraph.Hypergraph, ks []int, cfg SweepCo
 	var cells []cell
 	for _, k := range ks {
 		base := partition.NewFree(h, k, cfg.Tolerance)
-		ref, err := multilevel.ParallelMultistartKWay(base, withWorkers(cfg.ML, cfg.Workers), cfg.GoodStarts, rng)
+		ref, err := solve(base, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts, KWay: true}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: objective study reference (k=%d): %w", k, err)
 		}
@@ -83,11 +83,11 @@ func ObjectiveStudy(name string, h *hypergraph.Hypergraph, ks []int, cfg SweepCo
 		cutCfg, km1Cfg := cfg.ML, cfg.ML
 		cutCfg.Objective = fm.ObjectiveCut
 		km1Cfg.Objective = fm.ObjectiveKM1
-		c.cut, c.err = multilevel.MultistartKWay(c.prob, cutCfg, objectiveStarts, rand.New(rand.NewPCG(cellSeed, uint64(i))))
+		c.cut, c.err = solve(c.prob, cutCfg, 1, multilevel.Spec{Starts: objectiveStarts, KWay: true}, rand.New(rand.NewPCG(cellSeed, uint64(i))))
 		if c.err != nil {
 			return
 		}
-		c.km1, c.err = multilevel.MultistartKWay(c.prob, km1Cfg, objectiveStarts, rand.New(rand.NewPCG(cellSeed, uint64(i))))
+		c.km1, c.err = solve(c.prob, km1Cfg, 1, multilevel.Spec{Starts: objectiveStarts, KWay: true}, rand.New(rand.NewPCG(cellSeed, uint64(i))))
 	})
 	var rows []ObjectiveRow
 	i := 0

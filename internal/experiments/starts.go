@@ -36,7 +36,7 @@ func StartsRequired(name string, h *hypergraph.Hypergraph, cfg SweepConfig) ([]S
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x57a7))
 	base := partition.NewBipartition(h, cfg.Tolerance)
-	best, err := multilevel.ParallelMultistart(base, withWorkers(cfg.ML, cfg.Workers), cfg.GoodStarts, rng)
+	best, err := solve(base, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: starts study on %s: %w", name, err)
 	}
@@ -62,7 +62,7 @@ func StartsRequired(name string, h *hypergraph.Hypergraph, cfg SweepConfig) ([]S
 	}
 	par.ForEach(len(jobs), cfg.Workers, func(i int) {
 		jrng := rand.New(rand.NewPCG(cellSeed, uint64(i)))
-		res, err := multilevel.AdaptiveMultistart(jobs[i].prob, cfg.ML, 16, 2, jrng)
+		res, err := solve(jobs[i].prob, cfg.ML, 1, multilevel.Spec{Starts: 16, Patience: 2}, jrng)
 		if err != nil {
 			jobs[i].err = err
 			return

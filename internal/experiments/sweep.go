@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -47,8 +48,8 @@ type SweepConfig struct {
 	// negative values force the stage off even if ML asked for it. Zero
 	// leaves ML.LocalizedFMWorkers as given.
 	LocalizedFMWorkers int
-	// SharedHierarchies, when positive, runs each multistart cell through
-	// multilevel.SharedMultistart with that many coarsening hierarchies:
+	// SharedHierarchies, when positive, runs each multistart cell over that
+	// many shared coarsening hierarchies (multilevel.Spec.Hierarchies):
 	// cheaper sweeps at a small cut penalty from follower descents. Zero
 	// keeps the paper's protocol of fully independent starts.
 	SharedHierarchies int
@@ -130,7 +131,7 @@ func RunSweep(name string, h *hypergraph.Hypergraph, cfg SweepConfig) (*SweepRes
 	base := partition.NewBipartition(h, cfg.Tolerance)
 
 	// Best-known solution of the unconstrained instance ("good" reference).
-	best, err := multilevel.ParallelMultistart(base, withWorkers(cfg.ML, cfg.Workers), cfg.GoodStarts, rng)
+	best, err := solve(base, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: finding good solution for %s: %w", name, err)
 	}
@@ -218,20 +219,14 @@ func RunSweep(name string, h *hypergraph.Hypergraph, cfg SweepConfig) (*SweepRes
 // runCells executes the jobs concurrently. Job i's RNG derives from
 // (cellSeed, i), so the outcome of every cell is independent of scheduling.
 // With sharedHierarchies > 0, multistart cells amortise coarsening through
-// multilevel.SharedMultistart (single-start cells gain nothing from sharing
-// and keep the plain path).
+// shared hierarchies (single-start cells gain nothing from sharing and
+// keep the plain path).
 func runCells(jobs []sweepJob, cellSeed uint64, workers int, ml multilevel.Config, sharedHierarchies int) {
 	par.ForEach(len(jobs), workers, func(i int) {
 		job := &jobs[i]
 		rng := rand.New(rand.NewPCG(cellSeed, uint64(i)))
 		t0 := time.Now()
-		var r *multilevel.Result
-		var err error
-		if sharedHierarchies > 0 && job.starts > 1 {
-			r, err = multilevel.SharedMultistart(job.prob, ml, job.starts, sharedHierarchies, rng)
-		} else {
-			r, err = multilevel.Multistart(job.prob, ml, job.starts, rng)
-		}
+		r, err := solve(job.prob, ml, 1, multilevel.Spec{Starts: job.starts, Hierarchies: sharedHierarchies}, rng)
 		job.cpu = time.Since(t0)
 		if err != nil {
 			job.err = err
@@ -244,9 +239,12 @@ func runCells(jobs []sweepJob, cellSeed uint64, workers int, ml multilevel.Confi
 // withWorkers returns ml with its worker bound overridden by the sweep-level
 // setting, for the protocol phases that parallelize inside one multistart
 // (reference-solution search) rather than across cells.
-func withWorkers(ml multilevel.Config, workers int) multilevel.Config {
+// solve runs multilevel.Solve without cancellation on a pool of `workers`
+// start goroutines. Study cells already run inside par.ForEach, so they pass
+// 1 and stay serial.
+func solve(p *partition.Problem, ml multilevel.Config, workers int, spec multilevel.Spec, rng *rand.Rand) (*multilevel.Result, error) {
 	ml.Workers = workers
-	return ml
+	return multilevel.Solve(context.Background(), p, ml, spec, rng)
 }
 
 // Point returns the sweep point for (regime, fraction, starts), or nil.

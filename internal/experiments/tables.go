@@ -153,7 +153,7 @@ func TableIII(name string, h *hypergraph.Hypergraph, cutoffs []float64, cfg Flat
 
 // goodSchedule finds a best-known solution and draws a nested fix schedule.
 func goodSchedule(base *partition.Problem, cfg FlatConfig, rng *rand.Rand) (*FixSchedule, error) {
-	best, err := multilevel.Multistart(base, cfg.ML, cfg.GoodStarts, rng)
+	best, err := solve(base, cfg.ML, 1, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -52,15 +52,6 @@ type Config struct {
 	// RecordProfile fills PassStats.Profile with the cumulative-gain curve
 	// of each pass, used by the Section III pass-statistics study.
 	RecordProfile bool
-	// Sideways is consulted only by the synchronous-round parallel engine
-	// (ParallelRefine): when set, a vertex with no strictly-positive-gain
-	// move may instead propose a zero-gain move that strictly improves
-	// balance — the sender part outweighs the receiver by more than the
-	// vertex on the primary resource — so the rounds can rebalance as well
-	// as descend. The serial kernel ignores it (its rollback machinery
-	// already explores sideways moves inside passes). Off by default; the
-	// zero value reproduces the positive-only round stage bit for bit.
-	Sideways bool
 	// StallCutoff, when positive, ends a pass (after the first) once that
 	// many consecutive moves have failed to reach a new best prefix. It is
 	// an adaptive alternative to MaxPassFraction in the spirit of the

@@ -162,7 +162,6 @@ func FuzzFMKernel(f *testing.F) {
 		// from-scratch connectivity reduction.
 		workers := 2 + int(mode>>4)%7
 		salt := uint64(fu8(data, pos))<<8 | uint64(mode)
-		cfg.Sideways = fu8(data, pos+1)&1 == 1
 		pWant, err := fm.ParallelRefine(p, initial, cfg, 1, salt)
 		if err != nil {
 			t.Fatalf("parallel workers=1: %v", err)
@@ -191,7 +190,7 @@ func FuzzFMKernel(f *testing.F) {
 		// must be feasible and never worse under either metric, and the
 		// committed-gain ledger must equal the from-scratch connectivity
 		// reduction.
-		locWorkers := 2 + int(fu8(data, pos+2))%7
+		locWorkers := 2 + int(fu8(data, pos+1))%7
 		lWant, err := fm.LocalizedRefine(p, initial, cfg, 1, salt)
 		if err != nil {
 			t.Fatalf("localized workers=1: %v", err)

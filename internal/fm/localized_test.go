@@ -188,66 +188,6 @@ func TestLocalizedRefineBeatsRounds(t *testing.T) {
 	}
 }
 
-// TestParallelRefineSideways covers Config.Sideways: with the flag on, the
-// round stage stays deterministic across worker counts, keeps the result
-// feasible, never worsens connectivity, and its Gain ledger still equals the
-// measured (λ-1) reduction (sideways commits contribute exactly zero). The
-// flag's off state is the zero value, pinned by every existing golden.
-func TestParallelRefineSideways(t *testing.T) {
-	rng := rand.New(rand.NewPCG(0x51dee, 1))
-	trials := 0
-	sidewaysRuns := 0
-	for trials < 30 {
-		p, initial, ok := diffProblem(rng)
-		if !ok {
-			continue
-		}
-		trials++
-		salt := rng.Uint64()
-		cfg := fm.Config{Sideways: true}
-		km1In := partition.KMinus1(p.H, initial)
-		want, err := fm.ParallelRefine(p, initial, cfg, 1, salt)
-		if err != nil {
-			t.Fatalf("trial %d: workers=1: %v", trials, err)
-		}
-		if err := p.Feasible(want.Assignment); err != nil {
-			t.Fatalf("trial %d: infeasible result: %v", trials, err)
-		}
-		km1Out := partition.KMinus1(p.H, want.Assignment)
-		if km1Out > km1In {
-			t.Fatalf("trial %d: connectivity worsened: %d -> %d", trials, km1In, km1Out)
-		}
-		if got := km1In - km1Out; got != want.Gain {
-			t.Fatalf("trial %d: Gain %d, measured reduction %d", trials, want.Gain, got)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			got, err := fm.ParallelRefine(p, initial, cfg, workers, salt)
-			if err != nil {
-				t.Fatalf("trial %d: workers=%d: %v", trials, workers, err)
-			}
-			if !reflect.DeepEqual(got.Assignment, want.Assignment) {
-				t.Fatalf("trial %d: workers=%d assignment diverges from workers=1 with sideways on", trials, workers)
-			}
-			if got.Moves != want.Moves || got.Gain != want.Gain {
-				t.Fatalf("trial %d: workers=%d moves/gain %d/%d, workers=1 %d/%d",
-					trials, workers, got.Moves, got.Gain, want.Moves, want.Gain)
-			}
-		}
-		// Count trials where sideways moves actually fired (moves beyond the
-		// positive-only run) so the test cannot silently stop covering them.
-		off, err := fm.ParallelRefine(p, initial, fm.Config{}, 1, salt)
-		if err != nil {
-			t.Fatalf("trial %d: sideways off: %v", trials, err)
-		}
-		if want.Moves > off.Moves {
-			sidewaysRuns++
-		}
-	}
-	if sidewaysRuns == 0 {
-		t.Error("no trial committed a sideways move (flag inert?)")
-	}
-}
-
 // locDiffProblem draws a random fixed-vertex problem for the localized
 // differential test: k in 2..8, 1-2 resources, fixed terminals and two-part
 // OR regions, and instances large enough (up to 200 vertices, nets up to 8

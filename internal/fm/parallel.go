@@ -36,17 +36,6 @@ import (
 // committed move applies its exact, strictly positive (λ-1) gain, so the
 // connectivity strictly decreases and is bounded below by zero.
 //
-// Config.Sideways relaxes step 1 for vertices with no positive-gain move:
-// they may propose a zero-gain move that strictly improves balance (the
-// sender part outweighs the receiver by more than the vertex on the primary
-// resource). Such commits are re-checked against the running weights, so
-// every committed sideways move strictly shrinks the squared-weight
-// potential Σ_q w_q[0]² while leaving the connectivity unchanged (its zero
-// gain is exact under the first-winner rule). Termination still holds
-// lexicographically on (λ-1, Σ w²): positive commits strictly decrease the
-// first component, sideways commits the second, and both are integers
-// bounded below.
-//
 // The engine is a hill climber (no uphill moves, no rollback); the serial FM
 // kernel and the localized engine (localized.go) recover gains requiring
 // negative prefixes.
@@ -200,7 +189,7 @@ func ParallelRefineWith(p *partition.Problem, initial partition.Assignment, cfg 
 				}
 				if ps.dirty[v] != 0 {
 					ps.dirty[v] = 0
-					proposeMove(m, int32(v), miss, ps, cfg.Sideways)
+					proposeMove(m, int32(v), miss, ps)
 				}
 				if ps.propT[v] >= 0 {
 					ps.hash[v] = refineHash(rs, int32(v))
@@ -255,12 +244,6 @@ func ParallelRefineWith(p *partition.Problem, initial partition.Assignment, cfg 
 			}
 			if !model.feasibleMove(v, t) {
 				// Stays a stored proposal: balance may free up next round.
-				continue
-			}
-			if ps.propG[v] == 0 && !sidewaysImproves(m, v, from, t) {
-				// A sideways proposal must still improve balance against the
-				// *running* weights — earlier commits may have closed the gap.
-				// It stays stored and is re-judged next round.
 				continue
 			}
 			for _, en := range h.NetsOf(int(v)) {
@@ -324,11 +307,8 @@ func ParallelRefineWith(p *partition.Problem, initial partition.Assignment, cfg 
 //
 // (leaving a part v covered alone gains the net, entering a part the net
 // does not touch loses it — cutModel.moveGain term by term). miss is the
-// caller's per-worker length-k accumulator for the second sum. With sideways
-// set, a vertex with no positive move may fall back to a zero-gain move that
-// strictly improves balance (largest sender-receiver gap wins, ties toward
-// the lowest part id).
-func proposeMove(m *cutModel, v int32, miss []int64, ps *parScratch, sideways bool) {
+// caller's per-worker length-k accumulator for the second sum.
+func proposeMove(m *cutModel, v int32, miss []int64, ps *parScratch) {
 	h := m.h
 	k := m.k
 	from := int(m.a[v])
@@ -362,32 +342,8 @@ func proposeMove(m *cutModel, v int32, miss []int64, ps *parScratch, sideways bo
 			bestT, bestG = t, g
 		}
 	}
-	if bestT < 0 && sideways {
-		var bestD int64
-		for _, t := range tgts {
-			if int(t) == from || base-miss[t] != 0 {
-				continue
-			}
-			if !sidewaysImproves(m, v, from, int(t)) || !m.feasibleMove(v, int(t)) {
-				continue
-			}
-			if d := m.weight[from][0] - m.weight[t][0]; bestT < 0 || d > bestD {
-				bestT, bestD = t, d
-			}
-		}
-	}
 	ps.propT[v] = bestT
 	ps.propG[v] = bestG
-}
-
-// sidewaysImproves reports whether moving v from part `from` to part t
-// strictly improves balance on the primary resource: the sender outweighs
-// the receiver by more than the vertex, which is exactly the condition for
-// the move to strictly shrink Σ_q w_q[0]². Zero-weight vertices never
-// qualify (their move would change nothing).
-func sidewaysImproves(m *cutModel, v int32, from, t int) bool {
-	x := m.h.WeightIn(int(v), 0)
-	return x > 0 && m.weight[from][0]-m.weight[t][0] > x
 }
 
 func growUint64(s []uint64, n int) []uint64 {

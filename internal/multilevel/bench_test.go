@@ -107,7 +107,7 @@ func BenchmarkParallelMultistart(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewPCG(1, 1))
-				if _, err := multilevel.ParallelMultistart(p, cfg, 8, rng); err != nil {
+				if _, err := solve(p, cfg, multilevel.Spec{Starts: 8}, rng); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -123,7 +123,7 @@ func BenchmarkAdaptiveMultistartParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewPCG(1, 1))
-				if _, err := multilevel.ParallelAdaptiveMultistart(p, cfg, 16, 2, rng); err != nil {
+				if _, err := solve(p, cfg, multilevel.Spec{Starts: 16, Patience: 2}, rng); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,7 +17,7 @@ import (
 func TestMultistartCtxMatchesUncancelled(t *testing.T) {
 	p := presetProblem(t, "IBM01S", 0.05, 0.3)
 	cfg := multilevel.Config{}
-	want, err := multilevel.ParallelMultistart(p, cfg, 6, rand.New(rand.NewPCG(7, 7)))
+	want, err := solve(p, cfg, multilevel.Spec{Starts: 6}, rand.New(rand.NewPCG(7, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestMultistartCtxMatchesUncancelled(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			c := cfg
 			c.Workers = workers
-			got, err := multilevel.ParallelMultistartCtx(ctx, p, c, 6, rand.New(rand.NewPCG(7, 7)))
+			got, err := multilevel.Solve(ctx, p, c, multilevel.Spec{Starts: 6}, rand.New(rand.NewPCG(7, 7)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestMultistartCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		cfg := multilevel.Config{Workers: workers}
-		if _, err := multilevel.ParallelMultistartCtx(ctx, p, cfg, 4, rand.New(rand.NewPCG(1, 1))); err == nil {
+		if _, err := multilevel.Solve(ctx, p, cfg, multilevel.Spec{Starts: 4}, rand.New(rand.NewPCG(1, 1))); err == nil {
 			t.Errorf("workers=%d: pre-cancelled context returned a result", workers)
 		}
 	}
@@ -64,7 +64,7 @@ func TestMultistartCtxTruncatedFeasible(t *testing.T) {
 		cancel()
 	}()
 	cfg := multilevel.Config{Workers: 2}
-	res, err := multilevel.ParallelMultistartCtx(ctx, p, cfg, 64, rand.New(rand.NewPCG(3, 3)))
+	res, err := multilevel.Solve(ctx, p, cfg, multilevel.Spec{Starts: 64}, rand.New(rand.NewPCG(3, 3)))
 	if err != nil {
 		if ctx.Err() == nil {
 			t.Fatalf("run failed for a non-cancellation reason: %v", err)
@@ -83,7 +83,7 @@ func TestMultistartCtxTruncatedFeasible(t *testing.T) {
 	}
 	// The truncated answer must equal an honest serial run over the same
 	// prefix: best of starts [0, res.Starts).
-	want, err := multilevel.ParallelMultistart(p, multilevel.Config{}, res.Starts, rand.New(rand.NewPCG(3, 3)))
+	want, err := solve(p, multilevel.Config{}, multilevel.Spec{Starts: res.Starts}, rand.New(rand.NewPCG(3, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,115 +104,15 @@ func pairwiseRefine(p *partition.Problem, a partition.Assignment, cfg fm.Config,
 // finer levels when heavy clusters leave no feasible start at the coarsest
 // one. Works for any 2 <= k <= partition.MaxParts, power of two or not.
 func PartitionKWay(p *partition.Problem, cfg Config, rng *rand.Rand) (*Result, error) {
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	return partitionKWayWith(p, cfg, rng, sc)
-}
-
-// partitionKWayWith is PartitionKWay running every FM call (initial tries,
-// k-way refinements, pairwise sweeps) on a caller-provided scratch, so the
-// multistart drivers can pin one scratch per worker.
-func partitionKWayWith(p *partition.Problem, cfg Config, rng *rand.Rand, sc *fm.Scratch) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.effective()
-	maxCluster := kwayMaxCluster(p)
-	levels := []level{{problem: p}}
-	curr := p
-	for len(levels) < cfg.MaxLevels {
-		if curr.MovableCount() <= cfg.CoarsestSize {
-			break
-		}
-		coarse, clusterOf, ok := coarsenLevel(cfg.Scheme, curr, nil, maxCluster, cfg.ClusteringRatio, cfg.HugeNetThreshold, cfg.CoarsenWorkers, rng)
-		if !ok {
-			break
-		}
-		levels[len(levels)-1].clusterOf = clusterOf
-		levels = append(levels, level{problem: coarse})
-		curr = coarse
-	}
-
-	fmCfg := fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, MaxPasses: cfg.RefineMaxPasses, Stats: kernelStats(cfg.Stats)}
-	initCfg := fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, Stats: kernelStats(cfg.Stats)}
-
-	// Initial partitioning at the deepest level that admits a feasible start.
-	start := len(levels) - 1
-	var a partition.Assignment
-	for ; start >= 0; start-- {
-		lp := levels[start].problem
-		var best *fm.KWayResult
-		for try := 0; try < cfg.InitialTries; try++ {
-			seed, ok := kwayInitial(lp, cfg, rng)
-			if !ok {
-				continue
-			}
-			res, err := fm.KWayPartitionWith(lp, seed, initCfg, sc)
-			if err != nil {
-				continue
-			}
-			// Initial tries have always ranked by connectivity (the kernel's
-			// pass ledger): exact for km1 and a historical, bit-identity-
-			// preserving tiebreak for cut, where the levels above re-rank
-			// completed starts by their own Score.
-			if best == nil || res.KMinus1 < best.KMinus1 {
-				best = res
-			}
-		}
-		if best != nil {
-			a = best.Assignment
-			break
-		}
-	}
-	if a == nil {
-		return nil, fmt.Errorf("multilevel: no feasible initial k-way solution at any level (instance overconstrained)")
-	}
-
-	if p.K > 2 {
-		var err error
-		a, err = pairwiseRefine(levels[start].problem, a, initCfg, 2, sc)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Uncoarsen with direct k-way FM refinement plus pairwise 2-way sweeps
-	// (k-way passes move single vertices; the pair sweeps recover the 2-way
-	// hill-climbing power recursive bisection gets for free). When the
-	// parallel round stage is on it runs first at every level, and the k-way
-	// polish at coarse levels drops to a single pass (polishConfig).
-	for lvl := start - 1; lvl >= 0; lvl-- {
-		a = project(a, levels[lvl].clusterOf)
-		var err error
-		if a, err = parallelRounds(levels[lvl].problem, a, cfg, rng, sc); err != nil {
-			return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
-		}
-		if a, err = localizedRounds(levels[lvl].problem, a, cfg, lvl, rng, sc); err != nil {
-			return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
-		}
-		lvlCfg := polishConfig(fmCfg, cfg, lvl)
-		res, err := fm.KWayPartitionWith(levels[lvl].problem, a, lvlCfg, sc)
-		if err != nil {
-			return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
-		}
-		a = res.Assignment
-		if p.K > 2 {
-			a, err = pairwiseRefine(levels[lvl].problem, a, lvlCfg, 2, sc)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return newResult(p, a, cfg, len(levels)-1), nil
+	return partitionOne(p, cfg, true, rng)
 }
 
 // kwayInitial produces one feasible k-way seed assignment for the (small)
 // coarsest problem: recursive bisection when it can satisfy the masks and
-// balance, otherwise a random feasible draw.
+// balance, otherwise a random feasible draw. The bisection's own phases run
+// untracked: the caller times the whole seed under the init phase.
 func kwayInitial(p *partition.Problem, cfg Config, rng *rand.Rand) (partition.Assignment, bool) {
+	cfg.Stats = nil
 	if res, err := RecursiveBisect(p, cfg, rng); err == nil {
 		return res.Assignment, true
 	}
@@ -220,30 +120,4 @@ func kwayInitial(p *partition.Problem, cfg Config, rng *rand.Rand) (partition.As
 		return a, true
 	}
 	return nil, false
-}
-
-// MultistartKWay runs n independent direct k-way starts and returns the best
-// result, ties broken toward the lowest start index. Starts derive per-index
-// RNGs exactly like Multistart (rand.NewPCG(seed, startIndex) with one seed
-// drawn from rng up front), so ParallelMultistartKWay reproduces this loop
-// bit-identically for any worker count.
-func MultistartKWay(p *partition.Problem, cfg Config, starts int, rng *rand.Rand) (*Result, error) {
-	if starts < 1 {
-		starts = 1
-	}
-	baseSeed := rng.Uint64()
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	var best *Result
-	for i := 0; i < starts; i++ {
-		res, err := partitionKWayWith(p, cfg, startRNG(baseSeed, i), sc)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Score < best.Score {
-			best = res
-		}
-	}
-	best.Starts = starts
-	return best, nil
 }

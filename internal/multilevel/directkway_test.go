@@ -114,8 +114,8 @@ func TestPartitionKWayHonorsORMasks(t *testing.T) {
 }
 
 // TestMultistartKWaySerialParallelEquivalence verifies the determinism
-// contract for the direct driver: serial MultistartKWay and
-// ParallelMultistartKWay with 1, 2 and 5 workers all return bit-identical
+// contract for the direct driver: Solve with Spec.KWay at Workers 1, 2 and
+// 5 returns results bit-identical to the serial (Workers 1) run
 // results from the same incoming rng state. Runs under -race in CI.
 func TestMultistartKWaySerialParallelEquivalence(t *testing.T) {
 	for _, k := range []int{3, 4} {
@@ -128,15 +128,15 @@ func TestMultistartKWaySerialParallelEquivalence(t *testing.T) {
 				p.Fix(g*50, g)
 			}
 			const starts = 6
-			serial, err := multilevel.MultistartKWay(p, multilevel.Config{}, starts, rand.New(rand.NewPCG(77, uint64(k))))
+			serial, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: starts, KWay: true}, rand.New(rand.NewPCG(77, uint64(k))))
 			if err != nil {
-				t.Fatalf("MultistartKWay: %v", err)
+				t.Fatalf("serial: %v", err)
 			}
 			for _, workers := range []int{1, 2, 5} {
 				cfg := multilevel.Config{Workers: workers}
-				par, err := multilevel.ParallelMultistartKWay(p, cfg, starts, rand.New(rand.NewPCG(77, uint64(k))))
+				par, err := solve(p, cfg, multilevel.Spec{Starts: starts, KWay: true}, rand.New(rand.NewPCG(77, uint64(k))))
 				if err != nil {
-					t.Fatalf("ParallelMultistartKWay(workers=%d): %v", workers, err)
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				if par.Cut != serial.Cut || !reflect.DeepEqual(par.Assignment, serial.Assignment) {
 					t.Errorf("workers=%d: parallel result differs from serial (cut %d vs %d)", workers, par.Cut, serial.Cut)
@@ -202,5 +202,44 @@ func TestVCycleKWay(t *testing.T) {
 	}
 	if vres.Cut > res.Cut {
 		t.Errorf("V-cycle worsened cut: %d -> %d", res.Cut, vres.Cut)
+	}
+}
+
+// TestSolveKWaySpec covers the Spec combinations the direct k-way path
+// shares with the 2-way one: k > 2 demands Spec.KWay, Hierarchies equal to
+// Starts reproduces the unshared run bit for bit, and follower starts over
+// shared k-way hierarchies stay feasible and worker-count invariant.
+func TestSolveKWaySpec(t *testing.T) {
+	h := clusters(4, 60, 3)
+	p := partition.NewFree(h, 4, 0.1)
+	for g := 0; g < 4; g++ {
+		p.Fix(g*60, g)
+	}
+	rng := func() *rand.Rand { return rand.New(rand.NewPCG(41, 4)) }
+	if _, err := solve(p, multilevel.Config{}, multilevel.Spec{Starts: 2}, rng()); err == nil {
+		t.Error("k=4 without Spec.KWay: want error")
+	}
+	plain, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 4, KWay: true}, rng())
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners, err := solve(p, multilevel.Config{Workers: 2}, multilevel.Spec{Starts: 4, KWay: true, Hierarchies: 4}, rng())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "hierarchies == starts", plain, owners)
+	shared, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 4, KWay: true, Hierarchies: 2}, rng())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Feasible(shared.Assignment); err != nil {
+		t.Fatalf("shared k-way infeasible: %v", err)
+	}
+	for _, workers := range []int{2, 3} {
+		got, err := solve(p, multilevel.Config{Workers: workers}, multilevel.Spec{Starts: 4, KWay: true, Hierarchies: 2}, rng())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("shared k-way workers=%d", workers), shared, got)
 	}
 }

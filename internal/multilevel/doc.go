@@ -2,17 +2,25 @@
 // paper uses as its testbed engine: heavy-edge-matching coarsening that
 // respects fixed vertices, random feasible initial solutions at the coarsest
 // level, and FM refinement during uncoarsening (CLIP by default, no
-// V-cycling), plus multistart drivers, shared coarsening hierarchies with
-// cheap "follower" descents, recursive bisection and a direct k-way V-cycle
-// for k > 2.
+// V-cycling), plus recursive bisection and a direct k-way V-cycle for k > 2.
+//
+// Solve is the one multistart entry point. Its Spec selects the number of
+// starts, 2-way or direct k-way descents, shared coarsening hierarchies with
+// cheap "follower" descents, adaptive patience and trailing V-cycles.
+// Partition, PartitionKWay, RecursiveBisect and VCycle run single starts;
+// BuildHierarchies and MultistartOnHierarchies split coarsening from
+// refinement for the hpartd hierarchy cache. Every descent — 2-way, k-way
+// and V-cycle — refines each level with the same step: synchronous rounds,
+// localized FM at the finest level, then the serial polish.
 //
 // # Concurrency
 //
-// Partition and the other single-start entry points are single-goroutine.
-// The parallel drivers (ParallelMultistart, ParallelMultistartKWay,
-// MultistartOnHierarchies and their Ctx variants) own their parallelism
-// internally via internal/par and are safe to call from one goroutine at a
-// time each. A Hierarchy is immutable once built: any number of concurrent
+// Solve and MultistartOnHierarchies run independent starts on Config.Workers
+// goroutines (1 is fully serial); the single-start entry points run on the
+// calling goroutine. Inside any start, CoarsenWorkers, RefineWorkers and
+// LocalizedFMWorkers split their stage's scans over goroutines via
+// internal/par. Every entry point is safe to call from many goroutines at
+// once. A Hierarchy is immutable once built: any number of concurrent
 // descents — including descents under different refinement configurations
 // via WithRefinement, which shares the levels and rebinds only the config —
 // may read it simultaneously. This immutability is what lets the hpartd
@@ -20,14 +28,14 @@
 //
 // # Determinism
 //
-// Start i of any multistart driver runs on its own RNG stream derived as
+// Start i of a multistart run runs on its own RNG stream derived as
 // startRNG(baseSeed, i) from the caller's seed, never from shared state, so
 // for a fixed seed the winning start, assignment and cut are bit-identical
-// for every worker count, including 1. The Ctx variants add cancellation
-// with a prefix contract: worker dispatch hands out start indices in order,
-// so a run cut short by its context has completed exactly the starts
-// [0, Result.Starts) and returns their best — the same answer an
-// uncancelled run over only those starts would produce. The prefix *length*
-// is timing-dependent; Result.Truncated marks it. A run cancelled before
-// any start completes returns an error rather than a partial result.
+// for every worker count, including 1. Cancellation keeps a prefix
+// contract: the scheduler hands out start indices in order, so a run cut
+// short by its context has completed exactly the starts [0, Result.Starts)
+// and returns their best — the same answer an uncancelled run over only
+// those starts would produce. The prefix *length* is timing-dependent;
+// Result.Truncated marks it. A run cancelled before any start completes
+// returns an error rather than a partial result.
 package multilevel

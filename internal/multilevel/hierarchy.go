@@ -14,10 +14,12 @@ import (
 )
 
 // Hierarchy is the product of one coarsening descent: the stack of
-// progressively coarser problems plus the cluster maps between them. It is
-// immutable once built, so many refinement-only descents — serial or
-// concurrent — can share it; that is what SharedMultistart exploits to
-// amortise coarsening (and its contraction cost) over many starts.
+// progressively coarser problems plus the cluster maps between them, and the
+// algorithm its descents run — 2-way (Partition) or direct k-way
+// (PartitionKWay). It is immutable once built, so many refinement-only
+// descents — serial or concurrent — can share it; that is what Solve's
+// shared-hierarchy mode exploits to amortise coarsening (and its contraction
+// cost) over many starts.
 //
 // A Hierarchy is only sound to share between *starts of the same problem and
 // config*. It must not be reused for V-cycling: V-cycles re-coarsen
@@ -26,6 +28,7 @@ import (
 type Hierarchy struct {
 	levels []level
 	cfg    Config // effective config the hierarchy was built with
+	kway   bool   // descend with direct k-way FM (PartitionKWay) instead of 2-way FM
 }
 
 // Root returns the original (finest) problem.
@@ -50,14 +53,18 @@ func BuildHierarchy(p *partition.Problem, cfg Config, rng *rand.Rand) (*Hierarch
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return buildLevels(p, cfg.effective(), bipartitionMaxCluster(p), rng), nil
+	return coarsen(p, cfg.effective(), false, rng), nil
 }
 
 // Descend runs one full-refinement start over the hierarchy: initial
 // partitioning at the coarsest feasible level, then FM refinement at every
 // level on the way up. Each call consumes rng exactly as the corresponding
 // phase of Partition does.
-func (h *Hierarchy) Descend(rng *rand.Rand) (*Result, error) { return h.descend(rng, false) }
+func (h *Hierarchy) Descend(rng *rand.Rand) (*Result, error) {
+	sc := fm.GetScratch()
+	defer fm.PutScratch(sc)
+	return h.descendWith(rng, false, sc)
+}
 
 // bipartitionMaxCluster caps cluster growth well below the part capacity so
 // the coarsest level retains enough granularity near the balance boundary.
@@ -69,57 +76,65 @@ func bipartitionMaxCluster(p *partition.Problem) int64 {
 	return maxCluster
 }
 
-// buildLevels runs the coarsening loop on an already-validated problem and
+// coarsen builds the hierarchy one start of Partition (kway false) or
+// PartitionKWay (kway true) descends, on an already-validated problem and
 // effective config.
-func buildLevels(p *partition.Problem, cfg Config, maxCluster int64, rng *rand.Rand) *Hierarchy {
-	h := &Hierarchy{cfg: cfg}
-	cfg.Stats.track(phaseCoarsen, func() {
-		levels := []level{{problem: p}}
-		curr := p
-		for len(levels) < cfg.MaxLevels {
-			if curr.MovableCount() <= cfg.CoarsestSize {
-				break
-			}
-			coarse, clusterOf, ok := coarsenLevel(cfg.Scheme, curr, nil, maxCluster, cfg.ClusteringRatio, cfg.HugeNetThreshold, cfg.CoarsenWorkers, rng)
-			if !ok {
-				break
-			}
-			levels[len(levels)-1].clusterOf = clusterOf
-			levels = append(levels, level{problem: coarse})
-			curr = coarse
-		}
-		h.levels = levels
-	})
+func coarsen(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) *Hierarchy {
+	maxCluster := bipartitionMaxCluster(p)
+	if kway {
+		maxCluster = kwayMaxCluster(p)
+	}
+	h, _ := buildLevels(p, cfg, maxCluster, nil, rng)
+	h.kway = kway
 	return h
 }
 
-// descend runs one refinement start. Owner descents (follower=false) refine
-// with the full configured FM discipline and replay Partition's phases
-// bit-identically; follower descents — extra SharedMultistart starts
-// resampling a hierarchy another start owns — apply cfg.FollowerPassFraction
-// as a pass cutoff during uncoarsening refinement, trading a sliver of
-// per-start quality for a large reduction in per-start cost (the coarsest
-// initial partitioning, where start diversity comes from, stays at full
-// strength). One FM scratch is leased for the whole descent, so neither the
-// initial tries nor the per-level refinements pay the kernel's allocation
-// cost.
-func (h *Hierarchy) descend(rng *rand.Rand, follower bool) (*Result, error) {
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	return h.descendWith(rng, follower, sc)
+// buildLevels runs the coarsening loop on an already-validated problem and
+// effective config. A non-nil sol restricts every matching to vertices of
+// one part of sol (V-cycle coarsening); its projection onto the coarsest
+// level is returned alongside the hierarchy.
+func buildLevels(p *partition.Problem, cfg Config, maxCluster int64, sol partition.Assignment, rng *rand.Rand) (*Hierarchy, partition.Assignment) {
+	h := &Hierarchy{cfg: cfg}
+	cfg.Stats.track(phaseCoarsen, func() {
+		h.levels = []level{{problem: p}}
+		for curr := p; len(h.levels) < cfg.MaxLevels && curr.MovableCount() > cfg.CoarsestSize; {
+			coarse, clusterOf, ok := coarsenLevel(cfg.Scheme, curr, sol, maxCluster, cfg.ClusteringRatio, cfg.HugeNetThreshold, cfg.CoarsenWorkers, rng)
+			if !ok {
+				break
+			}
+			if sol != nil {
+				coarseSol := make(partition.Assignment, coarse.H.NumVertices())
+				for v, c := range clusterOf {
+					coarseSol[c] = sol[v]
+				}
+				sol = coarseSol
+			}
+			h.levels[len(h.levels)-1].clusterOf = clusterOf
+			h.levels = append(h.levels, level{problem: coarse})
+			curr = coarse
+		}
+	})
+	return h, sol
 }
 
-// descendWith is descend running on a caller-provided FM scratch, for
-// multistart drivers that pin one scratch per worker across many descents.
-// Scratch contents never influence results, so pinning preserves the
-// determinism contract.
+// descendWith runs one refinement start over the hierarchy on a
+// caller-provided FM scratch (scratch contents never influence results, so
+// the multistart scheduler pins one per worker). Owner descents
+// (follower=false) refine with the full configured FM discipline and replay
+// Partition's and PartitionKWay's phases bit-identically; follower descents
+// — extra starts resampling a hierarchy another start owns — apply
+// cfg.FollowerPassFraction as a pass cutoff during uncoarsening refinement,
+// trading a sliver of per-start quality for a large reduction in per-start
+// cost (the coarsest initial partitioning, where start diversity comes from,
+// stays at full strength).
 func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (*Result, error) {
 	cfg := h.cfg
-	fmCfg := fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, MaxPasses: cfg.RefineMaxPasses, Stats: kernelStats(cfg.Stats)}
+	r := refiner{cfg: cfg, polish: refineConfig(cfg), kway: h.kway, pairwise: h.kway && h.Root().K > 2, rng: rng, sc: sc}
 	if follower {
-		fmCfg.MaxPassFraction = followerPassFraction(cfg)
+		r.polish.MaxPassFraction = followerPassFraction(cfg)
 	}
-	initCfg := fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, Stats: kernelStats(cfg.Stats)}
+	initCfg := refineConfig(cfg)
+	initCfg.MaxPasses = 0
 
 	// Initial partitioning at the deepest level that admits a feasible
 	// start; heavy clusters can make the very coarsest level infeasible, in
@@ -128,21 +143,7 @@ func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (
 	var a partition.Assignment
 	cfg.Stats.track(phaseInit, func() {
 		for ; start >= 0; start-- {
-			lp := h.levels[start].problem
-			var best *fm.Result
-			for try := 0; try < cfg.InitialTries; try++ {
-				res, err := fm.RunFromRandomWith(lp, initCfg, rng, sc)
-				if err != nil {
-					break
-				}
-				// At k = 2 every objective coincides with the cut, so this
-				// selection is objective-agnostic (Score == Cut here).
-				if best == nil || res.Score < best.Score {
-					best = res
-				}
-			}
-			if best != nil {
-				a = best.Assignment
+			if a = h.initial(h.levels[start].problem, initCfg, rng, sc); a != nil {
 				break
 			}
 		}
@@ -150,30 +151,112 @@ func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (
 	if a == nil {
 		return nil, fmt.Errorf("multilevel: no feasible initial solution at any level (instance overconstrained)")
 	}
-
-	// Uncoarsen: the optional parallel round stage, then (at the finest
-	// level) the localized FM stage, then serial FM polish, per level.
-	for lvl := start - 1; lvl >= 0; lvl-- {
-		a = project(a, h.levels[lvl].clusterOf)
+	if r.pairwise {
 		var err error
-		if a, err = parallelRounds(h.levels[lvl].problem, a, cfg, rng, sc); err != nil {
-			return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
-		}
-		if a, err = localizedRounds(h.levels[lvl].problem, a, cfg, lvl, rng, sc); err != nil {
-			return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
-		}
-		lvlCfg := polishConfig(fmCfg, cfg, lvl)
-		cfg.Stats.track(phaseRefine, func() {
-			var res *fm.Result
-			if res, err = fm.BipartitionWith(h.levels[lvl].problem, a, lvlCfg, sc); err == nil {
-				a = res.Assignment
-			}
-		})
+		cfg.Stats.track(phaseRefine, func() { a, err = pairwiseRefine(h.levels[start].problem, a, initCfg, 2, sc) })
 		if err != nil {
-			return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
+			return nil, err
+		}
+	}
+	for lvl := start - 1; lvl >= 0; lvl-- {
+		var err error
+		if a, err = r.level(h.levels[lvl].problem, project(a, h.levels[lvl].clusterOf), lvl); err != nil {
+			return nil, err
 		}
 	}
 	return newResult(h.Root(), a, cfg, len(h.levels)-1), nil
+}
+
+// initial returns the best of cfg.InitialTries refined starts on the level
+// problem lp, or nil when it admits none. 2-way tries are random feasible
+// starts refined by 2-way FM and ranked by Score (at k = 2 every objective
+// coincides with the cut); k-way tries are recursive-bisection seeds
+// (kwayInitial) refined by k-way FM and ranked by connectivity — exact for
+// km1 and a historical, bit-identity-preserving tiebreak for cut, where the
+// multistart scheduler re-ranks completed starts by their own Score.
+func (h *Hierarchy) initial(lp *partition.Problem, initCfg fm.Config, rng *rand.Rand, sc *fm.Scratch) partition.Assignment {
+	var best partition.Assignment
+	var bestScore int64
+	for try := 0; try < h.cfg.InitialTries; try++ {
+		var a partition.Assignment
+		var score int64
+		if h.kway {
+			seed, ok := kwayInitial(lp, h.cfg, rng)
+			if !ok {
+				continue
+			}
+			res, err := fm.KWayPartitionWith(lp, seed, initCfg, sc)
+			if err != nil {
+				continue
+			}
+			a, score = res.Assignment, res.KMinus1
+		} else {
+			res, err := fm.RunFromRandomWith(lp, initCfg, rng, sc)
+			if err != nil {
+				break
+			}
+			a, score = res.Assignment, res.Score
+		}
+		if best == nil || score < bestScore {
+			best, bestScore = a, score
+		}
+	}
+	return best
+}
+
+// refineConfig is the serial FM configuration of the uncoarsening polish,
+// before polishConfig's per-level pass cap.
+func refineConfig(cfg Config) fm.Config {
+	return fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, MaxPasses: cfg.RefineMaxPasses, Stats: kernelStats(cfg.Stats)}
+}
+
+// refiner is the one per-level refinement step every descent and V-cycle
+// runs, with what all the levels of one of them share.
+type refiner struct {
+	cfg    Config
+	polish fm.Config // serial polish config before polishConfig's per-level cap
+	// kway polishes with direct k-way FM instead of 2-way FM; pairwise adds
+	// the 2-way pair sweeps after it (direct k-way descents at k > 2 only).
+	kway, pairwise bool
+	rng            *rand.Rand
+	sc             *fm.Scratch
+}
+
+// level refines the projected assignment a of level lvl's problem p: the
+// optional synchronous rounds, then (at the finest level) the localized FM
+// stage, then the serial polish — fm.BipartitionWith or fm.KWayPartitionWith,
+// plus pairwise sweeps when enabled (k-way passes move single vertices; the
+// pair sweeps recover the 2-way hill-climbing power recursive bisection gets
+// for free). The polish and the sweeps are tracked under the refine phase.
+func (r *refiner) level(p *partition.Problem, a partition.Assignment, lvl int) (partition.Assignment, error) {
+	var err error
+	if a, err = parallelRounds(p, a, r.cfg, r.rng, r.sc); err != nil {
+		return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
+	}
+	if a, err = localizedRounds(p, a, r.cfg, lvl, r.rng, r.sc); err != nil {
+		return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
+	}
+	polish := polishConfig(r.polish, r.cfg, lvl)
+	r.cfg.Stats.track(phaseRefine, func() {
+		if r.kway {
+			var res *fm.KWayResult
+			if res, err = fm.KWayPartitionWith(p, a, polish, r.sc); err == nil {
+				a = res.Assignment
+			}
+		} else {
+			var res *fm.Result
+			if res, err = fm.BipartitionWith(p, a, polish, r.sc); err == nil {
+				a = res.Assignment
+			}
+		}
+		if err == nil && r.pairwise {
+			a, err = pairwiseRefine(p, a, polish, 2, r.sc)
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
+	}
+	return a, nil
 }
 
 // parallelRounds runs the Config.RefineWorkers synchronous-round stage on one
@@ -190,7 +273,7 @@ func parallelRounds(p *partition.Problem, a partition.Assignment, cfg Config, rn
 	var res *fm.ParallelResult
 	var err error
 	cfg.Stats.track(phaseRefineParallel, func() {
-		res, err = fm.ParallelRefineWith(p, a, fm.Config{Objective: cfg.Objective, Sideways: cfg.RefineSideways}, cfg.RefineWorkers, salt, sc)
+		res, err = fm.ParallelRefineWith(p, a, fm.Config{Objective: cfg.Objective}, cfg.RefineWorkers, salt, sc)
 	})
 	if err != nil {
 		return nil, err
@@ -253,10 +336,15 @@ func followerPassFraction(cfg Config) float64 {
 
 // PhaseStats accumulates wall time and heap allocation counts per engine
 // phase. Attach one to Config.Stats to profile a run; the bench harness
-// threads these into BENCH_shared.json. Counters are added to atomically, so
-// one PhaseStats may be shared by concurrent descents; the allocation
-// numbers read the process-wide heap counter and are only attributable to a
-// phase in serial runs.
+// threads these into BENCH_shared.json. Every descent tracks its coarsening,
+// its coarsest-level initial partitioning (for direct k-way descents that
+// includes the recursive-bisection seeds, whose own nested phases are not
+// counted again) and, per level, each refinement stage — the serial polish
+// and the k-way pairwise sweeps both count under refine — so on a serial
+// run TotalNS accounts for nearly all of the wall time. Counters are added
+// to atomically, so one PhaseStats may be shared by concurrent descents; the
+// allocation numbers read the process-wide heap counter and are only
+// attributable to a phase in serial runs.
 type PhaseStats struct {
 	CoarsenNS int64 `json:"coarsen_ns"`
 	InitNS    int64 `json:"init_ns"`
@@ -277,7 +365,8 @@ type PhaseStats struct {
 	RefineLocalizedAllocs int64 `json:"refine_localized_allocs"`
 	// Kernel accumulates the FM kernel's net-state-aware work counters (nets
 	// skipped, pin scans avoided, bucket updates saved) across every FM run a
-	// descent performs; like the phase counters it is updated atomically.
+	// descent performs, bar the k-way recursive-bisection seeds, which run
+	// untracked; like the phase counters it is updated atomically.
 	Kernel fm.KernelStats `json:"refine_kernel"`
 }
 

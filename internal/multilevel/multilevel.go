@@ -55,15 +55,17 @@ type Config struct {
 	HugeNetThreshold int
 	// FollowerPassFraction is the pass cutoff (the paper's Table III
 	// mechanism) applied to the uncoarsening refinement of *follower* starts
-	// in SharedMultistart — starts that resample a hierarchy already built
-	// and fully refined by its owner start (default 0.10; set to 1 to give
-	// followers full refinement). It never affects Partition, Multistart or
-	// owner starts, so SharedMultistart with hierarchies == starts
-	// reproduces Multistart exactly.
+	// (Spec.Hierarchies, MultistartOnHierarchies) — starts that resample a
+	// hierarchy already built and fully refined by its owner start (default
+	// 0.10; set to 1 to give followers full refinement). It never affects
+	// owner starts, so Solve with Hierarchies == Starts reproduces the
+	// unshared run exactly.
 	FollowerPassFraction float64
-	// Workers bounds the worker pool of ParallelMultistart and
-	// ParallelAdaptiveMultistart (<= 0 means runtime.GOMAXPROCS). It never
-	// affects results: output is bit-identical for every worker count.
+	// Workers bounds the pool of goroutines that Solve and
+	// MultistartOnHierarchies run independent starts on (<= 0 means
+	// runtime.GOMAXPROCS; 1 runs every start serially on the calling
+	// goroutine). It never affects results: output is bit-identical for
+	// every worker count.
 	Workers int
 	// CoarsenWorkers parallelizes the inside of each coarsening descent:
 	// heavy-edge matching and contraction split their scans over this many
@@ -89,15 +91,6 @@ type Config struct {
 	// CoarseningFingerprint — coarsening never depends on it, so cached
 	// hierarchies serve every value.
 	RefineWorkers int
-	// RefineSideways lets the synchronous-round stage additionally commit
-	// zero-gain moves that strictly improve balance (sender minus receiver
-	// weight exceeds the vertex weight on the primary resource), closing the
-	// "rounds commit only strictly-positive gains" gap: the rounds can now
-	// rebalance as well as descend. Off by default — the zero value
-	// reproduces the PR 8 round stage bit for bit. It only has effect while
-	// RefineWorkers >= 1, and preserves the stage's determinism contract:
-	// results stay bit-identical for every worker count >= 1.
-	RefineSideways bool
 	// LocalizedFMWorkers enables the deterministic localized parallel FM
 	// stage (fm.LocalizedRefine) at the finest level of every descent:
 	// bounded FM searches seeded from boundary vertices run on this many
@@ -114,10 +107,11 @@ type Config struct {
 	// hierarchies serve every value.
 	LocalizedFMWorkers int
 	// Stats, when non-nil, accumulates per-phase wall time and heap
-	// allocation counts (coarsen / initial partitioning / refinement) over
-	// every descent run with this config. Counters are updated atomically;
-	// allocation counts read the process-wide heap object counter, so they
-	// are only meaningful for serial runs.
+	// allocation counts (coarsen / initial partitioning / the three
+	// refinement stages) over every descent and V-cycle run with this config,
+	// on the 2-way and the direct k-way path alike. Counters are updated
+	// atomically; allocation counts read the process-wide heap object
+	// counter, so they are only meaningful for serial runs (Workers: 1).
 	Stats *PhaseStats
 }
 
@@ -181,12 +175,12 @@ type Result struct {
 	// Levels is the number of coarsening levels used (0 = flat).
 	Levels int
 	// Starts is the number of independent starts contributing to this result
-	// (1 for Partition, n for Multistart). For the context-aware drivers it
-	// is the number of starts that actually completed, which may be fewer
-	// than requested when the run was cancelled.
+	// (1 for Partition, Spec.Starts for Solve). It is the number of starts
+	// that actually completed, which may be fewer than requested when the
+	// patience rule stopped the run or its context was cancelled.
 	Starts int
-	// Truncated reports that a context-aware driver was cancelled before all
-	// requested starts ran: the result is the best of the completed prefix —
+	// Truncated reports that a run was cancelled before all requested
+	// starts ran: the result is the best of the completed prefix —
 	// still a valid, feasible partition — but not necessarily the answer the
 	// full run would have returned.
 	Truncated bool
@@ -218,98 +212,24 @@ func newResult(p *partition.Problem, a partition.Assignment, cfg Config, levels 
 // problem p: one coarsening descent (BuildHierarchy) followed by one
 // full-refinement descent over it.
 func Partition(p *partition.Problem, cfg Config, rng *rand.Rand) (*Result, error) {
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	return partitionWith(p, cfg, rng, sc)
-}
-
-// partitionWith is Partition running every FM call on a caller-provided
-// scratch; the multistart drivers pin one scratch per worker across starts.
-func partitionWith(p *partition.Problem, cfg Config, rng *rand.Rand, sc *fm.Scratch) (*Result, error) {
 	if p.K != 2 {
 		return nil, fmt.Errorf("multilevel: Partition requires k=2, got k=%d (use RecursiveBisect)", p.K)
 	}
+	return partitionOne(p, cfg, false, rng)
+}
+
+// partitionOne validates p and cfg, then coarsens and descends once on rng:
+// Partition (kway false) or PartitionKWay (kway true).
+func partitionOne(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.effective()
-	h := buildLevels(p, cfg, bipartitionMaxCluster(p), rng)
-	return h.descendWith(rng, false, sc)
-}
-
-// Multistart runs n independent starts and returns the best result, with
-// ties broken toward the lowest start index.
-//
-// Each start runs on its own RNG derived as rand.NewPCG(seed, startIndex),
-// where the single seed is drawn from rng up front; rng is never shared
-// across starts. This is the same derivation ParallelMultistart uses, so for
-// the same incoming rng state the serial and parallel drivers return
-// bit-identical results.
-func Multistart(p *partition.Problem, cfg Config, starts int, rng *rand.Rand) (*Result, error) {
-	if starts < 1 {
-		starts = 1
-	}
-	baseSeed := rng.Uint64()
 	sc := fm.GetScratch()
 	defer fm.PutScratch(sc)
-	var best *Result
-	for i := 0; i < starts; i++ {
-		res, err := partitionWith(p, cfg, startRNG(baseSeed, i), sc)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Score < best.Score {
-			best = res
-		}
-	}
-	best.Starts = starts
-	return best, nil
-}
-
-// AdaptiveMultistart keeps launching starts until `patience` consecutive
-// starts fail to improve the best cut, up to maxStarts (defaults: patience 2,
-// maxStarts 16). Result.Starts reports how many starts were actually used —
-// an operational answer to the paper's question of how much multistart
-// effort a given instance deserves: in the fixed-terminals regime the loop
-// stops after the minimum patience window, on free instances it keeps
-// paying for improvements.
-//
-// Starts draw per-index RNGs exactly like Multistart, so
-// ParallelAdaptiveMultistart reproduces this loop bit-identically.
-func AdaptiveMultistart(p *partition.Problem, cfg Config, maxStarts, patience int, rng *rand.Rand) (*Result, error) {
-	if maxStarts < 1 {
-		maxStarts = 16
-	}
-	if patience < 1 {
-		patience = 2
-	}
-	baseSeed := rng.Uint64()
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	var best *Result
-	stale := 0
-	used := 0
-	for used < maxStarts {
-		res, err := partitionWith(p, cfg, startRNG(baseSeed, used), sc)
-		if err != nil {
-			return nil, err
-		}
-		used++
-		if best == nil || res.Score < best.Score {
-			best = res
-			stale = 0
-		} else {
-			stale++
-			if stale >= patience {
-				break
-			}
-		}
-	}
-	best.Starts = used
-	return best, nil
+	return coarsen(p, cfg.effective(), kway, rng).descendWith(rng, false, sc)
 }
 
 // coarsenLevel dispatches one coarsening round to the configured scheme.

@@ -38,9 +38,9 @@ func TestPartitionTwoClusters(t *testing.T) {
 	h := clusters(2, 400, 6)
 	p := partition.NewBipartition(h, 0.02)
 	rng := rand.New(rand.NewPCG(1, 1))
-	res, err := multilevel.Multistart(p, multilevel.Config{}, 4, rng)
+	res, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 4}, rng)
 	if err != nil {
-		t.Fatalf("Multistart: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if err := p.Feasible(res.Assignment); err != nil {
 		t.Fatalf("infeasible: %v", err)
@@ -111,11 +111,11 @@ func TestMultistartNeverWorseThanSingle(t *testing.T) {
 	h := clusters(2, 300, 8)
 	p := partition.NewBipartition(h, 0.02)
 	// Same seed: the first start of the 4-start run replays the 1-start run.
-	single, err := multilevel.Multistart(p, multilevel.Config{}, 1, rand.New(rand.NewPCG(3, 3)))
+	single, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 1}, rand.New(rand.NewPCG(3, 3)))
 	if err != nil {
 		t.Fatalf("single: %v", err)
 	}
-	multi, err := multilevel.Multistart(p, multilevel.Config{}, 4, rand.New(rand.NewPCG(3, 3)))
+	multi, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 4}, rand.New(rand.NewPCG(3, 3)))
 	if err != nil {
 		t.Fatalf("multi: %v", err)
 	}
@@ -248,9 +248,9 @@ func TestFixedMakesInstancesEasier(t *testing.T) {
 	h := clusters(2, 300, 10)
 	free := partition.NewBipartition(h, 0.02)
 	rng := rand.New(rand.NewPCG(12, 12))
-	best, err := multilevel.Multistart(free, multilevel.Config{}, 8, rng)
+	best, err := solve(free, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 8}, rng)
 	if err != nil {
-		t.Fatalf("Multistart: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	good := partition.NewBipartition(h, 0.02)
 	for _, v := range rng.Perm(h.NumVertices())[:180] { // 30%
@@ -285,9 +285,9 @@ func TestAdaptiveMultistart(t *testing.T) {
 	h := clusters(2, 300, 8)
 	p := partition.NewBipartition(h, 0.02)
 	rng := rand.New(rand.NewPCG(31, 31))
-	res, err := multilevel.AdaptiveMultistart(p, multilevel.Config{}, 10, 2, rng)
+	res, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 10, Patience: 2}, rng)
 	if err != nil {
-		t.Fatalf("AdaptiveMultistart: %v", err)
+		t.Fatalf("adaptive Solve: %v", err)
 	}
 	if res.Starts < 3 || res.Starts > 10 {
 		t.Errorf("Starts = %d, want in [3,10] (patience 2)", res.Starts)
@@ -295,10 +295,10 @@ func TestAdaptiveMultistart(t *testing.T) {
 	if err := p.Feasible(res.Assignment); err != nil {
 		t.Errorf("infeasible: %v", err)
 	}
-	// Defaults path (maxStarts/patience <= 0).
-	res2, err := multilevel.AdaptiveMultistart(p, multilevel.Config{}, 0, 0, rng)
+	// The paper-study setting: 16 starts, patience 2.
+	res2, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 16, Patience: 2}, rng)
 	if err != nil {
-		t.Fatalf("AdaptiveMultistart defaults: %v", err)
+		t.Fatalf("adaptive Solve 16/2: %v", err)
 	}
 	if res2.Starts < 3 || res2.Starts > 16 {
 		t.Errorf("default Starts = %d", res2.Starts)

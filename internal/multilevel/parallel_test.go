@@ -1,6 +1,7 @@
 package multilevel_test
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -33,6 +34,11 @@ func presetProblem(t *testing.T, name string, scale, fixedFrac float64) *partiti
 	return p
 }
 
+// solve runs multilevel.Solve without cancellation.
+func solve(p *partition.Problem, cfg multilevel.Config, spec multilevel.Spec, rng *rand.Rand) (*multilevel.Result, error) {
+	return multilevel.Solve(context.Background(), p, cfg, spec, rng)
+}
+
 func sameResult(t *testing.T, label string, want, got *multilevel.Result) {
 	t.Helper()
 	if got.Cut != want.Cut {
@@ -53,8 +59,8 @@ func sameResult(t *testing.T, label string, want, got *multilevel.Result) {
 }
 
 // TestParallelMultistartMatchesSerial is the determinism contract:
-// ParallelMultistart with 1, 2 and 8 workers returns a bit-identical Result
-// (cut + assignment + starts) to the serial Multistart for the same seed, on
+// Solve with 1, 2 and 8 workers returns a bit-identical Result (cut +
+// assignment + starts) to the serial (Workers 1) run for the same seed, on
 // free and fixed-terminals instances. Run under -race in CI.
 func TestParallelMultistartMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
@@ -67,13 +73,13 @@ func TestParallelMultistartMatchesSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := presetProblem(t, "IBM01S", 0.05, tc.fixedFrac)
 			const starts = 6
-			serial, err := multilevel.Multistart(p, multilevel.Config{}, starts, rand.New(rand.NewPCG(7, 7)))
+			serial, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: starts}, rand.New(rand.NewPCG(7, 7)))
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				cfg := multilevel.Config{Workers: workers}
-				par, err := multilevel.ParallelMultistart(p, cfg, starts, rand.New(rand.NewPCG(7, 7)))
+				par, err := solve(p, cfg, multilevel.Spec{Starts: starts}, rand.New(rand.NewPCG(7, 7)))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -93,13 +99,13 @@ func TestParallelAdaptiveMatchesSerial(t *testing.T) {
 		{10, 3},
 		{1, 1},
 	} {
-		serial, err := multilevel.AdaptiveMultistart(p, multilevel.Config{}, cfg.maxStarts, cfg.patience, rand.New(rand.NewPCG(13, 13)))
+		serial, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: cfg.maxStarts, Patience: cfg.patience}, rand.New(rand.NewPCG(13, 13)))
 		if err != nil {
 			t.Fatalf("serial: %v", err)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			mlCfg := multilevel.Config{Workers: workers}
-			par, err := multilevel.ParallelAdaptiveMultistart(p, mlCfg, cfg.maxStarts, cfg.patience, rand.New(rand.NewPCG(13, 13)))
+			par, err := solve(p, mlCfg, multilevel.Spec{Starts: cfg.maxStarts, Patience: cfg.patience}, rand.New(rand.NewPCG(13, 13)))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -113,9 +119,9 @@ func TestParallelAdaptiveMatchesSerial(t *testing.T) {
 func TestParallelMultistartSmallClusters(t *testing.T) {
 	h := clusters(2, 300, 6)
 	p := partition.NewBipartition(h, 0.02)
-	res, err := multilevel.ParallelMultistart(p, multilevel.Config{Workers: 8}, 3, rand.New(rand.NewPCG(5, 5)))
+	res, err := solve(p, multilevel.Config{Workers: 8}, multilevel.Spec{Starts: 3}, rand.New(rand.NewPCG(5, 5)))
 	if err != nil {
-		t.Fatalf("ParallelMultistart: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if err := p.Feasible(res.Assignment); err != nil {
 		t.Fatalf("infeasible: %v", err)
@@ -136,10 +142,10 @@ func TestParallelMultistartError(t *testing.T) {
 	for v := 0; v < h.NumVertices(); v++ {
 		p.Fix(v, 0)
 	}
-	if _, err := multilevel.ParallelMultistart(p, multilevel.Config{Workers: 4}, 4, rand.New(rand.NewPCG(6, 6))); err == nil {
+	if _, err := solve(p, multilevel.Config{Workers: 4}, multilevel.Spec{Starts: 4}, rand.New(rand.NewPCG(6, 6))); err == nil {
 		t.Error("want error for overconstrained instance")
 	}
-	if _, err := multilevel.ParallelAdaptiveMultistart(p, multilevel.Config{Workers: 4}, 8, 2, rand.New(rand.NewPCG(6, 6))); err == nil {
+	if _, err := solve(p, multilevel.Config{Workers: 4}, multilevel.Spec{Starts: 8, Patience: 2}, rand.New(rand.NewPCG(6, 6))); err == nil {
 		t.Error("adaptive: want error for overconstrained instance")
 	}
 }

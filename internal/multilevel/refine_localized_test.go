@@ -41,8 +41,8 @@ func TestLocalizedFMGoldenEquivalence(t *testing.T) {
 		if r.vcyc, err = multilevel.VCycle(p2, base.Assignment, cfg, rand.New(rand.NewPCG(9, 10))); err != nil {
 			t.Fatalf("workers=%d: VCycle: %v", workers, err)
 		}
-		if r.shared, err = multilevel.ParallelSharedMultistart(p2, cfg, 4, 2, rand.New(rand.NewPCG(11, 12))); err != nil {
-			t.Fatalf("workers=%d: ParallelSharedMultistart: %v", workers, err)
+		if r.shared, err = solve(p2, cfg, multilevel.Spec{Starts: 4, Hierarchies: 2}, rand.New(rand.NewPCG(11, 12))); err != nil {
+			t.Fatalf("workers=%d: shared Solve: %v", workers, err)
 		}
 		return r
 	}
@@ -122,18 +122,15 @@ func TestLocalizedFMDifferentialQuality(t *testing.T) {
 }
 
 // TestLocalizedFMFingerprintUnchanged pins the cache-compatibility rule: the
-// localized stage runs strictly after coarsening, so LocalizedFMWorkers (and
-// RefineSideways) must not move CoarseningFingerprint — hpartd's hierarchy
-// cache serves every value with the same entries.
+// localized stage runs strictly after coarsening, so LocalizedFMWorkers must
+// not move CoarseningFingerprint — hpartd's hierarchy cache serves every
+// value with the same entries.
 func TestLocalizedFMFingerprintUnchanged(t *testing.T) {
 	base := multilevel.Config{}.CoarseningFingerprint()
 	for _, workers := range []int{1, 2, 8, 64} {
 		if got := (multilevel.Config{LocalizedFMWorkers: workers}).CoarseningFingerprint(); got != base {
 			t.Errorf("LocalizedFMWorkers=%d moved CoarseningFingerprint: %x vs %x", workers, got, base)
 		}
-	}
-	if got := (multilevel.Config{RefineSideways: true}).CoarseningFingerprint(); got != base {
-		t.Errorf("RefineSideways moved CoarseningFingerprint: %x vs %x", got, base)
 	}
 }
 
@@ -153,38 +150,4 @@ func TestLocalizedFMOffIsSeedBehavior(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "localized-fm-workers=-3", want, got)
-}
-
-// TestRefineSidewaysGoldenEquivalence checks the sideways knob composes with
-// the round stage's determinism contract: with RefineSideways on, workers in
-// {2, 4, 8} reproduce workers=1 bit for bit across Partition and direct
-// k-way, and leaving the knob off reproduces a default-config run exactly.
-func TestRefineSidewaysGoldenEquivalence(t *testing.T) {
-	p2 := presetProblem(t, "IBM01S", 0.08, 0.2)
-	p4 := partition.NewFree(presetProblem(t, "IBM02S", 0.06, 0).H, 4, 0.1)
-
-	run := func(workers int, sideways bool) (*multilevel.Result, *multilevel.Result) {
-		cfg := multilevel.Config{RefineWorkers: workers, RefineSideways: sideways}
-		part, err := multilevel.Partition(p2, cfg, rand.New(rand.NewPCG(31, 32)))
-		if err != nil {
-			t.Fatalf("workers=%d sideways=%v: Partition: %v", workers, sideways, err)
-		}
-		kway, err := multilevel.PartitionKWay(p4, cfg, rand.New(rand.NewPCG(33, 34)))
-		if err != nil {
-			t.Fatalf("workers=%d sideways=%v: PartitionKWay: %v", workers, sideways, err)
-		}
-		return part, kway
-	}
-
-	wantPart, wantKWay := run(1, true)
-	for _, workers := range []int{2, 4, 8} {
-		gotPart, gotKWay := run(workers, true)
-		sameResult(t, "sideways partition", wantPart, gotPart)
-		sameResult(t, "sideways kway", wantKWay, gotKWay)
-	}
-
-	offPart, offKWay := run(1, false)
-	basePart, baseKWay := run(1, false)
-	sameResult(t, "sideways-off partition determinism", basePart, offPart)
-	sameResult(t, "sideways-off kway determinism", baseKWay, offKWay)
 }

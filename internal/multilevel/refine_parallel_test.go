@@ -41,8 +41,8 @@ func TestRefineWorkersGoldenEquivalence(t *testing.T) {
 		if r.vcyc, err = multilevel.VCycle(p2, base.Assignment, cfg, rand.New(rand.NewPCG(9, 10))); err != nil {
 			t.Fatalf("workers=%d: VCycle: %v", workers, err)
 		}
-		if r.shared, err = multilevel.ParallelSharedMultistart(p2, cfg, 4, 2, rand.New(rand.NewPCG(11, 12))); err != nil {
-			t.Fatalf("workers=%d: ParallelSharedMultistart: %v", workers, err)
+		if r.shared, err = solve(p2, cfg, multilevel.Spec{Starts: 4, Hierarchies: 2}, rand.New(rand.NewPCG(11, 12))); err != nil {
+			t.Fatalf("workers=%d: shared Solve: %v", workers, err)
 		}
 		return r
 	}

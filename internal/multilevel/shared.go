@@ -1,50 +1,29 @@
 package multilevel
 
 import (
+	"context"
 	"fmt"
-	"math/rand/v2"
 
 	"repro/internal/fm"
-	"repro/internal/par"
+	"repro/internal/hypergraph"
 	"repro/internal/partition"
 )
 
-// SharedMultistart runs `starts` multilevel starts over only `hierarchies`
-// coarsening descents (H <= starts; values < 1 pick ceil(starts/4)), so the
-// coarsening+contraction cost is amortised H/starts-fold.
-//
-// Start indices keep the determinism contract of Multistart: one base seed is
-// drawn from rng up front and start i runs on rand.NewPCG(baseSeed, i).
-//   - Starts 0..H-1 are *owners*: start j builds hierarchy j and then runs a
-//     full-refinement descent on the same RNG — exactly Partition's phases,
-//     bit for bit. With hierarchies == starts this makes SharedMultistart
-//     reproduce Multistart exactly.
-//   - Starts H..starts-1 are *followers*: start i resamples hierarchy i%H
-//     with a fresh coarsest-level initial partitioning and a pass-cutoff
-//     refinement descent (Config.FollowerPassFraction); cheap extra samples
-//     anchored by the owners' full-quality descents.
-//
-// Every start is a pure function of (problem, config, baseSeed, index,
-// hierarchies), so ParallelSharedMultistart reproduces this loop
-// bit-identically for any worker count. The best cut wins, ties toward the
-// lowest start index.
-func SharedMultistart(p *partition.Problem, cfg Config, starts, hierarchies int, rng *rand.Rand) (*Result, error) {
-	return sharedMultistart(p, cfg, starts, hierarchies, 1, rng)
-}
+// This file is the hierarchy-sharing seam the hpartd service runs on:
+// coarsening hierarchies built once as a pure function of a cache key, and
+// multistart descents over them that never pay for coarsening.
 
-// ParallelSharedMultistart is SharedMultistart on a bounded worker pool of
-// cfg.Workers goroutines (<= 0 meaning GOMAXPROCS). Owner starts (hierarchy
-// build + full descent) run concurrently first; a barrier then lets the
-// follower starts fan out over the completed hierarchies, which are immutable
-// and safe to share. The result is bit-identical to SharedMultistart for the
-// same incoming rng state, for any worker count.
-func ParallelSharedMultistart(p *partition.Problem, cfg Config, starts, hierarchies int, rng *rand.Rand) (*Result, error) {
-	return sharedMultistart(p, cfg, starts, hierarchies, cfg.Workers, rng)
-}
-
-func sharedMultistart(p *partition.Problem, cfg Config, starts, hierarchies, workers int, rng *rand.Rand) (*Result, error) {
+// BuildHierarchies builds n independent coarsening hierarchies for the 2-way
+// problem p, hierarchy j on the deterministic RNG rand.NewPCG(seed, j). The
+// result is a pure function of (p, cfg, n, seed) — no timing, no worker
+// count — which is what lets hpartd cache hierarchies across requests: any
+// request that derives the same (instance fingerprint, coarsening
+// fingerprint, n, seed) key reuses them and gets answers bit-identical to a
+// cold build. Cancellation is checked between hierarchies; a cancelled build
+// returns ctx.Err() and no hierarchies.
+func BuildHierarchies(ctx context.Context, p *partition.Problem, cfg Config, n int, seed uint64) ([]*Hierarchy, error) {
 	if p.K != 2 {
-		return nil, fmt.Errorf("multilevel: SharedMultistart requires k=2, got k=%d", p.K)
+		return nil, fmt.Errorf("multilevel: BuildHierarchies requires k=2, got k=%d", p.K)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -52,65 +31,85 @@ func sharedMultistart(p *partition.Problem, cfg Config, starts, hierarchies, wor
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if starts < 1 {
-		starts = 1
-	}
-	h := hierarchies
-	if h < 1 {
-		h = (starts + 3) / 4
-	}
-	if h > starts {
-		h = starts
+	if n < 1 {
+		n = 1
 	}
 	eff := cfg.effective()
-	maxCluster := bipartitionMaxCluster(p)
-	baseSeed := rng.Uint64()
-
-	hiers := make([]*Hierarchy, h)
-	results := make([]*Result, starts)
-	errs := make([]error, starts)
-
-	// One FM scratch pinned per worker for both phases (scratch contents
-	// never influence results, so this preserves the determinism contract).
-	scratches := make([]*fm.Scratch, par.EffectiveWorkers(max(h, starts-h), workers))
-	for w := range scratches {
-		scratches[w] = fm.GetScratch()
+	hiers := make([]*Hierarchy, 0, n)
+	for j := 0; j < n; j++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		hiers = append(hiers, coarsen(p, eff, false, startRNG(seed, j)))
 	}
-	defer func() {
-		for _, sc := range scratches {
-			fm.PutScratch(sc)
-		}
-	}()
+	return hiers, nil
+}
 
-	// Phase 1: owner starts. Start j builds hierarchy j and descends on the
-	// same RNG — the exact Partition sequence.
-	par.ForEachWorker(h, workers, func(worker, j int) {
-		r := startRNG(baseSeed, j)
-		hiers[j] = buildLevels(p, eff, maxCluster, r)
-		results[j], errs[j] = hiers[j].descendWith(r, false, scratches[worker])
-	})
-	// Phase 2: follower starts fan out over the built hierarchies.
-	par.ForEachWorker(starts-h, workers, func(worker, i int) {
-		idx := h + i
-		hier := hiers[idx%h]
-		if hier == nil {
-			errs[idx] = fmt.Errorf("multilevel: hierarchy %d unavailable", idx%h)
-			return
-		}
-		results[idx], errs[idx] = hier.descendWith(startRNG(baseSeed, idx), true, scratches[worker])
-	})
+// WithRefinement returns a Hierarchy that shares h's (immutable) coarsening
+// stack but descends with cfg's refinement-phase settings — policy, pass
+// cutoffs, initial tries, follower pass fraction and the stats sink — after
+// the usual defaulting. This is how cached hierarchies serve requests whose
+// refinement configuration differs from the one the hierarchy was built
+// under: only the coarsening-phase fields (see CoarseningFingerprint) must
+// match the build for reuse to be sound.
+func (h *Hierarchy) WithRefinement(cfg Config) *Hierarchy {
+	return &Hierarchy{levels: h.levels, cfg: cfg.effective(), kway: h.kway}
+}
 
-	var best *Result
-	for i := 0; i < starts; i++ {
-		if errs[i] != nil {
-			// The serial loop fails at the first erroring start; returning
-			// the lowest-index error preserves equivalence.
-			return nil, errs[i]
-		}
-		if best == nil || results[i].Score < best.Score {
-			best = results[i]
-		}
+// CoarseningFingerprint returns a stable hash of the configuration fields
+// that influence hierarchy construction — scheme, coarsest size, clustering
+// ratio, level bound and huge-net threshold — after defaulting. Two configs
+// with equal fingerprints build identical hierarchies from the same problem
+// and seed, so a hierarchy cache may serve either with the other's entries;
+// refinement-phase fields (policy, cutoffs, tries, stats) are deliberately
+// excluded because WithRefinement rebinds them per descent. CoarsenWorkers
+// is excluded too: it only splits the matching and contraction scans over
+// goroutines and never changes the hierarchy, so caches stay shareable
+// across clients asking for different worker counts — and RefineWorkers
+// and LocalizedFMWorkers with it, since the parallel refinement stages run
+// strictly after coarsening and never influence hierarchy construction.
+// Objective is likewise excluded — coarsening is objective-independent
+// (matching and contraction never consult the metric), so a hierarchy built
+// once may serve both cut and km1 descents; any objective separation a cache wants (hpartd keys on
+// it conservatively) belongs in the cache key, not here.
+func (c Config) CoarseningFingerprint() uint64 {
+	eff := c.effective()
+	return hypergraph.NewFingerprint().
+		Word(uint64(eff.Scheme)).
+		Word(uint64(eff.CoarsestSize)).
+		Word(uint64(eff.MaxLevels)).
+		Word(uint64(eff.HugeNetThreshold)).
+		Word(uint64(int64(eff.ClusteringRatio * 1e9))).
+		Sum()
+}
+
+// MultistartOnHierarchies runs `starts` refinement-only descents over
+// prebuilt hierarchies — the hpartd warm path, where the hierarchies come
+// from the cache and no request pays for coarsening. Start i descends
+// hierarchy i % len(hiers) on rand.NewPCG(baseSeed, i); the first
+// len(hiers) starts refine at full strength (owner discipline), later
+// starts apply cfg.FollowerPassFraction exactly as Solve's shared-hierarchy
+// followers do. The outcome is a pure function of (hiers, cfg, starts,
+// baseSeed) for any worker count; under cancellation Solve's
+// best-of-completed-prefix contract applies. Hierarchies are immutable, so
+// any number of concurrent calls may share them.
+func MultistartOnHierarchies(ctx context.Context, hiers []*Hierarchy, cfg Config, starts int, baseSeed uint64) (*Result, error) {
+	if len(hiers) == 0 {
+		return nil, fmt.Errorf("multilevel: MultistartOnHierarchies needs at least one hierarchy")
 	}
-	best.Starts = starts
-	return best, nil
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	bound := make([]*Hierarchy, len(hiers))
+	for j, hier := range hiers {
+		bound[j] = hier.WithRefinement(cfg)
+	}
+	s := newScheduler(ctx, cfg.Workers, 0, starts)
+	defer s.release()
+	s.run(s.requested, func(i int, sc *fm.Scratch) (*Result, error) {
+		return bound[i%len(bound)].descendWith(startRNG(baseSeed, i), i >= len(bound), sc)
+	})
+	return s.result()
 }

@@ -3,25 +3,27 @@ package multilevel_test
 import (
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"repro/internal/multilevel"
+	"repro/internal/partition"
 )
 
 // TestSharedMultistartGoldenEquivalence is the golden guarantee of the shared
 // path: with one private hierarchy per start (hierarchies == starts) every
 // start is an owner — hierarchy build and full descent on the same per-start
-// RNG — so SharedMultistart must reproduce Multistart bit for bit on the
+// RNG — so shared Solve must reproduce the unshared run bit for bit on the
 // IBM01S-03S presets, in the free and fixed-terminals regimes.
 func TestSharedMultistartGoldenEquivalence(t *testing.T) {
 	for _, name := range []string{"IBM01S", "IBM02S", "IBM03S"} {
 		for _, fixedFrac := range []float64{0, 0.2} {
 			p := presetProblem(t, name, 0.08, fixedFrac)
 			const starts = 4
-			want, err := multilevel.Multistart(p, multilevel.Config{}, starts, rand.New(rand.NewPCG(11, 13)))
+			want, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: starts}, rand.New(rand.NewPCG(11, 13)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := multilevel.SharedMultistart(p, multilevel.Config{}, starts, starts, rand.New(rand.NewPCG(11, 13)))
+			got, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: starts, Hierarchies: starts}, rand.New(rand.NewPCG(11, 13)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,21 +64,21 @@ func TestBuildHierarchyDescendMatchesPartition(t *testing.T) {
 
 // TestParallelSharedMultistartWorkers is the determinism contract for the
 // shared driver: with followers in play (hierarchies < starts),
-// ParallelSharedMultistart must return a bit-identical Result for worker
-// counts 1, 2 and 4, all equal to the serial SharedMultistart. Run under
+// shared Solve must return a bit-identical Result for worker counts 1, 2
+// and 4, all equal to the serial (Workers 1) run. Run under
 // -race in CI, which also exercises concurrent follower descents sharing one
 // immutable hierarchy.
 func TestParallelSharedMultistartWorkers(t *testing.T) {
 	for _, fixedFrac := range []float64{0, 0.2} {
 		p := presetProblem(t, "IBM01S", 0.08, fixedFrac)
 		const starts, hierarchies = 6, 2
-		want, err := multilevel.SharedMultistart(p, multilevel.Config{}, starts, hierarchies, rand.New(rand.NewPCG(21, 22)))
+		want, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: starts, Hierarchies: hierarchies}, rand.New(rand.NewPCG(21, 22)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4} {
 			cfg := multilevel.Config{Workers: workers}
-			got, err := multilevel.ParallelSharedMultistart(p, cfg, starts, hierarchies, rand.New(rand.NewPCG(21, 22)))
+			got, err := solve(p, cfg, multilevel.Spec{Starts: starts, Hierarchies: hierarchies}, rand.New(rand.NewPCG(21, 22)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,11 +92,11 @@ func TestParallelSharedMultistartWorkers(t *testing.T) {
 // unshared best-of-8 cut on a mid-size instance.
 func TestSharedMultistartFollowerQuality(t *testing.T) {
 	p := presetProblem(t, "IBM01S", 0.08, 0)
-	unshared, err := multilevel.Multistart(p, multilevel.Config{}, 8, rand.New(rand.NewPCG(31, 32)))
+	unshared, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 8}, rand.New(rand.NewPCG(31, 32)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := multilevel.SharedMultistart(p, multilevel.Config{}, 8, 2, rand.New(rand.NewPCG(31, 32)))
+	shared, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{Starts: 8, Hierarchies: 2}, rand.New(rand.NewPCG(31, 32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +115,8 @@ func TestHugeNetThresholdConfig(t *testing.T) {
 	if _, err := multilevel.Partition(p, bad, rand.New(rand.NewPCG(1, 1))); err == nil {
 		t.Error("Partition accepted negative HugeNetThreshold")
 	}
-	if _, err := multilevel.SharedMultistart(p, bad, 2, 1, rand.New(rand.NewPCG(1, 1))); err == nil {
-		t.Error("SharedMultistart accepted negative HugeNetThreshold")
+	if _, err := solve(p, bad, multilevel.Spec{Starts: 2, Hierarchies: 1}, rand.New(rand.NewPCG(1, 1))); err == nil {
+		t.Error("shared Solve accepted negative HugeNetThreshold")
 	}
 	if _, err := multilevel.BuildHierarchy(p, bad, rand.New(rand.NewPCG(1, 1))); err == nil {
 		t.Error("BuildHierarchy accepted negative HugeNetThreshold")
@@ -131,12 +133,15 @@ func TestHugeNetThresholdConfig(t *testing.T) {
 }
 
 // TestPhaseStats checks Config.Stats accounting: all three phases accrue
-// time, and the totals are consistent.
+// time, and the totals are consistent. On the direct k-way path the phases
+// must also account for nearly all of a serial solve's wall time: its
+// coarsening, its recursive-bisection seeds (under init, counted once) and
+// its per-level polish and pairwise sweeps (under refine) are all tracked.
 func TestPhaseStats(t *testing.T) {
 	p := presetProblem(t, "IBM01S", 0.08, 0)
 	var st multilevel.PhaseStats
-	cfg := multilevel.Config{Stats: &st}
-	if _, err := multilevel.Multistart(p, cfg, 2, rand.New(rand.NewPCG(5, 5))); err != nil {
+	cfg := multilevel.Config{Workers: 1, Stats: &st}
+	if _, err := solve(p, cfg, multilevel.Spec{Starts: 2}, rand.New(rand.NewPCG(5, 5))); err != nil {
 		t.Fatal(err)
 	}
 	if st.CoarsenNS <= 0 || st.InitNS <= 0 || st.RefineNS <= 0 {
@@ -147,5 +152,20 @@ func TestPhaseStats(t *testing.T) {
 	}
 	if st.CoarsenAllocs <= 0 || st.InitAllocs <= 0 || st.RefineAllocs <= 0 {
 		t.Errorf("phase allocs not all positive: %+v", st)
+	}
+
+	p4 := partition.NewFree(presetProblem(t, "IBM01S", 0.2, 0).H, 4, 0.05)
+	partition.ApplyFixFraction(p4, 0.2, 5)
+	var kst multilevel.PhaseStats
+	t0 := time.Now()
+	if _, err := multilevel.PartitionKWay(p4, multilevel.Config{Stats: &kst}, rand.New(rand.NewPCG(6, 6))); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(t0).Nanoseconds()
+	if kst.CoarsenNS <= 0 || kst.InitNS <= 0 || kst.RefineNS <= 0 {
+		t.Errorf("k-way phase times not all positive: %+v", kst)
+	}
+	if total := kst.TotalNS(); total < wall*8/10 || total > wall {
+		t.Errorf("k-way phases account for %d of %d ns wall time, want 80-100%%", total, wall)
 	}
 }

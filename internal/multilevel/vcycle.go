@@ -32,89 +32,27 @@ func VCycle(p *partition.Problem, a partition.Assignment, cfg Config, rng *rand.
 		return nil, err
 	}
 	cfg = cfg.effective()
-	maxCluster := kwayMaxCluster(p)
-
-	// Restricted coarsening stack; each level carries the projection of a.
-	type vlevel struct {
-		problem   *partition.Problem
-		clusterOf []int32
-		sol       partition.Assignment
-	}
-	levels := []vlevel{{problem: p, sol: a.Clone()}}
-	for len(levels) < cfg.MaxLevels {
-		curr := levels[len(levels)-1]
-		if curr.problem.MovableCount() <= cfg.CoarsestSize {
-			break
-		}
-		coarse, clusterOf, ok := coarsenLevel(cfg.Scheme, curr.problem, curr.sol, maxCluster, cfg.ClusteringRatio, cfg.HugeNetThreshold, cfg.CoarsenWorkers, rng)
-		if !ok {
-			break
-		}
-		coarseSol := make(partition.Assignment, coarse.H.NumVertices())
-		for v, c := range clusterOf {
-			coarseSol[c] = curr.sol[v]
-		}
-		levels[len(levels)-1].clusterOf = clusterOf
-		levels = append(levels, vlevel{problem: coarse, sol: coarseSol})
-	}
-
-	fmCfg := fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, MaxPasses: cfg.RefineMaxPasses, Stats: kernelStats(cfg.Stats)}
+	// Restricted coarsening: vertices only merge within their part of a.
+	h, sol := buildLevels(p, cfg, kwayMaxCluster(p), a.Clone(), rng)
 	sc := fm.GetScratch()
 	defer fm.PutScratch(sc)
-	sol := levels[len(levels)-1].sol
-	for lvl := len(levels) - 1; lvl >= 0; lvl-- {
+	r := refiner{cfg: cfg, polish: refineConfig(cfg), kway: p.K > 2, rng: rng, sc: sc}
+	top := len(h.levels) - 1
+	for lvl := top; lvl >= 0; lvl-- {
+		if lvl < top {
+			sol = project(sol, h.levels[lvl].clusterOf)
+		}
 		var err error
-		if sol, err = parallelRounds(levels[lvl].problem, sol, cfg, rng, sc); err != nil {
-			return nil, fmt.Errorf("multilevel: V-cycle refining level %d: %w", lvl, err)
-		}
-		if sol, err = localizedRounds(levels[lvl].problem, sol, cfg, lvl, rng, sc); err != nil {
-			return nil, fmt.Errorf("multilevel: V-cycle refining level %d: %w", lvl, err)
-		}
-		lvlCfg := polishConfig(fmCfg, cfg, lvl)
-		var refined partition.Assignment
-		if p.K == 2 {
-			res, err := fm.BipartitionWith(levels[lvl].problem, sol, lvlCfg, sc)
-			if err != nil {
-				return nil, fmt.Errorf("multilevel: V-cycle refining level %d: %w", lvl, err)
-			}
-			refined = res.Assignment
-		} else {
-			res, err := fm.KWayPartitionWith(levels[lvl].problem, sol, lvlCfg, sc)
-			if err != nil {
-				return nil, fmt.Errorf("multilevel: V-cycle refining level %d: %w", lvl, err)
-			}
-			refined = res.Assignment
-		}
-		sol = refined
-		if lvl > 0 {
-			sol = project(sol, levels[lvl-1].clusterOf)
+		if sol, err = r.level(h.levels[lvl].problem, sol, lvl); err != nil {
+			return nil, fmt.Errorf("multilevel: V-cycle: %w", err)
 		}
 	}
-	return newResult(p, sol, cfg, len(levels)-1), nil
+	return newResult(p, sol, cfg, top), nil
 }
 
-// PartitionWithVCycles runs Partition followed by up to n V-cycles, stopping
-// early when a cycle fails to improve the configured objective.
-func PartitionWithVCycles(p *partition.Problem, cfg Config, n int, rng *rand.Rand) (*Result, error) {
-	res, err := Partition(p, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	return vcycleLoop(p, res, cfg, n, rng)
-}
-
-// PartitionKWayWithVCycles runs PartitionKWay followed by up to n direct
-// k-way V-cycles, stopping early when a cycle fails to improve the
-// configured objective.
-func PartitionKWayWithVCycles(p *partition.Problem, cfg Config, n int, rng *rand.Rand) (*Result, error) {
-	res, err := PartitionKWay(p, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	return vcycleLoop(p, res, cfg, n, rng)
-}
-
-func vcycleLoop(p *partition.Problem, res *Result, cfg Config, n int, rng *rand.Rand) (*Result, error) {
+// vcycles follows res with up to n V-cycles on rng, stopping early when a
+// cycle fails to improve the configured objective.
+func vcycles(p *partition.Problem, res *Result, cfg Config, n int, rng *rand.Rand) (*Result, error) {
 	for i := 0; i < n; i++ {
 		vres, err := VCycle(p, res.Assignment, cfg, rng)
 		if err != nil {

@@ -75,16 +75,15 @@ func TestVCycleErrors(t *testing.T) {
 func TestPartitionWithVCycles(t *testing.T) {
 	h := clusters(4, 150, 4)
 	p := partition.NewBipartition(h, 0.02)
-	rng := rand.New(rand.NewPCG(24, 24))
-	plain, err := multilevel.Partition(p, multilevel.Config{}, rand.New(rand.NewPCG(24, 24)))
+	plain, err := solve(p, multilevel.Config{}, multilevel.Spec{}, rand.New(rand.NewPCG(24, 24)))
 	if err != nil {
-		t.Fatalf("Partition: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	vc, err := multilevel.PartitionWithVCycles(p, multilevel.Config{}, 2, rng)
+	vc, err := solve(p, multilevel.Config{}, multilevel.Spec{VCycles: 2}, rand.New(rand.NewPCG(24, 24)))
 	if err != nil {
-		t.Fatalf("PartitionWithVCycles: %v", err)
+		t.Fatalf("Solve with V-cycles: %v", err)
 	}
-	// Same seed stream: the embedded Partition run replays, so V-cycles can
+	// Same seed stream: the start's Partition run replays, so V-cycles can
 	// only improve or match it.
 	if vc.Cut > plain.Cut {
 		t.Errorf("V-cycles worsened: %d -> %d", plain.Cut, vc.Cut)

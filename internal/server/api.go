@@ -53,7 +53,7 @@ type Request struct {
 	Starts int `json:"starts,omitempty"`
 	// Hierarchies is the number of coarsening hierarchies backing a k = 2
 	// run (default min(2, starts)); starts beyond it are follower descents
-	// with the pass cutoff, exactly as in SharedMultistart.
+	// with the pass cutoff, exactly as Solve's Spec.Hierarchies followers.
 	Hierarchies int `json:"hierarchies,omitempty"`
 	// Policy selects the FM discipline: "clip" (default) or "lifo".
 	Policy string `json:"policy,omitempty"`

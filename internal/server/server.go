@@ -420,7 +420,7 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, int, string) 
 			return nil, buildErrStatus(err), err.Error()
 		}
 		rng := rand.New(rand.NewPCG(req.Seed, 0x6a9d))
-		res, err = multilevel.ParallelMultistartKWayCtx(ctx, prob, mlCfg, req.Starts, rng)
+		res, err = multilevel.Solve(ctx, prob, mlCfg, multilevel.Spec{Starts: req.Starts, KWay: true}, rng)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
