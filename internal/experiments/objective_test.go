@@ -17,12 +17,13 @@ func TestObjectiveStudy(t *testing.T) {
 		GoodStarts: 2,
 		Seed:       11,
 	}
-	rows, err := experiments.ObjectiveStudy("T250", h, []int{2, 4}, cfg)
+	ks := []int{2, 4, 8}
+	rows, err := experiments.ObjectiveStudy("T250", h, ks, cfg)
 	if err != nil {
 		t.Fatalf("ObjectiveStudy: %v", err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4 (2 ks x 2 fractions)", len(rows))
+	if len(rows) != 6 {
+		t.Fatalf("got %d rows, want 6 (3 ks x 2 fractions)", len(rows))
 	}
 	for _, r := range rows {
 		// Selection from an identical candidate set can only help the metric
@@ -53,7 +54,7 @@ func TestObjectiveStudy(t *testing.T) {
 	}
 	// Determinism across worker counts.
 	cfg.Workers = 3
-	rows2, err := experiments.ObjectiveStudy("T250", h, []int{2, 4}, cfg)
+	rows2, err := experiments.ObjectiveStudy("T250", h, ks, cfg)
 	if err != nil {
 		t.Fatalf("ObjectiveStudy workers=3: %v", err)
 	}

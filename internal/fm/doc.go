@@ -7,9 +7,10 @@
 //
 // Gain updates are net-state aware: locked nets are short-circuited, 2- and
 // 3-pin nets take closed-form fast paths, and bucket repositionings are
-// batched per move. The work eliminated this way is counted in KernelStats;
-// reference.go keeps a frozen pre-rewrite kernel so the counters (and the
-// results, which are bit-identical) can be compared under equal accounting.
+// batched per move. The work eliminated this way is counted in KernelStats.
+// A frozen copy of the pre-rewrite kernel lives in a test-only file
+// (reference_test.go); the differential tests and FuzzFMKernel hold the
+// kernel bit-identical to it.
 //
 // # Objectives
 //

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fm"
+	"repro/internal/gen"
 	"repro/internal/hypergraph"
 	"repro/internal/partition"
 )
@@ -72,7 +73,7 @@ func diffConfig(rng *rand.Rand) fm.Config {
 }
 
 // TestKernelMatchesReference differentially tests the net-state-aware kernel
-// against the frozen reference (reference.go) over random fixed-vertex
+// against the frozen reference (reference_test.go) over random fixed-vertex
 // problems: assignments, objectives, and per-pass statistics must all be
 // identical — the rewrite is an optimization, not a behavioural change.
 func TestKernelMatchesReference(t *testing.T) {
@@ -150,5 +151,60 @@ func TestBipartitionMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got.Passes, want.Passes) {
 			t.Fatalf("trial %d: pass stats diverge", trials)
 		}
+	}
+}
+
+// TestKernelPinScanReduction holds the net-state-aware kernel's work bar on
+// flat FM refinement of IBM01S at scale 0.2: over both policies at
+// fixed-vertex fractions 0/25/50% (the paper's Table III regime), five random
+// starts each, every run must reproduce the frozen reference bit for bit, and
+// the kernel must execute at most 1/1.3 of the reference's critical-net pin
+// scans in aggregate (fm.KernelStats counts both sides under identical
+// accounting).
+func TestKernelPinScanReduction(t *testing.T) {
+	pr, err := gen.PresetByName("IBM01S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := gen.Generate(pr.Params.Scaled(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total fm.KernelStats
+	for _, fixfrac := range []float64{0, 0.25, 0.5} {
+		p := partition.NewBipartition(nl.H, 0.02)
+		if fixfrac > 0 {
+			rng := rand.New(rand.NewPCG(0xf1f, uint64(fixfrac*100)))
+			order := rng.Perm(nl.H.NumVertices())
+			for _, v := range order[:int(fixfrac*float64(len(order)))] {
+				p.Fix(v, rng.IntN(2))
+			}
+		}
+		for _, policy := range []fm.Policy{fm.LIFO, fm.CLIP} {
+			for seed := uint64(1); seed <= 5; seed++ {
+				initial, err := partition.RandomFeasible(p, rand.New(rand.NewPCG(seed, 0xcafe)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := fm.Bipartition(p, initial, fm.Config{Policy: policy, Stats: &total})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fm.BipartitionReference(p, initial, fm.Config{Policy: policy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Cut != want.Cut || !reflect.DeepEqual(got.Assignment, want.Assignment) {
+					t.Fatalf("%v fixed=%.0f%% seed=%d: kernel cut %d != reference cut %d (or assignments differ)",
+						policy, 100*fixfrac, seed, got.Cut, want.Cut)
+				}
+			}
+		}
+	}
+	reduction := float64(total.PinsScanned+total.PinScansAvoided) / float64(total.PinsScanned)
+	t.Logf("pin-scan reduction %.2fx (%d scanned, %d avoided)", reduction, total.PinsScanned, total.PinScansAvoided)
+	if reduction < 1.3 {
+		t.Errorf("pin-scan reduction %.2fx below 1.3x (%d scanned, %d avoided)",
+			reduction, total.PinsScanned, total.PinScansAvoided)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzFMKernel runs the net-state-aware kernel against the frozen reference
-// (reference.go) on byte-decoded fixed-vertex problems — random k, net
+// (reference_test.go) on byte-decoded fixed-vertex problems — random k, net
 // sizes and weights, fixed/OR-region masks, multi-resource vertex weights,
 // and a randomized objective (cut or km1) — and asserts identical final
 // assignments, objectives, and pass statistics, plus that the reported

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // KernelStats counts the work the net-state-aware kernel avoided relative to
 // the straightforward incremental scheme (the frozen reference kernel in
-// reference.go). All fields are cumulative across runs and updated
+// reference_test.go). All fields are cumulative across runs and updated
 // atomically, so one KernelStats may be shared by concurrent workers (each
 // kernel accumulates locally and publishes once per run).
 type KernelStats struct {

@@ -41,12 +41,12 @@ func IBMPresets() []Preset {
 }
 
 // HugePresets returns HUGE1/HUGE2, million-cell synthetic instances sized
-// for the intra-descent parallel coarsening path (BenchmarkParallelCoarsen,
-// BENCH_coarsen.json). They are placement-scale rather than suite stand-ins:
-// HUGE1 keeps the IBM-like Rent exponent, HUGE2 is larger, flatter
-// (p = 0.62) and slightly denser, so the two stress different net-size
-// mixes. Area skew is kept small so bipartition balance stays feasible at
-// tight tolerances.
+// for the intra-descent parallel coarsening and refinement paths (perfbench
+// scales HUGE1 down for its solve and serve workloads). They are
+// placement-scale rather than suite stand-ins: HUGE1 keeps the IBM-like Rent
+// exponent, HUGE2 is larger, flatter (p = 0.62) and slightly denser, so the
+// two stress different net-size mixes. Area skew is kept small so
+// bipartition balance stays feasible at tight tolerances.
 func HugePresets() []Preset {
 	return []Preset{
 		{

@@ -8,7 +8,7 @@ import (
 )
 
 // benchInput builds a mid-size random hypergraph once per benchmark.
-func benchInput(b *testing.B, nv, ne int) *hypergraph.Hypergraph {
+func benchInput(b testing.TB, nv, ne int) *hypergraph.Hypergraph {
 	b.Helper()
 	rng := rand.New(rand.NewPCG(7, 7))
 	bl := hypergraph.NewBuilder(1)
@@ -70,10 +70,8 @@ func benchClustering(h *hypergraph.Hypergraph) ([]int32, int) {
 	return clusterOf, nc
 }
 
-// BenchmarkContract compares the allocation-free scratch path against the
+// BenchmarkContract times the allocation-free scratch path against the
 // frozen map-based reference; run with -benchmem to see the allocation gap.
-// The scratch sub-benchmark also enforces the headline acceptance: allocs/op
-// must be at least 5x lower than the reference.
 func BenchmarkContract(b *testing.B) {
 	h := benchInput(b, 10000, 12000)
 	clusterOf, nc := benchClustering(h)
@@ -85,22 +83,6 @@ func BenchmarkContract(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.StopTimer()
-		newAllocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := hypergraph.Contract(h, clusterOf, nc, opts); err != nil {
-				b.Fatal(err)
-			}
-		})
-		refAllocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := hypergraph.ContractReference(h, clusterOf, nc, opts); err != nil {
-				b.Fatal(err)
-			}
-		})
-		b.ReportMetric(newAllocs, "allocs/op-measured")
-		b.ReportMetric(refAllocs/newAllocs, "alloc-reduction-x")
-		if refAllocs < 5*newAllocs {
-			b.Errorf("Contract allocs/op %.0f not reduced >= 5x vs reference %.0f", newAllocs, refAllocs)
-		}
 	})
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
@@ -110,6 +92,27 @@ func BenchmarkContract(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestContractAllocReduction holds the scratch path's headline on the
+// BenchmarkContract input: allocs/op at least 5x below the reference's.
+func TestContractAllocReduction(t *testing.T) {
+	h := benchInput(t, 10000, 12000)
+	clusterOf, nc := benchClustering(h)
+	opts := hypergraph.ContractOptions{MergeParallelNets: true}
+	newAllocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := hypergraph.Contract(h, clusterOf, nc, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	refAllocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := hypergraph.ContractReference(h, clusterOf, nc, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if refAllocs < 5*newAllocs {
+		t.Errorf("Contract allocs/op %.0f not reduced >= 5x vs reference %.0f", newAllocs, refAllocs)
+	}
 }
 
 func BenchmarkValidate(b *testing.B) {

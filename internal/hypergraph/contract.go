@@ -67,8 +67,8 @@ func Contract(h *Hypergraph, clusterOf []int32, numClusters int, opts ContractOp
 }
 
 // ContractInto is Contract using the caller's scratch. It produces output
-// bit-identical to Contract (and to the frozen ContractReference): the same
-// coarse net order, pin order, weights and net map for any input.
+// bit-identical to Contract (and to the frozen test-only reference): the
+// same coarse net order, pin order, weights and net map for any input.
 func ContractInto(h *Hypergraph, clusterOf []int32, numClusters int, opts ContractOptions, s *ContractScratch) (*Hypergraph, []int32, error) {
 	if len(clusterOf) != h.numVerts {
 		return nil, nil, fmt.Errorf("hypergraph: clusterOf has %d entries for %d vertices", len(clusterOf), h.numVerts)

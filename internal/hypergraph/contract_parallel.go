@@ -72,12 +72,13 @@ func chunkBounds(n, p, c int) (int, int) {
 
 // ContractParallel is Contract with the projection, CSR construction and
 // weight accumulation spread over `workers` goroutines. Its output is
-// bit-identical to Contract / ContractInto / ContractReference for every
-// worker count: net chunks are contiguous ranges visited in order by a serial
-// merge pass, pin positions in the vertex CSR are computed from global
-// counts, and every cross-chunk reduction is either order-independent
-// (integer sums, minima) or performed serially in chunk order. Worker slots
-// select storage only, never meaning, per the internal/par contract.
+// bit-identical to Contract / ContractInto (and the frozen test-only
+// reference) for every worker count: net chunks are contiguous ranges
+// visited in order by a serial merge pass, pin positions in the vertex CSR
+// are computed from global counts, and every cross-chunk reduction is either
+// order-independent (integer sums, minima) or performed serially in chunk
+// order. Worker slots select storage only, never meaning, per the
+// internal/par contract.
 //
 // Small inputs (fewer than minParallelNets nets) and workers <= 1 take the
 // serial path; the fallback condition depends only on the input.

@@ -87,7 +87,7 @@ func randomContractTrial(rng *rand.Rand) (*Hypergraph, []int32, int) {
 }
 
 // TestContractParallelMatchesReference drives ContractParallel at several
-// worker counts against the frozen ContractReference over 40 random
+// worker counts against the frozen contractReference over 40 random
 // hypergraphs and clusterings (merge on and off, pads, multi-resource
 // weights, repeated calls through the pooled shards) and requires
 // bit-identical output, net maps included. The fallback threshold is lowered
@@ -100,7 +100,7 @@ func TestContractParallelMatchesReference(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		h, clusterOf, nc := randomContractTrial(rng)
 		opts := ContractOptions{MergeParallelNets: trial%2 == 0}
-		want, wantMap, err := ContractReference(h, clusterOf, nc, opts)
+		want, wantMap, err := contractReference(h, clusterOf, nc, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestContractParallelLargeInstance(t *testing.T) {
 		clusterOf[c] = int32(c)
 	}
 	for _, opts := range []ContractOptions{{MergeParallelNets: true}, {}} {
-		want, wantMap, err := ContractReference(h, clusterOf, nc, opts)
+		want, wantMap, err := contractReference(h, clusterOf, nc, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestContractParallelErrors(t *testing.T) {
 		{[]int32{3, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3}, 4},  // valid control
 	}
 	for i, c := range cases {
-		refH, _, refErr := ContractReference(h, c.clusterOf, c.nc, ContractOptions{MergeParallelNets: true})
+		refH, _, refErr := contractReference(h, c.clusterOf, c.nc, ContractOptions{MergeParallelNets: true})
 		gotH, _, gotErr := ContractParallel(h, c.clusterOf, c.nc, ContractOptions{MergeParallelNets: true}, 4)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("case %d: error mismatch: reference %v, parallel %v", i, refErr, gotErr)

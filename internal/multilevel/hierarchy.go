@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
 	"time"
@@ -284,7 +283,7 @@ func parallelRounds(p *partition.Problem, a partition.Assignment, cfg Config, rn
 // localizedRounds runs the Config.LocalizedFMWorkers localized parallel FM
 // stage when enabled, tracked under the refine_localized phase. The stage
 // only runs at the finest level (lvl 0) — that is where the full-budget
-// serial polish used to dominate every solve (BENCH_prefine.json); coarse
+// serial polish used to dominate every solve; coarse
 // levels are cheap enough for the round stage plus a one-pass polish. The
 // salt is drawn from rng with exactly one draw per enabled finest level
 // whatever the worker count, so the RNG stream stays identical for all
@@ -334,17 +333,14 @@ func followerPassFraction(cfg Config) float64 {
 	return f
 }
 
-// PhaseStats accumulates wall time and heap allocation counts per engine
-// phase. Attach one to Config.Stats to profile a run; the bench harness
-// threads these into BENCH_shared.json. Every descent tracks its coarsening,
+// PhaseStats accumulates wall time per engine phase. Attach one to
+// Config.Stats to profile a run. Every descent tracks its coarsening,
 // its coarsest-level initial partitioning (for direct k-way descents that
 // includes the recursive-bisection seeds, whose own nested phases are not
 // counted again) and, per level, each refinement stage — the serial polish
 // and the k-way pairwise sweeps both count under refine — so on a serial
 // run TotalNS accounts for nearly all of the wall time. Counters are added
-// to atomically, so one PhaseStats may be shared by concurrent descents; the
-// allocation numbers read the process-wide heap counter and are only
-// attributable to a phase in serial runs.
+// to atomically, so one PhaseStats may be shared by concurrent descents.
 type PhaseStats struct {
 	CoarsenNS int64 `json:"coarsen_ns"`
 	InitNS    int64 `json:"init_ns"`
@@ -357,12 +353,7 @@ type PhaseStats struct {
 	// (Config.LocalizedFMWorkers) at the finest level; RefineNS keeps
 	// counting only the serial FM tail, so the three refine counters split
 	// the refinement phase.
-	RefineLocalizedNS     int64 `json:"refine_localized_ns"`
-	CoarsenAllocs         int64 `json:"coarsen_allocs"`
-	InitAllocs            int64 `json:"init_allocs"`
-	RefineAllocs          int64 `json:"refine_allocs"`
-	RefineParallelAllocs  int64 `json:"refine_parallel_allocs"`
-	RefineLocalizedAllocs int64 `json:"refine_localized_allocs"`
+	RefineLocalizedNS int64 `json:"refine_localized_ns"`
 	// Kernel accumulates the FM kernel's net-state-aware work counters (nets
 	// skipped, pin scans avoided, bucket updates saved) across every FM run a
 	// descent performs, bar the k-way recursive-bisection seeds, which run
@@ -395,44 +386,26 @@ const (
 var phaseLabels = [...]string{"coarsen", "init", "refine", "refine_parallel", "refine_localized"}
 
 // track runs fn under a pprof goroutine label for the phase (so CPU/heap
-// profiles split by phase) and, when st is non-nil, accrues wall time and
-// heap object allocations into the phase counters. st may be nil.
+// profiles split by phase) and, when st is non-nil, accrues wall time into
+// the phase counters. st may be nil.
 func (st *PhaseStats) track(phase int, fn func()) {
 	if st == nil {
 		pprof.Do(context.Background(), pprof.Labels("phase", phaseLabels[phase]), func(context.Context) { fn() })
 		return
 	}
-	a0 := heapAllocObjects()
 	t0 := time.Now()
 	pprof.Do(context.Background(), pprof.Labels("phase", phaseLabels[phase]), func(context.Context) { fn() })
 	dt := time.Since(t0).Nanoseconds()
-	da := int64(heapAllocObjects() - a0)
 	switch phase {
 	case phaseCoarsen:
 		atomic.AddInt64(&st.CoarsenNS, dt)
-		atomic.AddInt64(&st.CoarsenAllocs, da)
 	case phaseInit:
 		atomic.AddInt64(&st.InitNS, dt)
-		atomic.AddInt64(&st.InitAllocs, da)
 	case phaseRefine:
 		atomic.AddInt64(&st.RefineNS, dt)
-		atomic.AddInt64(&st.RefineAllocs, da)
 	case phaseRefineParallel:
 		atomic.AddInt64(&st.RefineParallelNS, dt)
-		atomic.AddInt64(&st.RefineParallelAllocs, da)
 	case phaseRefineLocalized:
 		atomic.AddInt64(&st.RefineLocalizedNS, dt)
-		atomic.AddInt64(&st.RefineLocalizedAllocs, da)
 	}
-}
-
-// heapAllocObjects returns the cumulative count of heap objects allocated by
-// the process. It reads runtime.MemStats, which flushes every P's allocation
-// cache first: runtime/metrics' /gc/heap/allocs:objects only counts a small
-// object once its cache span is refilled or flushed, so a phase that
-// allocates a few small objects could read zero there.
-func heapAllocObjects() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
 }

@@ -105,6 +105,45 @@ func TestSharedMultistartFollowerQuality(t *testing.T) {
 	}
 }
 
+// TestSharedMultistartWork is the shared path's work bar, counted in FM pin
+// traversals rather than wall time so it holds on any host: 8 starts over 2
+// shared hierarchies (6 followers under the pass cutoff) must do at most
+// 1/1.5 of the unshared 8-start run's FM gain-update pin work
+// (PinsScanned + PinScansAvoided), with a mean best cut within 2% of it, over
+// 5 seeds of IBM01S at scale 0.2.
+func TestSharedMultistartWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("work comparison needs the full-scale instance")
+	}
+	p := presetProblem(t, "IBM01S", 0.2, 0)
+	const seeds = 5
+	var unsharedStats, sharedStats multilevel.PhaseStats
+	var unsharedCut, sharedCut int64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		u, err := solve(p, multilevel.Config{Workers: 1, Stats: &unsharedStats}, multilevel.Spec{Starts: 8}, rand.New(rand.NewPCG(seed, 17)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := solve(p, multilevel.Config{Workers: 1, Stats: &sharedStats}, multilevel.Spec{Starts: 8, Hierarchies: 2}, rand.New(rand.NewPCG(seed, 17)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		unsharedCut += u.Cut
+		sharedCut += s.Cut
+	}
+	pinWork := func(st *multilevel.PhaseStats) int64 { return st.Kernel.PinsScanned + st.Kernel.PinScansAvoided }
+	ratio := float64(pinWork(&unsharedStats)) / float64(pinWork(&sharedStats))
+	t.Logf("FM pin work unshared/shared %.2fx, mean best cut shared %.1f vs unshared %.1f",
+		ratio, float64(sharedCut)/seeds, float64(unsharedCut)/seeds)
+	if ratio < 1.5 {
+		t.Errorf("unshared FM pin work only %.2fx the shared run's, want >= 1.5x", ratio)
+	}
+	if float64(sharedCut) > 1.02*float64(unsharedCut) {
+		t.Errorf("shared mean best cut %.1f more than 2%% above unshared %.1f",
+			float64(sharedCut)/seeds, float64(unsharedCut)/seeds)
+	}
+}
+
 // TestHugeNetThresholdConfig covers the new Config field: negative values are
 // rejected by every driver entry point, and sweeping the threshold changes
 // coarsening (tiny thresholds leave nothing to score, so the engine still
@@ -149,9 +188,6 @@ func TestPhaseStats(t *testing.T) {
 	}
 	if st.TotalNS() != st.CoarsenNS+st.InitNS+st.RefineNS {
 		t.Errorf("TotalNS inconsistent")
-	}
-	if st.CoarsenAllocs <= 0 || st.InitAllocs <= 0 || st.RefineAllocs <= 0 {
-		t.Errorf("phase allocs not all positive: %+v", st)
 	}
 
 	p4 := partition.NewFree(presetProblem(t, "IBM01S", 0.2, 0).H, 4, 0.05)

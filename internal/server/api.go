@@ -196,8 +196,8 @@ type Response struct {
 	LocalizedFMWorkers int       `json:"localized_fm_workers"`
 	ElapsedMS          float64   `json:"elapsed_ms"`
 	PartWeights        [][]int64 `json:"part_weights"`
-	// Phases carries the run's per-phase wall time, allocation and FM-kernel
-	// counters (zero coarsen time is the signature of a cache hit).
+	// Phases carries the run's per-phase wall time and FM-kernel counters
+	// (zero coarsen time is the signature of a cache hit).
 	Phases *multilevel.PhaseStats `json:"phases,omitempty"`
 }
 
