@@ -73,17 +73,18 @@ func main() {
 	fmt.Printf("\nread back: %v, k=%d, %d resources, %d constrained vertices\n",
 		back.H, back.K, back.H.NumResources(), back.NumFixed()+1)
 
-	// Solve with a feasible random start + greedy k-way refinement.
+	// Solve with a feasible random start + direct k-way FM.
 	rng := rand.New(rand.NewPCG(5, 5))
 	initial, err := partition.RandomFeasible(back, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, cut, err := fm.KWayRefine(back, initial, 16, rng)
+	res, err := fm.KWayPartition(back, initial, fm.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("4-way cut after refinement: %d\n", cut)
+	a := res.Assignment
+	fmt.Printf("4-way cut after refinement: %d\n", res.Cut)
 	fmt.Printf("io0 -> part %d (fixed 0), io1 -> part %d (fixed 3), io2 -> part %d (allowed {0,2})\n",
 		a[pads[0]], a[pads[1]], a[pads[2]])
 

@@ -21,7 +21,8 @@
 // trajectory; they differ only in the reported Result.Score, which callers
 // (the multilevel multistart and V-cycle drivers) use to select among
 // candidates. ObjectiveCut runs are bit-identical to the pre-objective
-// kernel. See objective.go for the gainModel seam.
+// kernel. There is one model (cutModel, model.go) for every objective: its
+// obj field only picks the Score function.
 //
 // # Localized FM
 //
@@ -30,10 +31,15 @@
 // prefixes serially in a deterministic order (localized.go). The result is
 // bit-identical for every worker count.
 //
-// Gain maintenance: a search never scans a vertex's nets to price it. The
-// run keeps a round-start gain table, one nv × k int64 table holding each
-// movable vertex's (λ−1) gain to every target, built in parallel before the
-// first round. After each commit phase only the movable pins of the
+// Gain maintenance: one from-scratch pricer, cutModel.gainRow, prices every
+// target of a vertex in one scan of its nets; the kernel seeds each pass
+// from it, and both parallel stages share one round state built on it
+// (roundstate.go). A localized search never scans a vertex's nets to price
+// it. The run keeps a round-start gain table, one nv × k int64 table
+// holding each movable vertex's (λ−1) gain to every target, built in
+// parallel before the first round; the round stage reads its proposals
+// from the same table and matches its own frozen copy
+// (parallel_reference_test.go) bit for bit. After each commit phase only the movable pins of the
 // gain-relevant nets that committed prefixes touched are recomputed;
 // rolled-back prefixes restore Φ and need no refresh. A search copies a
 // candidate's row into a slot-indexed per-search vector (at most

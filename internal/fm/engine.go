@@ -38,9 +38,10 @@ func (p Policy) String() string {
 type Config struct {
 	// Policy is the vertex-selection discipline (LIFO or CLIP).
 	Policy Policy
-	// Objective selects the gain model the kernel drives and the metric the
-	// run reports as Score (and is selected by upstream). The zero value,
-	// ObjectiveCut, reproduces the historical engine bit for bit.
+	// Objective selects the metric the run reports as Score (and is
+	// selected by upstream). Every objective walks the same (λ-1) move
+	// trajectory; the zero value, ObjectiveCut, reproduces the historical
+	// engine bit for bit.
 	Objective Objective
 	// MaxPassFraction, when in (0,1), imposes the paper's hard cutoff on
 	// pass length: every pass after the first makes at most
@@ -121,16 +122,14 @@ func (r *Result) TotalMoves() int {
 // move ordering (LIFO/CLIP seeding, per-part gain buckets over move ids
 // v*k+t, heavier-part-first selection), the pass loop with its cutoffs, and
 // best-prefix rollback. The structural state and gain arithmetic live in the
-// gain model selected by Config.Objective, driven through the gainModel
-// interface; the embedded *cutModel aliases model.core() so the hot paths
-// (Φ shifts, packed net records, bucket addressing) keep their direct field
-// access. For k = 2 under the default cut objective the kernel reproduces
-// the dedicated bipartition engine move for move.
+// embedded *cutModel, whose fields the hot paths (Φ shifts, packed net
+// records, bucket addressing) address directly. For k = 2 under the default
+// cut objective the kernel reproduces the dedicated bipartition engine move
+// for move.
 type kernel struct {
 	*cutModel
-	model gainModel
-	cfg   Config
-	sc    *Scratch
+	cfg Config
+	sc  *Scratch
 
 	// gk interleaves the actual gain (gk[2*mid]) and the bucket key
 	// (gk[2*mid+1], == gain under LIFO, delta-only under CLIP) of each move
@@ -168,9 +167,9 @@ type kernel struct {
 	touchLog []int32
 	lastPos  []int32
 
-	// sortGain is a dense gain-by-move-id copy used only by CLIP's seeding
-	// sort (see initPass).
-	sortGain []int64
+	// rows holds each movable vertex's pass-start gain row at v*k+t, dense
+	// by move id: initPass prices into it and CLIP's seeding sort reads it.
+	rows []int64
 
 	// Work counters for Config.Stats.
 	netsSkipped        int64
@@ -184,7 +183,7 @@ type kernel struct {
 type kernelResult struct {
 	a       partition.Assignment
 	obj     int64 // final (λ-1) connectivity; equals the cut when k = 2
-	score   int64 // a evaluated by the model's finalScore (the run's Objective)
+	score   int64 // a evaluated under the run's Objective
 	passes  []PassStats
 	movable int
 }
@@ -222,9 +221,8 @@ func BipartitionWith(p *partition.Problem, initial partition.Assignment, cfg Con
 }
 
 func newKernel(p *partition.Problem, initial partition.Assignment, cfg Config, sc *Scratch) *kernel {
-	e := &kernel{model: newGainModel(cfg.Objective), cfg: cfg, sc: sc}
-	e.model.init(p, initial, sc)
-	e.cutModel = e.model.core()
+	e := &kernel{cutModel: &cutModel{obj: cfg.Objective}, cfg: cfg, sc: sc}
+	e.init(p, initial, sc)
 	e.gk = sc.gk
 	// Bucket key range: the largest possible |gain| is the max over movable
 	// vertices of the total incident net weight; CLIP deltas can reach twice
@@ -253,7 +251,7 @@ func newKernel(p *partition.Problem, initial partition.Assignment, cfg Config, s
 	e.partOrder = sc.partOrder
 	e.touchLog = sc.touchLog[:0]
 	e.lastPos = sc.lastPos
-	e.sortGain = sc.sortGain
+	e.rows = sc.rows
 	return e
 }
 
@@ -263,7 +261,7 @@ func (e *kernel) run() *kernelResult {
 	if e.nMovable == 0 {
 		res.a = e.a.Clone() // a is scratch-backed; the result must not alias it
 		res.obj = obj
-		res.score = e.model.finalScore(res.a)
+		res.score = e.obj.Score(e.h, res.a)
 		return res
 	}
 	moveLog := e.sc.moveLog[:0]
@@ -293,7 +291,7 @@ func (e *kernel) run() *kernelResult {
 	}
 	res.a = e.a.Clone() // a is scratch-backed; the result must not alias it
 	res.obj = obj
-	res.score = e.model.finalScore(res.a)
+	res.score = e.obj.Score(e.h, res.a)
 	return res
 }
 
@@ -330,7 +328,7 @@ func (e *kernel) runPass(limit, stall int, moveLog *[]moveRec) PassStats {
 		}
 	}
 	for i := len(log) - 1; i >= bestIdx; i-- {
-		e.model.undoMove(log[i].v, int(log[i].from))
+		e.undoMove(log[i].v, int(log[i].from))
 	}
 	*moveLog = log
 	stats := PassStats{Moves: len(log), Kept: bestIdx, Gain: bestCum}
@@ -355,12 +353,13 @@ func gainProfile(cumLog []int64, best int64) []float64 {
 	return prof
 }
 
-// initPass computes fresh gains for every legal (vertex, target) move and
-// fills the per-part bucket structures, seeding vertices in ascending id
-// order and targets in ascending part order. Under CLIP every move starts
-// with bucket key zero, but the zero bucket is seeded in ascending
-// actual-gain order so that the LIFO head — the pass's anchor move — is the
-// highest-actual-gain move, per Dutt and Deng.
+// initPass computes fresh gains for every legal (vertex, target) move — one
+// gainRow per movable vertex — and fills the per-part bucket structures,
+// seeding vertices in ascending id order and targets in ascending part
+// order. Under CLIP every move starts with bucket key zero, but the zero
+// bucket is seeded in ascending actual-gain order so that the LIFO head —
+// the pass's anchor move — is the highest-actual-gain move, per Dutt and
+// Deng.
 func (e *kernel) initPass() {
 	e.nodes.clearMembership()
 	for q := range e.buckets {
@@ -385,25 +384,22 @@ func (e *kernel) initPass() {
 		}
 		e.locked[v] = false
 		from := int(e.a[v])
-		for _, t8 := range e.model.targets(int32(v)) {
+		// The dense row doubles as CLIP's sort key: the seeding comparator
+		// gathers half the memory span it would over the interleaved
+		// gain/key pairs.
+		e.gainRow(int32(v), e.rows[v*k:v*k+k])
+		for _, t8 := range e.targets(int32(v)) {
 			t := int(t8)
 			if t == from {
 				continue
 			}
 			mid := int32(v*k + t)
-			g := e.model.moveGain(int32(v), t)
-			e.gk[2*mid] = g
-			if clip {
-				// sortGain is a dense per-mid copy just for the seeding
-				// sort: the comparator gathers half the memory span it
-				// would over the interleaved gain/key pairs.
-				e.sortGain[mid] = g
-			}
+			e.gk[2*mid] = e.rows[mid]
 			order = append(order, mid)
 		}
 	}
 	if clip {
-		sort.Slice(order, func(i, j int) bool { return e.sortGain[order[i]] < e.sortGain[order[j]] })
+		sort.Slice(order, func(i, j int) bool { return e.rows[order[i]] < e.rows[order[j]] })
 	}
 	for _, mid := range order {
 		if clip {
@@ -451,7 +447,7 @@ func (e *kernel) selectMove() int32 {
 			for mid := b.head[idx]; mid >= 0; mid = e.nodes.next(mid) {
 				v := mid / int32(k)
 				t := int(mid) % k
-				if e.model.feasibleMove(v, t) {
+				if e.feasibleMove(v, t) {
 					best, bestKey = mid, key
 					break
 				}
@@ -659,7 +655,7 @@ func (e *kernel) applyMove(v int32, t int) {
 		}
 	}
 	e.flushTouches()
-	e.model.moveVertex(v, from, t)
+	e.moveVertex(v, from, t)
 }
 
 // touch adjusts the gain of move id mid if it is live (present in a bucket)

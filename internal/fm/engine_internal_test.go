@@ -181,3 +181,27 @@ func TestKWayKernelGainConsistency(t *testing.T) {
 		}
 	}
 }
+
+// moveGain computes from scratch the (λ-1) connectivity reduction of moving
+// v from its current part to part t, one target per scan of v's nets. It is
+// the per-target oracle cutModel.gainRow must agree with; the frozen
+// localized engine (localized_reference_test.go) prices with it too.
+func (m *cutModel) moveGain(v int32, t int) int64 {
+	h := m.h
+	k := m.k
+	from := int(m.a[v])
+	var g int64
+	for _, en := range h.NetsOf(int(v)) {
+		if int(m.fixedCover[en]) == k {
+			continue
+		}
+		base := int(en) * k
+		if m.pinCount[base+from] == 1 {
+			g += h.NetWeight(int(en))
+		}
+		if m.pinCount[base+t] == 0 {
+			g -= h.NetWeight(int(en))
+		}
+	}
+	return g
+}

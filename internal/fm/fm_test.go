@@ -279,59 +279,6 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func TestKWayRefine(t *testing.T) {
-	h := twoClusters(20, 2)
-	p := partition.NewFree(h, 4, 0.1)
-	rng := rand.New(rand.NewPCG(11, 0))
-	initial, err := partition.RandomFeasible(p, rng)
-	if err != nil {
-		t.Fatalf("RandomFeasible: %v", err)
-	}
-	before := partition.Cut(h, initial)
-	a, cut, err := fm.KWayRefine(p, initial, 0, rng)
-	if err != nil {
-		t.Fatalf("KWayRefine: %v", err)
-	}
-	if err := p.Feasible(a); err != nil {
-		t.Fatalf("infeasible: %v", err)
-	}
-	if cut > before {
-		t.Errorf("k-way refine worsened cut: %d -> %d", before, cut)
-	}
-	if cut != partition.Cut(h, a) {
-		t.Errorf("reported cut %d != recomputed %d", cut, partition.Cut(h, a))
-	}
-}
-
-func TestKWayRefineRespectsFixed(t *testing.T) {
-	h := twoClusters(12, 1)
-	p := partition.NewFree(h, 3, 0.2)
-	p.Fix(0, 2)
-	p.Fix(13, 1)
-	rng := rand.New(rand.NewPCG(13, 0))
-	initial, err := partition.RandomFeasible(p, rng)
-	if err != nil {
-		t.Fatalf("RandomFeasible: %v", err)
-	}
-	a, _, err := fm.KWayRefine(p, initial, 4, rng)
-	if err != nil {
-		t.Fatalf("KWayRefine: %v", err)
-	}
-	if a[0] != 2 || a[13] != 1 {
-		t.Errorf("fixed vertices moved: a[0]=%d a[13]=%d", a[0], a[13])
-	}
-}
-
-func TestKWayRefineErrors(t *testing.T) {
-	h := twoClusters(6, 1)
-	p := partition.NewFree(h, 3, 0.1)
-	rng := rand.New(rand.NewPCG(17, 0))
-	bad := make(partition.Assignment, h.NumVertices())
-	if _, _, err := fm.KWayRefine(p, bad, 2, rng); err == nil {
-		t.Error("want error for infeasible initial")
-	}
-}
-
 // TestTableIIShape checks the paper's Table II direction on a small scale:
 // with many fixed terminals, the retained fraction of moves per pass (after
 // the first) should not exceed the free case by much; typically it drops.

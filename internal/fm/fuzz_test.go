@@ -20,10 +20,11 @@ import (
 // walks the (λ-1) trajectory, so comparing a km1 run against it also
 // enforces the documented trajectory-independence invariant. Each input
 // additionally drives the parallel round engine (ParallelRefine) at a
-// randomized worker count and cross-checks it against workers=1: identical
-// assignment and round/move/gain counts, feasible output, and a Gain that
-// matches the from-scratch connectivity reduction. The same input finally
-// drives the localized engine (LocalizedRefine) at a second randomized
+// randomized worker count and cross-checks it against workers=1 and
+// workers=1 against the frozen round engine (parallel_reference_test.go):
+// identical assignment and round/move/gain counts, feasible output, and a
+// Gain that matches the from-scratch connectivity reduction. The same input
+// finally drives the localized engine (LocalizedRefine) at a second randomized
 // worker count and cross-checks it against workers=1 and workers=1 against
 // the frozen pre-incremental localized engine (localized_reference_test.go):
 // identical assignment and search/commit/move/gain counts, feasible output,
@@ -157,9 +158,10 @@ func FuzzFMKernel(f *testing.F) {
 		}
 
 		// Parallel round engine: a randomized worker count must reproduce the
-		// workers=1 rounds bit for bit (same salt, decoded from the data), the
-		// result must be feasible, and the reported Gain must equal the
-		// from-scratch connectivity reduction.
+		// workers=1 rounds bit for bit (same salt, decoded from the data),
+		// workers=1 must match the frozen round engine, the result must be
+		// feasible, and the reported Gain must equal the from-scratch
+		// connectivity reduction.
 		workers := 2 + int(mode>>4)%7
 		salt := uint64(fu8(data, pos))<<8 | uint64(mode)
 		pWant, err := fm.ParallelRefine(p, initial, cfg, 1, salt)
@@ -177,6 +179,20 @@ func FuzzFMKernel(f *testing.F) {
 		if pGot.Rounds != pWant.Rounds || pGot.Moves != pWant.Moves || pGot.Gain != pWant.Gain {
 			t.Fatalf("parallel workers=%d stats %d/%d/%d diverge from workers=1 %d/%d/%d",
 				workers, pGot.Rounds, pGot.Moves, pGot.Gain, pWant.Rounds, pWant.Moves, pWant.Gain)
+		}
+		// The workers=1 run must also match the frozen round engine
+		// (parallel_reference_test.go) bit for bit.
+		pRef, err := fm.ParallelRefineReference(p, initial, cfg, 1, salt)
+		if err != nil {
+			t.Fatalf("parallel reference: %v", err)
+		}
+		if !reflect.DeepEqual(pWant.Assignment, pRef.Assignment) {
+			t.Fatalf("parallel assignment diverges from the reference:\n got %v\nwant %v",
+				pWant.Assignment, pRef.Assignment)
+		}
+		if pWant.Rounds != pRef.Rounds || pWant.Moves != pRef.Moves || pWant.Gain != pRef.Gain {
+			t.Fatalf("parallel stats %d/%d/%d diverge from the reference %d/%d/%d",
+				pWant.Rounds, pWant.Moves, pWant.Gain, pRef.Rounds, pRef.Moves, pRef.Gain)
 		}
 		if err := p.Feasible(pGot.Assignment); err != nil {
 			t.Fatalf("parallel result infeasible: %v", err)

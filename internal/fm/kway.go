@@ -1,7 +1,6 @@
 package fm
 
 import (
-	"fmt"
 	"math/rand/v2"
 
 	"repro/internal/partition"
@@ -26,103 +25,4 @@ func RunFromRandomWith(p *partition.Problem, cfg Config, rng *rand.Rand, sc *Scr
 		return nil, err
 	}
 	return BipartitionWith(p, initial, cfg, sc)
-}
-
-// KWayRefine improves a feasible k-way assignment by greedy vertex moves: it
-// repeatedly sweeps all vertices in random order, moving each to its best
-// allowed, feasible part when that strictly reduces the (lambda-1) connectivity
-// objective, until a sweep makes no move or maxSweeps is reached. It returns
-// the refined assignment and its weighted cut.
-//
-// This is the paper's "multiway" extension probe; it is intentionally a
-// simple hill-climber rather than a full k-way FM with buckets.
-func KWayRefine(p *partition.Problem, initial partition.Assignment, maxSweeps int, rng *rand.Rand) (partition.Assignment, int64, error) {
-	if err := p.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if err := p.Feasible(initial); err != nil {
-		return nil, 0, fmt.Errorf("fm: initial assignment: %w", err)
-	}
-	if maxSweeps <= 0 {
-		maxSweeps = 16
-	}
-	h := p.H
-	nv := h.NumVertices()
-	nr := h.NumResources()
-	a := initial.Clone()
-	// pinCount[e*k+q] = pins of net e in part q.
-	k := p.K
-	pc := make([]int32, h.NumNets()*k)
-	for e := 0; e < h.NumNets(); e++ {
-		for _, v := range h.Pins(e) {
-			pc[e*k+int(a[v])]++
-		}
-	}
-	weight := make([][]int64, k)
-	for q := range weight {
-		weight[q] = make([]int64, nr)
-	}
-	for v := 0; v < nv; v++ {
-		for r := 0; r < nr; r++ {
-			weight[a[v]][r] += h.WeightIn(v, r)
-		}
-	}
-	feasible := func(v, from, to int) bool {
-		for r := 0; r < nr; r++ {
-			w := h.WeightIn(v, r)
-			if weight[from][r]-w < p.Balance.Min[from][r] ||
-				weight[to][r]+w > p.Balance.Max[to][r] {
-				return false
-			}
-		}
-		return true
-	}
-	// moveGain computes the lambda-1 reduction of moving v from its part to q.
-	moveGain := func(v, from, to int) int64 {
-		var g int64
-		for _, en := range h.NetsOf(v) {
-			w := h.NetWeight(int(en))
-			if pc[int(en)*k+from] == 1 {
-				g += w // v leaving empties `from` on this net
-			}
-			if pc[int(en)*k+to] == 0 {
-				g -= w // v arriving adds a new part to this net
-			}
-		}
-		return g
-	}
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		moved := false
-		for _, v := range rng.Perm(nv) {
-			mask := p.MaskOf(v)
-			from := int(a[v])
-			bestTo, bestGain := -1, int64(0)
-			for q := 0; q < k; q++ {
-				if q == from || !mask.Contains(q) || !feasible(v, from, q) {
-					continue
-				}
-				if g := moveGain(v, from, q); g > bestGain {
-					bestTo, bestGain = q, g
-				}
-			}
-			if bestTo < 0 {
-				continue
-			}
-			for _, en := range h.NetsOf(v) {
-				pc[int(en)*k+from]--
-				pc[int(en)*k+bestTo]++
-			}
-			for r := 0; r < nr; r++ {
-				w := h.WeightIn(v, r)
-				weight[from][r] -= w
-				weight[bestTo][r] += w
-			}
-			a[v] = int8(bestTo)
-			moved = true
-		}
-		if !moved {
-			break
-		}
-	}
-	return a, partition.Cut(h, a), nil
 }

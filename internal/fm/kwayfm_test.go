@@ -220,16 +220,16 @@ func TestKWayBeatsGreedyRefine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("KWayPartition: %v", err)
 		}
-		_, gcut, err := fm.KWayRefine(p, initial, 0, rng)
+		greedy, err := fm.ParallelRefine(p, initial, fm.Config{}, 1, rng.Uint64())
 		if err != nil {
-			t.Fatalf("KWayRefine: %v", err)
+			t.Fatalf("ParallelRefine: %v", err)
 		}
 		fmSum += res.Cut
-		greedySum += gcut
+		greedySum += partition.Cut(h, greedy.Assignment)
 	}
 	t.Logf("avg cut over 5 random starts: k-way FM=%d, greedy=%d", fmSum/5, greedySum/5)
 	// FM hill-climbs through zero/negative moves; it should not lose to the
-	// strictly greedy sweep on average.
+	// strictly greedy round stage on average.
 	if fmSum > greedySum+greedySum/10+5 {
 		t.Errorf("k-way FM (%d) notably worse than greedy refinement (%d)", fmSum, greedySum)
 	}

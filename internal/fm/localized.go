@@ -43,12 +43,13 @@ import (
 //
 // Rounds repeat until the boundary is empty or a round commits nothing.
 //
-// Gain maintenance: no search scans a vertex's nets to price it. locState
-// keeps a round-start gain table (each movable vertex's gain to every target
+// Gain maintenance: no search scans a vertex's nets to price it. The
+// roundState it shares with the round stage (roundstate.go) keeps a
+// round-start gain table (each movable vertex's gain to every target
 // against the round-start Φ), built once per run and refreshed after each
 // commit phase only for the movable pins of the gain-relevant nets the
-// committed prefixes touched. A search copies a candidate's table row into a
-// slot-indexed vector the first time one of its moves touches the
+// committed prefixes touched. A search copies a candidate's table row into
+// a slot-indexed vector the first time one of its moves touches the
 // candidate's nets, then applies only the (λ-1) threshold crossings of each
 // later move (see localizedSearch). Gains are exact integers either way, so
 // every pick, prefix and commit matches a search that re-prices from
@@ -113,95 +114,6 @@ type locPrefix struct {
 	moves []locMove
 }
 
-// locState holds the pooled per-run shared state of the localized engine:
-// boundary stamps, the seed queue, per-round results, the commit-phase
-// round stamps and the round-start gain table. One locState serves a whole
-// LocalizedRefine call.
-type locState struct {
-	bnd        []int32 // round stamp: vertex is a boundary seed this round
-	seedChunks [][]int32
-	seeds      []int32
-	results    []locPrefix
-	order      []int32
-	vRound     []int32 // round a vertex was last committed, -1 = never
-	netRound   []int32 // round a net's Φ row last changed, -1 = never
-	rowRound   []int32 // round a vertex's gain row was last queued for refresh, -1 = never
-	refresh    []int32 // vertices whose gain rows this round's commits invalidated
-	// gain is the round-start gain table: gain[v*k+t] is the (λ-1) gain of
-	// moving movable vertex v from its part to part t against the
-	// round-start Φ. Entries for v's own part and for parts outside its mask
-	// are never read.
-	gain []int64
-	// slackLo and slackHi hold the round-start balance slack per (part,
-	// resource) at q*nr+r: the weight part q may still lose before its
-	// minimum, and gain before its maximum.
-	slackLo, slackHi []int64
-}
-
-var locStatePool = sync.Pool{New: func() any { return &locState{} }}
-
-func (st *locState) prepare(nv, ne, k, nr, chunks int) {
-	st.bnd = growInt32(st.bnd, nv)
-	for i := range st.bnd {
-		st.bnd[i] = -1
-	}
-	st.vRound = growInt32(st.vRound, nv)
-	for i := range st.vRound {
-		st.vRound[i] = -1
-	}
-	st.rowRound = growInt32(st.rowRound, nv)
-	for i := range st.rowRound {
-		st.rowRound[i] = -1
-	}
-	st.netRound = growInt32(st.netRound, ne)
-	for i := range st.netRound {
-		st.netRound[i] = -1
-	}
-	st.refresh = st.refresh[:0]
-	st.gain = growInt64(st.gain, nv*k)
-	st.slackLo = growInt64(st.slackLo, k*nr)
-	st.slackHi = growInt64(st.slackHi, k*nr)
-	if cap(st.seedChunks) < chunks {
-		st.seedChunks = make([][]int32, chunks)
-	}
-	st.seedChunks = st.seedChunks[:chunks]
-	if cap(st.seeds) < 64 {
-		st.seeds = make([]int32, 0, 1024)
-	}
-}
-
-// gainRow writes into row[t], for each of v's targets t, the (λ-1) gain of
-// moving v from its current part to t against the live Φ: cutModel.moveGain
-// for every target in one scan of v's nets.
-func gainRow(m *cutModel, v int32, row []int64) {
-	h := m.h
-	k := m.k
-	from := int(m.a[v])
-	tgts := m.targets(v)
-	for _, t := range tgts {
-		row[t] = 0
-	}
-	var base int64
-	for _, en := range h.NetsOf(int(v)) {
-		if int(m.fixedCover[en]) == k {
-			continue
-		}
-		nb := int(en) * k
-		w := h.NetWeight(int(en))
-		if m.pinCount[nb+from] == 1 {
-			base += w
-		}
-		for _, t := range tgts {
-			if m.pinCount[nb+int(t)] == 0 {
-				row[t] -= w
-			}
-		}
-	}
-	for _, t := range tgts {
-		row[t] += base
-	}
-}
-
 // locSlot is one candidate of the current search. Slots are numbered in
 // acquisition order, so a search never holds more than locMaxDistinct.
 type locSlot struct {
@@ -232,7 +144,7 @@ type locScratch struct {
 	// table row with the deltas of every move of this search applied.
 	vec  []int64
 	scan []int32 // unlocked slots, in no particular order
-	// slackLo and slackHi are the round-start slacks (see locState) minus
+	// slackLo and slackHi are the round-start slacks (see roundState) minus
 	// the search's own weight moves.
 	slackLo, slackHi []int64
 	moves            []locMove
@@ -306,7 +218,7 @@ func (ls *locScratch) feasible(m *cutModel, v int32, t int) bool {
 // localized searches hill-climb and rely on best-prefix recording, unlike
 // the round stage's positive-only proposals. Ties keep the lowest target
 // part.
-func (ls *locScratch) price(m *cutModel, st *locState, s int32) (int8, int64) {
+func (ls *locScratch) price(m *cutModel, st *roundState, s int32) (int8, int64) {
 	k := m.k
 	sl := &ls.slots[s]
 	v := sl.v
@@ -334,7 +246,7 @@ func (ls *locScratch) price(m *cutModel, st *locState, s int32) (int8, int64) {
 // which worker runs it never matters. Only unlocked candidates are ever
 // priced or checked for balance, and an unlocked vertex still sits in its
 // round-start part, so the search reads parts from the model directly.
-func localizedSearch(m *cutModel, ls *locScratch, st *locState, i int, roundSalt uint64) {
+func localizedSearch(m *cutModel, ls *locScratch, st *roundState, i int, roundSalt uint64) {
 	h := m.h
 	k := m.k
 	nr := h.NumResources()
@@ -405,7 +317,7 @@ func localizedSearch(m *cutModel, ls *locScratch, st *locState, i int, roundSalt
 		}
 		for _, en := range h.NetsOf(int(bv)) {
 			// Nets whose immovable pins cover every part never contribute to
-			// any gain (cutModel.moveGain skips them), so the overlay skips
+			// any gain (cutModel.gainRow skips them), so the overlay skips
 			// them too; the commit phase still shifts their real Φ rows.
 			if int(m.fixedCover[en]) == k {
 				continue
@@ -517,14 +429,13 @@ func LocalizedRefineWith(p *partition.Problem, initial partition.Assignment, cfg
 	if err := p.Feasible(initial); err != nil {
 		return nil, fmt.Errorf("fm: initial assignment: %w", err)
 	}
-	model := newGainModel(cfg.Objective)
-	model.init(p, initial, sc)
-	m := model.core()
+	m := &cutModel{obj: cfg.Objective}
+	m.init(p, initial, sc)
 	res := &LocalizedResult{Movable: m.nMovable}
 	if m.nMovable > 0 {
 		W := max(workers, 1)
-		st := locStatePool.Get().(*locState)
-		defer locStatePool.Put(st)
+		st := roundStatePool.Get().(*roundState)
+		defer roundStatePool.Put(st)
 		scratches := make([]*locScratch, par.EffectiveWorkers(W, W))
 		for i := range scratches {
 			scratches[i] = locScratchPool.Get().(*locScratch)
@@ -534,7 +445,7 @@ func LocalizedRefineWith(p *partition.Problem, initial partition.Assignment, cfg
 				locScratchPool.Put(ls)
 			}
 		}()
-		localizedRounds(model, st, scratches, W, salt, res)
+		localizedRounds(m, st, scratches, W, salt, res)
 	}
 	res.Assignment = m.a.Clone() // a is scratch-backed; the result must not alias it
 	return res, nil
@@ -544,29 +455,25 @@ func LocalizedRefineWith(p *partition.Problem, initial partition.Assignment, cfg
 // model with at least one movable vertex, accumulating the counters into
 // res. W >= 1 is the worker count, and scratches holds one search scratch
 // per worker slot; it sizes st and the scratches itself.
-func localizedRounds(model gainModel, st *locState, scratches []*locScratch, W int, salt uint64, res *LocalizedResult) {
-	m := model.core()
+func localizedRounds(m *cutModel, st *roundState, scratches []*locScratch, W int, salt uint64, res *LocalizedResult) {
 	P := W // chunk count for the scans; never influences results
 	h := m.h
 	k := m.k
 	nv := h.NumVertices()
 	ne := h.NumNets()
 	nr := h.NumResources()
-	st.prepare(nv, ne, k, nr, P)
+	st.prepare(m, P, W)
+	st.bnd = fillInt32(st.bnd, nv, -1)
+	st.vRound = fillInt32(st.vRound, nv, -1)
+	st.slackLo = growInt64(st.slackLo, k*nr)
+	st.slackHi = growInt64(st.slackHi, k*nr)
+	if cap(st.seeds) < 64 {
+		st.seeds = make([]int32, 0, 1024)
+	}
 	for _, ls := range scratches {
 		ls.prepare(nv, ne, k, nr)
 	}
-
-	// Round-start gain table: one row per movable vertex, rows computed
-	// independently over vertex chunks.
-	par.ForEachWorker(P, W, func(_, c int) {
-		lo, hi := refineChunk(nv, P, c)
-		for v := lo; v < hi; v++ {
-			if m.movable[v] {
-				gainRow(m, int32(v), st.gain[v*k:v*k+k])
-			}
-		}
-	})
+	row := make([]int64, k) // the commit recheck's pricing row
 
 	for round := 0; ; round++ {
 		res.Rounds = round + 1
@@ -610,17 +517,17 @@ func localizedRounds(model gainModel, st *locState, scratches []*locScratch, W i
 		})
 		par.ForEachWorker(P, W, func(_, c int) {
 			lo, hi := refineChunk(nv, P, c)
-			lst := st.seedChunks[c][:0]
+			lst := st.chunks[c][:0]
 			for v := lo; v < hi; v++ {
 				if st.bnd[v] == int32(round) {
 					lst = append(lst, int32(v))
 				}
 			}
-			st.seedChunks[c] = lst
+			st.chunks[c] = lst
 		})
 		seeds := st.seeds[:0]
 		for c := 0; c < P; c++ {
-			seeds = append(seeds, st.seedChunks[c]...)
+			seeds = append(seeds, st.chunks[c]...)
 		}
 		st.seeds = seeds
 		if len(seeds) == 0 {
@@ -678,17 +585,8 @@ func localizedRounds(model gainModel, st *locState, scratches []*locScratch, W i
 			pr := &st.results[i]
 			conflict := false
 			for _, mv := range pr.moves {
-				if st.vRound[mv.v] == int32(round) {
+				if st.vRound[mv.v] == int32(round) || st.conflicts(m, mv.v, int32(round)) {
 					conflict = true
-					break
-				}
-				for _, en := range h.NetsOf(int(mv.v)) {
-					if st.netRound[en] == int32(round) && int(m.fixedCover[en]) != k {
-						conflict = true
-						break
-					}
-				}
-				if conflict {
 					break
 				}
 			}
@@ -706,46 +604,33 @@ func localizedRounds(model gainModel, st *locState, scratches []*locScratch, W i
 			for _, mv := range pr.moves {
 				v, t := mv.v, int(mv.to)
 				from := int(m.a[v])
-				if from != int(mv.from) || !model.feasibleMove(v, t) {
+				if from != int(mv.from) || !m.feasibleMove(v, t) {
 					ok = false
 					break
 				}
-				total += model.moveGain(v, t)
+				m.gainRow(v, row)
+				total += row[t]
 				for _, en := range h.NetsOf(int(v)) {
 					nb := int(en) * k
 					m.pinCount[nb+from]--
 					m.pinCount[nb+t]++
 				}
-				model.moveVertex(v, from, t)
+				m.moveVertex(v, from, t)
 				applied++
 			}
 			if !ok || total <= 0 {
 				// Rolled back: Φ, the weights and the assignment are restored
 				// exactly, so the gain table needs no refresh.
 				for j := applied - 1; j >= 0; j-- {
-					model.undoMove(pr.moves[j].v, int(pr.moves[j].from))
+					m.undoMove(pr.moves[j].v, int(pr.moves[j].from))
 				}
 				continue
 			}
-			// Mark the conflict group and queue the gain rows the commit
-			// invalidated: every movable pin of the moved vertices'
-			// gain-relevant nets. That includes the moved vertices
-			// themselves unless none of their nets is gain-relevant, and
-			// then their rows are zero before and after the move.
+			// Mark the conflict groups and queue the gain rows the commit
+			// invalidated.
 			for _, mv := range pr.moves {
 				st.vRound[mv.v] = int32(round)
-				for _, en := range h.NetsOf(int(mv.v)) {
-					if int(m.fixedCover[en]) == k || st.netRound[en] == int32(round) {
-						continue
-					}
-					st.netRound[en] = int32(round)
-					for _, u := range h.Pins(int(en)) {
-						if m.movable[u] && st.rowRound[u] != int32(round) {
-							st.rowRound[u] = int32(round)
-							st.refresh = append(st.refresh, u)
-						}
-					}
-				}
+				st.markStale(m, mv.v, int32(round))
 			}
 			res.Gain += total
 			res.Moves += applied
@@ -756,9 +641,6 @@ func localizedRounds(model gainModel, st *locState, scratches []*locScratch, W i
 			// No state changed; the next round would replay this one forever.
 			break
 		}
-		for _, v := range st.refresh {
-			gainRow(m, v, st.gain[int(v)*k:int(v)*k+k])
-		}
-		st.refresh = st.refresh[:0]
+		st.refreshRows(m, P, W)
 	}
 }

@@ -37,11 +37,11 @@ func stampSlices(t *testing.T, ls *locScratch) [][]int32 {
 
 // runLocalizedOn runs the localized rounds on the given search scratches.
 func runLocalizedOn(p *partition.Problem, initial partition.Assignment, salt uint64, scratches []*locScratch) *LocalizedResult {
-	model := newGainModel(ObjectiveCut)
-	model.init(p, initial, NewScratch())
-	res := &LocalizedResult{Movable: model.core().nMovable}
-	localizedRounds(model, &locState{}, scratches, len(scratches), salt, res)
-	res.Assignment = model.core().a.Clone()
+	m := &cutModel{}
+	m.init(p, initial, NewScratch())
+	res := &LocalizedResult{Movable: m.nMovable}
+	localizedRounds(m, &roundState{}, scratches, len(scratches), salt, res)
+	res.Assignment = m.a.Clone()
 	return res
 }
 

@@ -352,9 +352,8 @@ func localizedRefineReferenceWith(p *partition.Problem, initial partition.Assign
 	if err := p.Feasible(initial); err != nil {
 		return nil, fmt.Errorf("fm: initial assignment: %w", err)
 	}
-	model := newGainModel(cfg.Objective)
-	model.init(p, initial, sc)
-	m := model.core()
+	m := &cutModel{obj: cfg.Objective}
+	m.init(p, initial, sc)
 	res := &LocalizedResult{Movable: m.nMovable}
 	if m.nMovable == 0 {
 		res.Assignment = m.a.Clone()
@@ -518,22 +517,22 @@ func localizedRefineReferenceWith(p *partition.Problem, initial partition.Assign
 			for _, mv := range pr.moves {
 				v, t := mv.v, int(mv.to)
 				from := int(m.a[v])
-				if from != int(mv.from) || !model.feasibleMove(v, t) {
+				if from != int(mv.from) || !m.feasibleMove(v, t) {
 					ok = false
 					break
 				}
-				total += model.moveGain(v, t)
+				total += m.moveGain(v, t)
 				for _, en := range h.NetsOf(int(v)) {
 					nb := int(en) * k
 					m.pinCount[nb+from]--
 					m.pinCount[nb+t]++
 				}
-				model.moveVertex(v, from, t)
+				m.moveVertex(v, from, t)
 				applied++
 			}
 			if !ok || total <= 0 {
 				for j := applied - 1; j >= 0; j-- {
-					model.undoMove(pr.moves[j].v, int(pr.moves[j].from))
+					m.undoMove(pr.moves[j].v, int(pr.moves[j].from))
 				}
 				continue
 			}

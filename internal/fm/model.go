@@ -5,20 +5,25 @@ import (
 	"repro/internal/partition"
 )
 
-// cutModel is the cut implementation of the gainModel interface and the
-// structural base every other model embeds: per-net pin counts Φ(e, part),
-// per-part multi-resource weights, movability derived from partition.Mask,
-// and the connectivity-aware move gain g(v, target) — the (λ-1) delta of
-// moving v to the target part, which for k = 2 is exactly the classic FM cut
-// gain. The model owns the state and its structural invariants (apply/undo
-// keep Φ and the weights consistent with the assignment); move ordering
-// lives in the policy layer (kernel).
+// cutModel is the FM engine's one model of a partition in progress: per-net
+// pin counts Φ(e, part), per-part multi-resource weights, movability derived
+// from partition.Mask, and the connectivity-aware move gain g(v, target) —
+// the (λ-1) delta of moving v to the target part, which for k = 2 is
+// exactly the classic FM cut gain. gainRow is the one from-scratch pricer;
+// the kernel, the round stage and the localized stage all read their gains
+// from it or keep them incrementally from its rows. The model owns the state
+// and its structural invariants (apply/undo keep Φ and the weights
+// consistent with the assignment); move ordering lives in the policy layer
+// (kernel). obj only decides which number a finished run reports as its
+// Score: every objective in the family walks the same (λ-1) trajectory (see
+// Objective).
 //
 // All bulk arrays are Scratch-backed so repeated runs reuse them.
 type cutModel struct {
-	p *partition.Problem
-	h *hypergraph.Hypergraph
-	k int
+	p   *partition.Problem
+	h   *hypergraph.Hypergraph
+	k   int
+	obj Objective
 
 	a        partition.Assignment
 	pinCount []int32 // Φ(e, q) at index e*k+q
@@ -131,36 +136,35 @@ func (m *cutModel) init(p *partition.Problem, initial partition.Assignment, sc *
 	m.movablePins = sc.movablePins
 }
 
-// core returns the model's shared structural state: cutModel is itself the
-// base layer every gain model embeds.
-func (m *cutModel) core() *cutModel { return m }
-
-// objective names the metric finalScore computes.
-func (m *cutModel) objective() Objective { return ObjectiveCut }
-
-// finalScore evaluates the weighted net cut by definition. At k = 2 it
-// coincides with the kernel's (λ-1) pass ledger; for k > 2 the ledger tracks
-// connectivity while this reports the cut the run is selected by.
-func (m *cutModel) finalScore(a partition.Assignment) int64 {
-	return partition.Cut(m.h, a)
-}
-
 // targets returns v's allowed target parts (ascending, excluding nothing —
 // the caller skips the current part, or relies on bucket membership to).
 func (m *cutModel) targets(v int32) []int8 {
 	return m.tgtList[m.tgtOff[v]:m.tgtOff[v+1]]
 }
 
-// moveGain computes from scratch the (λ-1) connectivity reduction of moving
-// v from its current part to part t: v leaving a net's last pin in its part
-// removes that part from the net's span (+w); v arriving in a part the net
-// does not yet touch adds one (-w). For k = 2 this is the textbook FS-TE
-// cut gain.
-func (m *cutModel) moveGain(v int32, t int) int64 {
+// gainRow writes into row[t], for each of v's targets t, the (λ-1) gain of
+// moving v from its current part to t against the live Φ, in one scan of v's
+// nets:
+//
+//	Σ w(e)·[Φ(e, from) == 1]  −  Σ w(e)·[Φ(e, t) == 0]
+//
+// v leaving a net's last pin in its part removes that part from the net's
+// span (+w); v arriving in a part the net does not yet touch adds one (-w).
+// For k = 2 this is the textbook FS-TE cut gain. row must have length k;
+// entries for v's own part and for parts outside its mask are left alone.
+func (m *cutModel) gainRow(v int32, row []int64) {
 	h := m.h
 	k := m.k
 	from := int(m.a[v])
-	var g int64
+	var buf [partition.MaxParts]int8
+	tgts := buf[:0]
+	for _, t := range m.targets(v) {
+		if int(t) != from {
+			tgts = append(tgts, t)
+			row[t] = 0
+		}
+	}
+	var base int64
 	for _, en := range h.NetsOf(int(v)) {
 		// Immovable pins covering every part pin the net's contribution to
 		// zero: Φ(from) >= 2 (v plus a fixed pin) and Φ(t) >= 1, whatever the
@@ -170,15 +174,20 @@ func (m *cutModel) moveGain(v int32, t int) int64 {
 		if int(m.fixedCover[en]) == k {
 			continue
 		}
-		base := int(en) * k
-		if m.pinCount[base+from] == 1 {
-			g += h.NetWeight(int(en))
+		nb := int(en) * k
+		w := h.NetWeight(int(en))
+		if m.pinCount[nb+from] == 1 {
+			base += w
 		}
-		if m.pinCount[base+t] == 0 {
-			g -= h.NetWeight(int(en))
+		for _, t := range tgts {
+			if m.pinCount[nb+int(t)] == 0 {
+				row[t] -= w
+			}
 		}
 	}
-	return g
+	for _, t := range tgts {
+		row[t] += base
+	}
 }
 
 // feasibleMove reports whether moving v to part t keeps every resource of

@@ -58,72 +58,12 @@ func ParseObjective(s string) (Objective, error) {
 	}
 }
 
-// Score computes the objective value of an assignment from scratch. It is
-// the authoritative definition each gain model's finalScore must agree with;
-// the fuzz harness cross-checks every kernel run against it.
+// Score computes the objective value of an assignment from scratch. The
+// kernel reports it as a finished run's Score; the fuzz harness cross-checks
+// every kernel run against it.
 func (o Objective) Score(h *hypergraph.Hypergraph, a partition.Assignment) int64 {
 	if o == ObjectiveKM1 {
 		return partition.KMinus1(h, a)
 	}
 	return partition.Cut(h, a)
-}
-
-// gainModel is the objective seam of the FM engine. The kernel (policy
-// layer: buckets, pass loop, rollback) drives a model through this interface
-// and never hard-codes an objective. A model owns the structural state —
-// assignment, Φ(net, part) pin counts, part weights, movability — and the
-// from-scratch gain arithmetic; the kernel owns move ordering and the
-// incremental (λ-1) delta propagation in applyMove, which every model in the
-// current family shares (see Objective). A future model whose gain algebra
-// is not a λ-1 delta (e.g. geometry-weighted wirelength) would additionally
-// override the kernel's delta rules; the seam for that lives here.
-type gainModel interface {
-	// init sizes the model out of sc and loads the initial assignment.
-	init(p *partition.Problem, initial partition.Assignment, sc *Scratch)
-	// core exposes the shared structural state (Φ, weights, movability) the
-	// kernel's hot paths address directly.
-	core() *cutModel
-	// targets returns v's allowed target parts, ascending.
-	targets(v int32) []int8
-	// moveGain computes from scratch the gain of moving v to part t.
-	moveGain(v int32, t int) int64
-	// feasibleMove reports whether moving v to t keeps both parts balanced.
-	feasibleMove(v int32, t int) bool
-	// moveVertex commits v's part change (weights and assignment).
-	moveVertex(v int32, from, to int)
-	// undoMove structurally reverses a committed move, returning v to f.
-	undoMove(v int32, f int)
-	// finalScore evaluates the model's objective on a finished assignment,
-	// by definition (not from the pass ledger); the kernel cross-checks and
-	// reports it as the run's Score.
-	finalScore(a partition.Assignment) int64
-	// objective names the metric finalScore computes.
-	objective() Objective
-}
-
-// newGainModel returns the model implementing o. Models are Scratch-backed
-// and must be init'd before use.
-func newGainModel(o Objective) gainModel {
-	if o == ObjectiveKM1 {
-		return &km1Model{}
-	}
-	return &cutModel{}
-}
-
-// km1Model scores runs by connectivity-minus-one. It shares the cutModel's
-// structural state and gain arithmetic unchanged — the kernel's incremental
-// deltas are already the (λ-1) algebra — and differs only in what finalScore
-// measures, which is what multistart/V-cycle selection ranks by.
-type km1Model struct {
-	cutModel
-}
-
-func (m *km1Model) core() *cutModel { return &m.cutModel }
-
-func (m *km1Model) objective() Objective { return ObjectiveKM1 }
-
-// finalScore evaluates connectivity-minus-one by definition; the kernel's
-// pass ledger must arrive at the same number (fuzz-enforced).
-func (m *km1Model) finalScore(a partition.Assignment) int64 {
-	return partition.KMinus1(m.h, a)
 }

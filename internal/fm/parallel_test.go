@@ -14,8 +14,8 @@ import (
 // synchronous-round engine at the fm level: for a fixed salt, every worker
 // count — 1 included — must commit the identical move sequence and return the
 // identical assignment, on random fixed-vertex problems across k, weights and
-// masks. Run under -race in CI, which also exercises the concurrent propose
-// and dirty-marking phases.
+// masks. Run under -race in CI, which also exercises the concurrent
+// gain-table build, propose and stale-row refresh phases.
 func TestParallelRefineWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x9a11e1, 1))
 	trials := 0
@@ -178,6 +178,96 @@ func BenchmarkParallelRefineRounds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := fm.ParallelRefineWith(p, initial, fm.Config{}, 4, 42, sc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestParallelRefineMatchesReference differentially tests the round engine
+// against the frozen pre-gain-table oracle (parallel_reference_test.go): the
+// shared round-start gain table and its stale-row refresh are bookkeeping
+// only, so every trial must return the identical assignment and identical
+// round/move/gain counters for each objective and worker count.
+func TestParallelRefineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x9a11e1, 5))
+	trials := 0
+	for trials < 40 {
+		p, initial, ok := locDiffProblem(rng)
+		if !ok {
+			continue
+		}
+		trials++
+		salt := rng.Uint64()
+		cfg := fm.Config{}
+		if trials%2 == 0 {
+			cfg.Objective = fm.ObjectiveKM1
+		}
+		want, err := fm.ParallelRefineReference(p, initial, cfg, 1, salt)
+		if err != nil {
+			t.Fatalf("trial %d: reference: %v", trials, err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			got, err := fm.ParallelRefine(p, initial, cfg, workers, salt)
+			if err != nil {
+				t.Fatalf("trial %d: workers=%d: %v", trials, workers, err)
+			}
+			if !reflect.DeepEqual(got.Assignment, want.Assignment) {
+				t.Fatalf("trial %d (k=%d, nv=%d): workers=%d assignment diverges from the reference",
+					trials, p.K, p.H.NumVertices(), workers)
+			}
+			if got.Rounds != want.Rounds || got.Moves != want.Moves || got.Gain != want.Gain {
+				t.Fatalf("trial %d: workers=%d rounds/moves/gain %d/%d/%d, reference %d/%d/%d",
+					trials, workers, got.Rounds, got.Moves, got.Gain, want.Rounds, want.Moves, want.Gain)
+			}
+		}
+	}
+}
+
+// TestRoundStateChunkedRefresh runs both parallel stages on instances large
+// enough that a commit phase stales more rows than the serial-refresh
+// cutoff, so the stale-row refresh runs over chunks on several workers (and
+// under -race in CI), and requires each stage to match its frozen oracle.
+func TestRoundStateChunkedRefresh(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x9a11e1, 6))
+	for trial := 0; trial < 3; trial++ {
+		nv := 800 + rng.IntN(400)
+		k := 2 + rng.IntN(5)
+		b := hypergraph.NewBuilder(1)
+		for v := 0; v < nv; v++ {
+			b.AddVertex(int64(1 + rng.IntN(3)))
+		}
+		for e := 0; e < 2*nv; e++ {
+			b.AddWeightedNet(int64(1+rng.IntN(3)), rng.Perm(nv)[:2+rng.IntN(5)]...)
+		}
+		p := partition.NewFree(b.MustBuild(), k, 0.1)
+		for v := 0; v < nv; v += 7 {
+			p.Fix(v, rng.IntN(k))
+		}
+		initial, err := partition.RandomFeasible(p, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		salt := rng.Uint64()
+		pWant, err := fm.ParallelRefineReference(p, initial, fm.Config{}, 1, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pGot, err := fm.ParallelRefine(p, initial, fm.Config{}, 4, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pGot, pWant) {
+			t.Fatalf("trial %d (k=%d, nv=%d): round stage diverges from its reference", trial, k, nv)
+		}
+		lWant, err := fm.LocalizedRefineReference(p, initial, fm.Config{}, 1, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lGot, err := fm.LocalizedRefine(p, initial, fm.Config{}, 4, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lGot, lWant) {
+			t.Fatalf("trial %d (k=%d, nv=%d): localized stage diverges from its reference", trial, k, nv)
 		}
 	}
 }

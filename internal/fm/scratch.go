@@ -47,7 +47,7 @@ type Scratch struct {
 	movablePins []int32              // movable pins per net (constant per run)
 	touchLog    []int32              // move ids whose gain changed during one applyMove
 	lastPos     []int32              // per move id, its latest touchLog position (only entries stamped by the current applyMove are ever read)
-	sortGain    []int64              // dense per-mid gain copy for CLIP's seeding sort
+	rows        []int64              // dense per-mid pass-start gains (see kernel.rows)
 }
 
 // NewScratch returns an empty Scratch; arrays are allocated lazily on first
@@ -136,10 +136,10 @@ func (s *Scratch) prepare(nv, ne, nr, k int) {
 	s.touchLog = s.touchLog[:0]
 	// lastPos never needs clearing: flushTouches only reads entries the
 	// current applyMove just stamped, so stale positions are never consulted.
-	// sortGain is fully rewritten by each CLIP initPass before the sort reads
-	// it. Neither needs clearing, only sizing.
+	// rows is rewritten by each initPass before it is read. Neither needs
+	// clearing, only sizing.
 	s.lastPos = growInt32(s.lastPos, nv*k)
-	s.sortGain = growInt64(s.sortGain, nv*k)
+	s.rows = growInt64(s.rows, nv*k)
 }
 
 // sizeBuckets (re)sizes the k per-part gain-bucket structures for numMoves
@@ -185,4 +185,21 @@ func growInt64(s []int64, n int) []int64 {
 		return make([]int64, n)
 	}
 	return s[:n]
+}
+
+func growUint64(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
+}
+
+// fillInt32 returns a length-n slice, reusing s's backing array when large
+// enough, with every entry set to x.
+func fillInt32(s []int32, n int, x int32) []int32 {
+	s = growInt32(s, n)
+	for i := range s {
+		s[i] = x
+	}
+	return s
 }

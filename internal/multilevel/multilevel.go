@@ -106,12 +106,11 @@ type Config struct {
 	// CoarseningFingerprint — coarsening never depends on it, so cached
 	// hierarchies serve every value.
 	LocalizedFMWorkers int
-	// Stats, when non-nil, accumulates per-phase wall time and heap
-	// allocation counts (coarsen / initial partitioning / the three
-	// refinement stages) over every descent and V-cycle run with this config,
-	// on the 2-way and the direct k-way path alike. Counters are updated
-	// atomically; allocation counts read the process-wide heap object
-	// counter, so they are only meaningful for serial runs (Workers: 1).
+	// Stats, when non-nil, accumulates per-phase wall time (coarsen /
+	// initial partitioning / the three refinement stages) and the FM
+	// kernel's work counters over every descent and V-cycle run with this
+	// config, on the 2-way and the direct k-way path alike. Counters are
+	// updated atomically, so concurrent runs may share one PhaseStats.
 	Stats *PhaseStats
 }
 

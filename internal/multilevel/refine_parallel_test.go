@@ -15,7 +15,7 @@ import (
 // and shared multistart — must return a result bit-identical to workers=1
 // (the stage serialised onto the calling goroutine), on free and
 // fixed-terminals instances. Run under -race in CI, which also exercises the
-// concurrent propose and dirty-marking phases.
+// concurrent gain-table build, propose and stale-row refresh phases.
 func TestRefineWorkersGoldenEquivalence(t *testing.T) {
 	p2 := presetProblem(t, "IBM01S", 0.08, 0.2)
 	p2free := presetProblem(t, "IBM02S", 0.06, 0)

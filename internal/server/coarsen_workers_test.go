@@ -98,7 +98,7 @@ func TestMetricsCoarsenWorkers(t *testing.T) {
 	if !strings.Contains(body, fmt.Sprintf("hpartd_coarsen_workers %d", want)) {
 		t.Errorf("metrics missing hpartd_coarsen_workers %d:\n%s", want, body)
 	}
-	if !strings.Contains(body, "hpartd_coarsen_phase_ns_total") {
-		t.Error("metrics missing hpartd_coarsen_phase_ns_total")
+	if !strings.Contains(body, `hpartd_phase_seconds_total{phase="coarsen"}`) {
+		t.Error("metrics missing phase=\"coarsen\" in hpartd_phase_seconds_total")
 	}
 }

@@ -110,9 +110,6 @@ func TestMetricsLocalizedFMWorkers(t *testing.T) {
 	if !strings.Contains(body, fmt.Sprintf("hpartd_localized_fm_workers %d", want)) {
 		t.Errorf("metrics missing hpartd_localized_fm_workers %d:\n%s", want, body)
 	}
-	if !strings.Contains(body, "hpartd_localized_fm_phase_ns_total") {
-		t.Error("metrics missing hpartd_localized_fm_phase_ns_total")
-	}
 	if !strings.Contains(body, `hpartd_phase_seconds_total{phase="refine_localized"}`) {
 		t.Error("metrics missing phase=\"refine_localized\" in hpartd_phase_seconds_total")
 	}

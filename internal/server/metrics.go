@@ -204,13 +204,8 @@ func (m *metrics) writeTo(w io.Writer, cache cacheStats) {
 	fmt.Fprintf(w, "hpartd_phase_seconds_total{phase=\"refine_localized\"} %g\n", float64(atomic.LoadInt64(&m.refineLocNS))/1e9)
 
 	gauge("hpartd_coarsen_workers", "Effective intra-descent coarsening parallelism of the most recent run.", atomic.LoadInt64(&m.coarsenWorkers))
-	counter("hpartd_coarsen_phase_ns_total", "Coarsening-phase wall time in nanoseconds across all runs.", atomic.LoadInt64(&m.coarsenNS))
-
 	gauge("hpartd_refine_workers", "Effective parallel-refinement worker count of the most recent run (0 = stage off).", atomic.LoadInt64(&m.refineWorkers))
-	counter("hpartd_refine_phase_ns_total", "Parallel-refinement-stage wall time in nanoseconds across all runs (serial polish excluded).", atomic.LoadInt64(&m.refineParNS))
-
 	gauge("hpartd_localized_fm_workers", "Effective localized-FM worker count of the most recent run (0 = stage off).", atomic.LoadInt64(&m.localizedFMWorkers))
-	counter("hpartd_localized_fm_phase_ns_total", "Localized-FM-stage wall time in nanoseconds across all runs.", atomic.LoadInt64(&m.refineLocNS))
 
 	k := m.kernel.Snapshot()
 	counter("hpartd_fm_nets_skipped_total", "Nets bypassed by locked-net short-circuiting in the FM kernel.", k.NetsSkipped)

@@ -109,9 +109,6 @@ func TestMetricsRefineWorkers(t *testing.T) {
 	if !strings.Contains(body, fmt.Sprintf("hpartd_refine_workers %d", want)) {
 		t.Errorf("metrics missing hpartd_refine_workers %d:\n%s", want, body)
 	}
-	if !strings.Contains(body, "hpartd_refine_phase_ns_total") {
-		t.Error("metrics missing hpartd_refine_phase_ns_total")
-	}
 	if !strings.Contains(body, `hpartd_phase_seconds_total{phase="refine_parallel"}`) {
 		t.Error("metrics missing phase=\"refine_parallel\" in hpartd_phase_seconds_total")
 	}
