@@ -21,8 +21,22 @@
 // trajectory; they differ only in the reported Result.Score, which callers
 // (the multilevel multistart and V-cycle drivers) use to select among
 // candidates. ObjectiveCut runs are bit-identical to the pre-objective
-// kernel. There is one model (cutModel, model.go) for every objective: its
-// obj field only picks the Score function.
+// kernel. There is one model (cutModel, model.go) for every objective; the
+// level state's objective only picks which number Score reports.
+//
+// # One state per level
+//
+// A Level (level.go) is one level's partition state: Φ, the part weights,
+// the assignment, movability with the kernel's lock seeds, the gain table
+// and the running (λ−1) connectivity, built once by NewLevel. Its stages —
+// Rounds, Localized, Polish and Pairwise — update it in place and leave Φ,
+// the weights, the assignment and the running objective exact, so no stage
+// rebuilds anything; Score and Cut are read off the state, not recounted.
+// The gain table passes from the rounds to localized FM to the kernel's
+// first pass while it is exact. Pairwise re-derives each part pair's
+// movability and lock seeds from Φ and restores the level's afterwards.
+// ParallelRefineWith, LocalizedRefineWith, KWayPartitionWith and
+// BipartitionWith are each NewLevel plus one stage.
 //
 // # Localized FM
 //
@@ -36,12 +50,15 @@
 // from it, and both parallel stages share one round state built on it
 // (roundstate.go). A localized search never scans a vertex's nets to price
 // it. The run keeps a round-start gain table, one nv × k int64 table
-// holding each movable vertex's (λ−1) gain to every target, built in
-// parallel before the first round; the round stage reads its proposals
-// from the same table and matches its own frozen copy
-// (parallel_reference_test.go) bit for bit. After each commit phase only the movable pins of the
-// gain-relevant nets that committed prefixes touched are recomputed;
-// rolled-back prefixes restore Φ and need no refresh. A search copies a
+// holding each movable vertex's (λ−1) gain to every target, taken over from
+// the level or built in parallel before the first round; the round stage
+// reads its proposals from the same table and matches its own frozen copy
+// (parallel_reference_test.go) bit for bit. After each commit phase only
+// the movable pins of the gain-relevant nets that committed prefixes
+// touched are recomputed;
+// rolled-back prefixes restore Φ and need no refresh. The boundary the
+// searches are seeded from is kept the same way: collected once, then
+// updated from the nets each commit phase changed. A search copies a
 // candidate's row into a slot-indexed per-search vector (at most
 // 64 × k per worker) the first time one of its moves touches the
 // candidate's nets. Every later move applies only its threshold
@@ -54,9 +71,10 @@
 //
 // # Concurrency
 //
-// A kernel instance (Bipartition, KWayPartition, a Scratch, and the gain
-// buckets inside them) is single-goroutine: it may not be shared or called
-// concurrently. Parallel callers run one kernel (and one Scratch) per
+// A kernel instance (Bipartition, KWayPartition, a Level, a Scratch, and
+// the gain buckets inside them) is single-goroutine: it may not be shared
+// or called concurrently; the parallel stages fan out internally. Parallel
+// callers run one kernel (and one Scratch) per
 // worker on disjoint problems — the pattern the multilevel multistart
 // drivers use. The only shared-safe type is KernelStats: its counters are
 // atomics, so any number of kernels may fold their per-run deltas into one

@@ -1,9 +1,10 @@
 package fm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/partition"
 )
@@ -96,9 +97,10 @@ type Result struct {
 	Assignment partition.Assignment
 	// Cut is the weighted cut of Assignment.
 	Cut int64
-	// Score is Assignment evaluated under the run's Objective, recomputed by
-	// definition from the final assignment. At k = 2 every objective in the
-	// family coincides with the cut, so Score == Cut.
+	// Score is Assignment evaluated under the run's Objective. It is the
+	// running objective the kernel keeps from its pass gains (FuzzFMKernel
+	// cross-checks it against a from-scratch recount); at k = 2 every
+	// objective in the family coincides with the cut, so Score == Cut.
 	Score int64
 	// Objective is the metric the run optimized (Config.Objective).
 	Objective Objective
@@ -128,6 +130,7 @@ func (r *Result) TotalMoves() int {
 // for move.
 type kernel struct {
 	*cutModel
+	lv  *Level
 	cfg Config
 	sc  *Scratch
 
@@ -169,23 +172,17 @@ type kernel struct {
 
 	// rows holds each movable vertex's pass-start gain row at v*k+t, dense
 	// by move id: initPass prices into it and CLIP's seeding sort reads it.
-	rows []int64
+	// It is the level's gain table, so when the table is exact at the start
+	// of the run (tableRows), the first initPass reads it instead of
+	// pricing.
+	rows      []int64
+	tableRows bool
 
 	// Work counters for Config.Stats.
 	netsSkipped        int64
 	pinScansAvoided    int64
 	pinsScanned        int64
 	bucketUpdatesSaved int64
-}
-
-// kernelResult is the policy layer's raw outcome, wrapped into Result or
-// KWayResult by the entry points.
-type kernelResult struct {
-	a       partition.Assignment
-	obj     int64 // final (λ-1) connectivity; equals the cut when k = 2
-	score   int64 // a evaluated under the run's Objective
-	passes  []PassStats
-	movable int
 }
 
 // Bipartition refines the feasible initial assignment with flat FM passes
@@ -201,43 +198,42 @@ func Bipartition(p *partition.Problem, initial partition.Assignment, cfg Config)
 
 // BipartitionWith is Bipartition running on a caller-provided Scratch, for
 // callers that make many runs and want to keep one warm Scratch instead of
-// going through the pool. The result never aliases scratch memory.
+// going through the pool. The result never aliases scratch memory. It is
+// NewLevel followed by Polish.
 func BipartitionWith(p *partition.Problem, initial partition.Assignment, cfg Config, sc *Scratch) (*Result, error) {
 	if p.K != 2 {
 		return nil, fmt.Errorf("fm: Bipartition requires k=2, got k=%d", p.K)
 	}
-	if err := p.Validate(); err != nil {
+	l, err := NewLevel(p, initial, cfg, sc)
+	if err != nil {
 		return nil, err
-	}
-	if err := p.Feasible(initial); err != nil {
-		return nil, fmt.Errorf("fm: initial assignment: %w", err)
 	}
 	if cfg.MaxPassFraction < 0 || cfg.MaxPassFraction > 1 {
 		return nil, fmt.Errorf("fm: MaxPassFraction %v outside [0,1]", cfg.MaxPassFraction)
 	}
-	e := newKernel(p, initial, cfg, sc)
-	r := e.run()
-	return &Result{Assignment: r.a, Cut: r.obj, Score: r.score, Objective: cfg.Objective, Passes: r.passes, Movable: r.movable}, nil
+	passes := l.Polish(cfg)
+	return &Result{Assignment: l.Assignment(), Cut: l.km1, Score: l.km1, Objective: cfg.Objective, Passes: passes, Movable: l.m.nMovable}, nil
 }
 
-func newKernel(p *partition.Problem, initial partition.Assignment, cfg Config, sc *Scratch) *kernel {
-	e := &kernel{cutModel: &cutModel{obj: cfg.Objective}, cfg: cfg, sc: sc}
-	e.init(p, initial, sc)
+// Polish runs the serial FM kernel on the level under cfg's policy, pass
+// cutoffs and kernel counters (cfg.Objective is unused: the level's
+// objective decides Score), with the level's current movability. It returns
+// the per-pass statistics, including the final zero-gain pass that
+// triggered termination; the running objective drops by each pass's gain.
+func (l *Level) Polish(cfg Config) []PassStats {
+	return newKernel(l, cfg).run()
+}
+
+func newKernel(l *Level, cfg Config) *kernel {
+	sc := l.sc
+	e := &kernel{cutModel: &l.m, lv: l, cfg: cfg, sc: sc}
 	e.gk = sc.gk
 	// Bucket key range: the largest possible |gain| is the max over movable
 	// vertices of the total incident net weight; CLIP deltas can reach twice
 	// that. Saturate beyond.
-	h := p.H
 	var maxAdj int64 = 1
-	for v := 0; v < h.NumVertices(); v++ {
-		if !e.movable[v] {
-			continue
-		}
-		var s int64
-		for _, en := range h.NetsOf(v) {
-			s += h.NetWeight(int(en))
-		}
-		if 2*s > maxAdj {
+	for v, s := range e.incW {
+		if e.movable[v] && 2*s > maxAdj {
 			maxAdj = 2 * s
 		}
 	}
@@ -245,25 +241,27 @@ func newKernel(p *partition.Problem, initial partition.Assignment, cfg Config, s
 	if maxAdj > maxBucketSpan {
 		maxAdj = maxBucketSpan
 	}
-	sc.sizeBuckets(h.NumVertices()*e.k, int32(maxAdj), e.k)
+	sc.sizeBuckets(e.h.NumVertices()*e.k, int32(maxAdj), e.k)
 	e.nodes = &sc.nodes
 	e.buckets = sc.buckets
 	e.partOrder = sc.partOrder
 	e.touchLog = sc.touchLog[:0]
 	e.lastPos = sc.lastPos
-	e.rows = sc.rows
+	e.rows = sc.round.gain
 	return e
 }
 
-func (e *kernel) run() *kernelResult {
-	res := &kernelResult{movable: e.nMovable}
-	obj := partition.KMinus1(e.h, e.a)
+// run executes passes until one gains nothing (or the pass budget runs out),
+// keeping the level's running objective, and returns the pass statistics.
+func (e *kernel) run() []PassStats {
 	if e.nMovable == 0 {
-		res.a = e.a.Clone() // a is scratch-backed; the result must not alias it
-		res.obj = obj
-		res.score = e.obj.Score(e.h, res.a)
-		return res
+		return nil
 	}
+	// The passes price into the table's rows, so it stops being the level's
+	// exact table; an exact one seeds the first pass.
+	e.tableRows = e.lv.table
+	e.lv.table = false
+	var passes []PassStats
 	moveLog := e.sc.moveLog[:0]
 	for pass := 0; pass < e.cfg.maxPasses(); pass++ {
 		limit := e.nMovable
@@ -278,8 +276,8 @@ func (e *kernel) run() *kernelResult {
 			stall = e.cfg.StallCutoff
 		}
 		stats := e.runPass(limit, stall, &moveLog)
-		res.passes = append(res.passes, stats)
-		obj -= stats.Gain
+		passes = append(passes, stats)
+		e.lv.km1 -= stats.Gain
 		if stats.Gain <= 0 {
 			break
 		}
@@ -289,10 +287,7 @@ func (e *kernel) run() *kernelResult {
 	if e.cfg.Stats != nil {
 		e.cfg.Stats.add(e.netsSkipped, e.pinScansAvoided, e.pinsScanned, e.bucketUpdatesSaved)
 	}
-	res.a = e.a.Clone() // a is scratch-backed; the result must not alias it
-	res.obj = obj
-	res.score = e.obj.Score(e.h, res.a)
-	return res
+	return passes
 }
 
 // runPass executes one FM pass (up to limit moves, ending early after
@@ -354,7 +349,8 @@ func gainProfile(cumLog []int64, best int64) []float64 {
 }
 
 // initPass computes fresh gains for every legal (vertex, target) move — one
-// gainRow per movable vertex — and fills the per-part bucket structures,
+// gainRow per movable vertex, or the level's exact gain table on the run's
+// first pass — and fills the per-part bucket structures,
 // seeding vertices in ascending id order and targets in ascending part
 // order. Under CLIP every move starts with bucket key zero, but the zero
 // bucket is seeded in ascending actual-gain order so that the LIFO head —
@@ -387,7 +383,9 @@ func (e *kernel) initPass() {
 		// The dense row doubles as CLIP's sort key: the seeding comparator
 		// gathers half the memory span it would over the interleaved
 		// gain/key pairs.
-		e.gainRow(int32(v), e.rows[v*k:v*k+k])
+		if !e.tableRows {
+			e.gainRow(int32(v), e.rows[v*k:v*k+k])
+		}
 		for _, t8 := range e.targets(int32(v)) {
 			t := int(t8)
 			if t == from {
@@ -398,8 +396,9 @@ func (e *kernel) initPass() {
 			order = append(order, mid)
 		}
 	}
+	e.tableRows = false
 	if clip {
-		sort.Slice(order, func(i, j int) bool { return e.rows[order[i]] < e.rows[order[j]] })
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(e.rows[a], e.rows[b]) })
 	}
 	for _, mid := range order {
 		if clip {

@@ -43,8 +43,8 @@ func TestKernelInvariants(t *testing.T) {
 		if !ok {
 			return true
 		}
-		e := newKernel(p, initial, Config{Policy: LIFO}, NewScratch())
-		res := e.run()
+		e := newKernel(mustLevel(p, initial), Config{Policy: LIFO})
+		e.run()
 		h := p.H
 		k := e.k
 		// Recompute pin counts from the final assignment.
@@ -69,13 +69,8 @@ func TestKernelInvariants(t *testing.T) {
 				return false
 			}
 		}
-		// The kernel's final assignment is the reported one.
-		for v := range res.a {
-			if res.a[v] != e.a[v] {
-				return false
-			}
-		}
-		return res.obj == partition.Cut(h, res.a)
+		// The running objective is the final assignment's.
+		return e.lv.km1 == partition.Cut(h, e.a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -90,7 +85,7 @@ func TestKernelGainsFreshEachPass(t *testing.T) {
 	if !ok {
 		t.Skip("infeasible draw")
 	}
-	e := newKernel(p, initial, Config{Policy: LIFO}, NewScratch())
+	e := newKernel(mustLevel(p, initial), Config{Policy: LIFO})
 	e.initPass()
 	h := p.H
 	k := e.k
@@ -158,7 +153,7 @@ func TestKWayKernelGainConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newKernel(p, initial, Config{Policy: LIFO}, NewScratch())
+	e := newKernel(mustLevel(p, initial), Config{Policy: LIFO})
 	e.initPass()
 	for step := 0; step < 5; step++ {
 		mid := e.selectMove()
@@ -180,6 +175,15 @@ func TestKWayKernelGainConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustLevel builds the level state of a feasible assignment.
+func mustLevel(p *partition.Problem, a partition.Assignment) *Level {
+	l, err := NewLevel(p, a, Config{}, NewScratch())
+	if err != nil {
+		panic(err)
+	}
+	return l
 }
 
 // moveGain computes from scratch the (λ-1) connectivity reduction of moving

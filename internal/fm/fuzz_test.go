@@ -29,7 +29,10 @@ import (
 // the frozen pre-incremental localized engine (localized_reference_test.go):
 // identical assignment and search/commit/move/gain counts, feasible output,
 // and a committed-gain ledger that matches the from-scratch connectivity
-// reduction.
+// reduction. Last, the pairwise sweeps run on a level state followed by one
+// more polish on it, against the frozen pairwise driver and the frozen
+// kernel (reference_test.go), and the level's running objective and Score
+// are checked against a from-scratch recount.
 func FuzzFMKernel(f *testing.F) {
 	f.Add([]byte{3, 20, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
 	f.Add([]byte{2, 40, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(1))
@@ -250,6 +253,41 @@ func FuzzFMKernel(f *testing.F) {
 		}
 		if d := km1Before - km1After; d != lGot.Gain {
 			t.Fatalf("localized Gain %d != measured connectivity reduction %d", lGot.Gain, d)
+		}
+
+		// Pairwise sweeps on the level state, then one more polish on the
+		// same state: must match the frozen pairwise driver followed by the
+		// frozen kernel (the polish only matches when the sweeps restored the
+		// level's movability), with a running objective and Score that match
+		// a from-scratch recount.
+		sweeps := 1 + int(fu8(data, pos+2))%2
+		lv, err := fm.NewLevel(p, initial, cfg, fm.NewScratch())
+		if err != nil {
+			t.Fatalf("level: %v", err)
+		}
+		lv.Pairwise(cfg, sweeps)
+		pwRef, err := fm.PairwiseReference(p, initial, cfg, sweeps)
+		if err != nil {
+			t.Fatalf("pairwise reference: %v", err)
+		}
+		if got := lv.Assignment(); !reflect.DeepEqual(got, pwRef) {
+			t.Fatalf("pairwise assignment diverges from the reference:\n got %v\nwant %v", got, pwRef)
+		}
+		passes := lv.Polish(cfg)
+		polRef, err := fm.KWayPartitionReference(p, pwRef, cfg)
+		if err != nil {
+			t.Fatalf("polish reference: %v", err)
+		}
+		final := lv.Assignment()
+		if !reflect.DeepEqual(final, polRef.Assignment) || !reflect.DeepEqual(passes, polRef.Passes) {
+			t.Fatalf("polish after pairwise diverges from the reference:\n got %v %+v\nwant %v %+v",
+				final, passes, polRef.Assignment, polRef.Passes)
+		}
+		if l := partition.KMinus1(h, final); lv.KMinus1() != l {
+			t.Fatalf("level running KMinus1 %d != recomputed %d", lv.KMinus1(), l)
+		}
+		if s := cfg.Objective.Score(h, final); lv.Score() != s {
+			t.Fatalf("level Score %d != recomputed %d", lv.Score(), s)
 		}
 	})
 }

@@ -41,26 +41,23 @@ func KWayPartition(p *partition.Problem, initial partition.Assignment, cfg Confi
 // KWayPartitionWith is KWayPartition running on a caller-provided Scratch.
 // It drives the same part-count-generic kernel as BipartitionWith — at k = 2
 // the two produce identical refinements — and never aliases scratch memory
-// in its result.
+// in its result. It is NewLevel followed by Polish.
 func KWayPartitionWith(p *partition.Problem, initial partition.Assignment, cfg Config, sc *Scratch) (*KWayResult, error) {
-	if err := p.Validate(); err != nil {
+	l, err := NewLevel(p, initial, cfg, sc)
+	if err != nil {
 		return nil, err
-	}
-	if err := p.Feasible(initial); err != nil {
-		return nil, fmt.Errorf("fm: initial assignment: %w", err)
 	}
 	if cfg.MaxPassFraction < 0 || cfg.MaxPassFraction > 1 {
 		return nil, fmt.Errorf("fm: MaxPassFraction %v outside [0,1]", cfg.MaxPassFraction)
 	}
-	e := newKernel(p, initial, cfg, sc)
-	r := e.run()
+	passes := l.Polish(cfg)
 	return &KWayResult{
-		Assignment: r.a,
-		Cut:        partition.Cut(p.H, r.a),
-		KMinus1:    r.obj,
-		Score:      r.score,
+		Assignment: l.Assignment(),
+		Cut:        l.Cut(),
+		KMinus1:    l.km1,
+		Score:      l.Score(),
 		Objective:  cfg.Objective,
-		Passes:     r.passes,
-		Movable:    r.movable,
+		Passes:     passes,
+		Movable:    l.m.nMovable,
 	}, nil
 }

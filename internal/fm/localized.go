@@ -1,8 +1,8 @@
 package fm
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,9 +19,11 @@ import (
 // negative-gain prefixes — the hill-climbing power the strictly-positive
 // synchronous-round stage (parallel.go) lacks. Each round
 //
-//  1. the boundary is collected deterministically: a movable vertex is a seed
-//     when one of its (non-fully-covered) nets spans more than one part; the
-//     seed list ascends by vertex id and is split into fixed-size batches,
+//  1. the boundary supplies the seeds: a movable vertex is a seed when one
+//     of its (non-fully-covered) nets spans more than one part; the seed
+//     list ascends by vertex id and is split into fixed-size batches. It is
+//     collected once per run, then updated after each commit phase from the
+//     nets the commits changed (updateBoundary), never by scanning every net,
 //  2. workers pull batch indices from a shared atomic queue and run one
 //     bounded localized search per batch against the round-start state: the
 //     search tracks its own moves in a per-worker stamped overlay (Φ deltas,
@@ -46,7 +48,8 @@ import (
 // Gain maintenance: no search scans a vertex's nets to price it. The
 // roundState it shares with the round stage (roundstate.go) keeps a
 // round-start gain table (each movable vertex's gain to every target
-// against the round-start Φ), built once per run and refreshed after each
+// against the round-start Φ), taken over from the level when it is exact
+// and built once per run otherwise, and refreshed after each
 // commit phase only for the movable pins of the gain-relevant nets the
 // committed prefixes touched. A search copies a candidate's table row into
 // a slot-indexed vector the first time one of its moves touches the
@@ -421,226 +424,307 @@ func LocalizedRefine(p *partition.Problem, initial partition.Assignment, cfg Con
 
 // LocalizedRefineWith is LocalizedRefine running on a caller-provided Scratch,
 // for drivers that pin one scratch per worker across a whole descent. The
-// result never aliases scratch memory.
+// result never aliases scratch memory. It is NewLevel followed by Localized.
 func LocalizedRefineWith(p *partition.Problem, initial partition.Assignment, cfg Config, workers int, salt uint64, sc *Scratch) (*LocalizedResult, error) {
-	if err := p.Validate(); err != nil {
+	l, err := NewLevel(p, initial, cfg, sc)
+	if err != nil {
 		return nil, err
 	}
-	if err := p.Feasible(initial); err != nil {
-		return nil, fmt.Errorf("fm: initial assignment: %w", err)
-	}
-	m := &cutModel{obj: cfg.Objective}
-	m.init(p, initial, sc)
-	res := &LocalizedResult{Movable: m.nMovable}
-	if m.nMovable > 0 {
-		W := max(workers, 1)
-		st := roundStatePool.Get().(*roundState)
-		defer roundStatePool.Put(st)
-		scratches := make([]*locScratch, par.EffectiveWorkers(W, W))
-		for i := range scratches {
-			scratches[i] = locScratchPool.Get().(*locScratch)
-		}
-		defer func() {
-			for _, ls := range scratches {
-				locScratchPool.Put(ls)
-			}
-		}()
-		localizedRounds(m, st, scratches, W, salt, res)
-	}
-	res.Assignment = m.a.Clone() // a is scratch-backed; the result must not alias it
-	return res, nil
+	res := l.Localized(workers, salt)
+	res.Assignment = l.Assignment()
+	return &res, nil
 }
 
-// localizedRounds runs the collect/search/commit rounds on an initialized
-// model with at least one movable vertex, accumulating the counters into
-// res. W >= 1 is the worker count, and scratches holds one search scratch
-// per worker slot; it sizes st and the scratches itself.
-func localizedRounds(m *cutModel, st *roundState, scratches []*locScratch, W int, salt uint64, res *LocalizedResult) {
-	P := W // chunk count for the scans; never influences results
+// Localized runs the localized FM stage on the level (see the file comment
+// and LocalizedRefine) and returns its counters; Assignment is left nil, the
+// level holds the result. The gain table is taken over when the level holds
+// it exact and built otherwise, and is exact again when the stage returns.
+func (l *Level) Localized(workers int, salt uint64) LocalizedResult {
+	res := LocalizedResult{Movable: l.m.nMovable}
+	if l.m.nMovable == 0 {
+		return res
+	}
+	W := max(workers, 1)
+	scratches := make([]*locScratch, par.EffectiveWorkers(W, W))
+	for i := range scratches {
+		scratches[i] = locScratchPool.Get().(*locScratch)
+	}
+	defer func() {
+		for _, ls := range scratches {
+			locScratchPool.Put(ls)
+		}
+	}()
+	r := newLocRun(l, scratches, W, salt, &res)
+	for round := 0; ; round++ {
+		if commits, _ := r.round(round); commits == 0 {
+			break
+		}
+	}
+	l.km1 -= res.Gain
+	return res
+}
+
+// locRun is one localized run on a level: the worker count, the search
+// scratches (one per worker slot), the salt and the counters it accumulates.
+type locRun struct {
+	m         *cutModel
+	st        *roundState
+	scratches []*locScratch
+	W         int // worker count, also the chunk count; never influences results
+	salt      uint64
+	res       *LocalizedResult
+	row       []int64 // the commit recheck's pricing row
+}
+
+// newLocRun sizes the round state and the scratches for a run on a level
+// with at least one movable vertex, takes over or builds the gain table,
+// and collects the initial boundary.
+func newLocRun(l *Level, scratches []*locScratch, W int, salt uint64, res *LocalizedResult) *locRun {
+	m := &l.m
+	st := &l.sc.round
+	r := &locRun{m: m, st: st, scratches: scratches, W: W, salt: salt, res: res, row: make([]int64, m.k)}
 	h := m.h
 	k := m.k
 	nv := h.NumVertices()
 	ne := h.NumNets()
 	nr := h.NumResources()
-	st.prepare(m, P, W)
-	st.bnd = fillInt32(st.bnd, nv, -1)
+	st.begin(m, W)
+	l.buildTable(W, W)
 	st.vRound = fillInt32(st.vRound, nv, -1)
 	st.slackLo = growInt64(st.slackLo, k*nr)
 	st.slackHi = growInt64(st.slackHi, k*nr)
-	if cap(st.seeds) < 64 {
-		st.seeds = make([]int32, 0, 1024)
-	}
 	for _, ls := range scratches {
 		ls.prepare(nv, ne, k, nr)
 	}
-	row := make([]int64, k) // the commit recheck's pricing row
+	r.collectBoundary()
+	return r
+}
 
-	for round := 0; ; round++ {
-		res.Rounds = round + 1
-		roundSalt := salt + uint64(round)*0x9e3779b97f4a7c15
+// collectBoundary builds the boundary from scratch, once per run: it flags
+// every gain-relevant net spanning more than one part, counts each movable
+// vertex's flagged nets, and lists the vertices with a positive count
+// ascending.
+func (r *locRun) collectBoundary() {
+	m, st := r.m, r.st
+	h := m.h
+	k := m.k
+	nv := h.NumVertices()
+	ne := h.NumNets()
+	st.cutNet = growBool(st.cutNet, ne)
+	st.bcount = growInt32(st.bcount, nv)
+	st.seeded = growBool(st.seeded, nv)
+	for en := 0; en < ne; en++ {
+		st.cutNet[en] = int(m.fixedCover[en]) != k && spansTwo(m.pinCount[en*k:en*k+k])
+	}
+	seeds := st.seeds[:0]
+	for v := 0; v < nv; v++ {
+		n := int32(0)
+		if m.movable[v] {
+			for _, en := range h.NetsOf(v) {
+				if st.cutNet[en] {
+					n++
+				}
+			}
+		}
+		st.bcount[v] = n
+		st.seeded[v] = n > 0
+		if n > 0 {
+			seeds = append(seeds, int32(v))
+		}
+	}
+	st.seeds = seeds
+}
 
-		// Collect the boundary: stamp the movable pins of every net spanning
-		// more than one part, then gather the stamped vertices ascending.
-		// Chunks only split the scans; the merged seed list is ascending by
-		// vertex id whatever P is.
-		par.ForEachWorker(P, W, func(_, c int) {
-			lo, hi := refineChunk(ne, P, c)
-			for en := lo; en < hi; en++ {
-				if int(m.fixedCover[en]) == k {
-					continue
-				}
-				base := en * k
-				span := 0
-				for q := 0; q < k; q++ {
-					if m.pinCount[base+q] > 0 {
-						if span++; span == 2 {
-							break
-						}
-					}
-				}
-				if span < 2 {
-					continue
-				}
-				for _, u := range h.Pins(en) {
-					if !m.movable[u] {
-						continue
-					}
-					if W == 1 {
-						st.bnd[u] = int32(round)
-					} else {
-						// Stores race benignly: every writer stores the same
-						// round value.
-						atomic.StoreInt32(&st.bnd[u], int32(round))
-					}
-				}
-			}
-		})
-		par.ForEachWorker(P, W, func(_, c int) {
-			lo, hi := refineChunk(nv, P, c)
-			lst := st.chunks[c][:0]
-			for v := lo; v < hi; v++ {
-				if st.bnd[v] == int32(round) {
-					lst = append(lst, int32(v))
-				}
-			}
-			st.chunks[c] = lst
-		})
-		seeds := st.seeds[:0]
-		for c := 0; c < P; c++ {
-			seeds = append(seeds, st.chunks[c]...)
-		}
-		st.seeds = seeds
-		if len(seeds) == 0 {
-			break
-		}
-		for q := 0; q < k; q++ {
-			for r := 0; r < nr; r++ {
-				st.slackLo[q*nr+r] = m.weight[q][r] - m.p.Balance.Min[q][r]
-				st.slackHi[q*nr+r] = m.p.Balance.Max[q][r] - m.weight[q][r]
+// spansTwo reports whether a net's Φ row covers at least two parts.
+func spansTwo(row []int32) bool {
+	span := 0
+	for _, c := range row {
+		if c > 0 {
+			if span++; span == 2 {
+				return true
 			}
 		}
+	}
+	return false
+}
 
-		// Search: workers pull batch indices from a shared queue; results are
-		// stored by batch index, so the queue only balances load.
-		nSearch := (len(seeds) + locSeedsPerSearch - 1) / locSeedsPerSearch
-		if cap(st.results) < nSearch {
-			st.results = make([]locPrefix, nSearch)
+// updateBoundary brings the boundary up to date after a commit phase. Only
+// the nets the committed prefixes changed (st.touched) can have entered or
+// left the cut — rolled-back prefixes restore Φ exactly, and nets whose
+// immovable pins cover every part are never flagged — so only their pins'
+// counts move. The vertices whose membership flipped are then merged into
+// the ascending seed list.
+func (r *locRun) updateBoundary() {
+	m, st := r.m, r.st
+	h := m.h
+	k := m.k
+	st.flips = st.flips[:0]
+	for _, en := range st.touched {
+		now := spansTwo(m.pinCount[int(en)*k : int(en)*k+k])
+		if now == st.cutNet[en] {
+			continue
 		}
-		st.results = st.results[:nSearch]
-		var next int64
-		par.ForEachWorker(P, W, func(w, _ int) {
-			ls := scratches[w]
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= nSearch {
-					return
-				}
-				localizedSearch(m, ls, st, i, roundSalt)
+		st.cutNet[en] = now
+		d := int32(-1)
+		if now {
+			d = 1
+		}
+		for _, u := range h.Pins(int(en)) {
+			if m.movable[u] {
+				st.bcount[u] += d
+				st.flips = append(st.flips, u)
 			}
-		})
-		res.Searches += nSearch
+		}
+	}
+	adds := st.flips[:0] // filtered in place
+	for _, u := range st.flips {
+		if now := st.bcount[u] > 0; now != st.seeded[u] {
+			st.seeded[u] = now
+			if now {
+				adds = append(adds, u)
+			}
+		}
+	}
+	slices.Sort(adds)
+	next := st.seedBuf[:0]
+	i := 0
+	for _, u := range st.seeds {
+		if !st.seeded[u] {
+			continue
+		}
+		for i < len(adds) && adds[i] < u {
+			next = append(next, adds[i])
+			i++
+		}
+		next = append(next, u)
+	}
+	next = append(next, adds[i:]...)
+	st.seeds, st.seedBuf = next, st.seeds
+}
 
-		// Commit serially in the deterministic order: prefix gain descending,
-		// then the salted hash of the search index, then the index.
-		order := st.order[:0]
-		for i := range st.results {
-			if st.results[i].gain > 0 {
-				order = append(order, int32(i))
+// round runs one search/commit round on the current boundary, then brings
+// the boundary and the gain table up to date, and returns the number of
+// committed prefixes (0 ends the run: the boundary was empty or no state
+// changed, so the next round would replay this one) and of prefixes rolled
+// back by the commit recheck.
+func (r *locRun) round(round int) (commits, rolledBack int) {
+	m, st, res := r.m, r.st, r.res
+	h := m.h
+	k := m.k
+	nr := h.NumResources()
+	P, W := r.W, r.W
+	res.Rounds = round + 1
+	roundSalt := r.salt + uint64(round)*0x9e3779b97f4a7c15
+	if len(st.seeds) == 0 {
+		return 0, 0
+	}
+	for q := 0; q < k; q++ {
+		for rr := 0; rr < nr; rr++ {
+			st.slackLo[q*nr+rr] = m.weight[q][rr] - m.p.Balance.Min[q][rr]
+			st.slackHi[q*nr+rr] = m.p.Balance.Max[q][rr] - m.weight[q][rr]
+		}
+	}
+
+	// Search: workers pull batch indices from a shared queue; results are
+	// stored by batch index, so the queue only balances load.
+	nSearch := (len(st.seeds) + locSeedsPerSearch - 1) / locSeedsPerSearch
+	if cap(st.results) < nSearch {
+		st.results = make([]locPrefix, nSearch)
+	}
+	st.results = st.results[:nSearch]
+	var next int64
+	par.ForEachWorker(P, W, func(w, _ int) {
+		ls := r.scratches[w]
+		for {
+			i := int(atomic.AddInt64(&next, 1)) - 1
+			if i >= nSearch {
+				return
+			}
+			localizedSearch(m, ls, st, i, roundSalt)
+		}
+	})
+	res.Searches += nSearch
+
+	// Commit serially in the deterministic order: prefix gain descending,
+	// then the salted hash of the search index, then the index.
+	order := st.order[:0]
+	for i := range st.results {
+		if st.results[i].gain > 0 {
+			order = append(order, int32(i))
+		}
+	}
+	st.order = order
+	sort.Slice(order, func(a, b int) bool {
+		ia, ib := order[a], order[b]
+		if ga, gb := st.results[ia].gain, st.results[ib].gain; ga != gb {
+			return ga > gb
+		}
+		ha, hb := refineHash(roundSalt, ia), refineHash(roundSalt, ib)
+		if ha != hb {
+			return ha < hb
+		}
+		return ia < ib
+	})
+	for _, i := range order {
+		pr := &st.results[i]
+		conflict := false
+		for _, mv := range pr.moves {
+			if st.vRound[mv.v] == int32(round) || st.conflicts(m, mv.v, int32(round)) {
+				conflict = true
+				break
 			}
 		}
-		st.order = order
-		sort.Slice(order, func(a, b int) bool {
-			ia, ib := order[a], order[b]
-			if ga, gb := st.results[ia].gain, st.results[ib].gain; ga != gb {
-				return ga > gb
-			}
-			ha, hb := refineHash(roundSalt, ia), refineHash(roundSalt, ib)
-			if ha != hb {
-				return ha < hb
-			}
-			return ia < ib
-		})
-		commits := 0
-		for _, i := range order {
-			pr := &st.results[i]
-			conflict := false
-			for _, mv := range pr.moves {
-				if st.vRound[mv.v] == int32(round) || st.conflicts(m, mv.v, int32(round)) {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				continue
-			}
-			// Attributed-gain recheck: re-price and re-check feasibility of
-			// every move against the live state while applying. Conflict-free
-			// prefixes re-price to their recorded gain exactly; the recheck
-			// guards the balance (earlier commits shift part weights without
-			// touching our nets) and keeps the committed gain authoritative.
-			var total int64
-			applied := 0
-			ok := true
-			for _, mv := range pr.moves {
-				v, t := mv.v, int(mv.to)
-				from := int(m.a[v])
-				if from != int(mv.from) || !m.feasibleMove(v, t) {
-					ok = false
-					break
-				}
-				m.gainRow(v, row)
-				total += row[t]
-				for _, en := range h.NetsOf(int(v)) {
-					nb := int(en) * k
-					m.pinCount[nb+from]--
-					m.pinCount[nb+t]++
-				}
-				m.moveVertex(v, from, t)
-				applied++
-			}
-			if !ok || total <= 0 {
-				// Rolled back: Φ, the weights and the assignment are restored
-				// exactly, so the gain table needs no refresh.
-				for j := applied - 1; j >= 0; j-- {
-					m.undoMove(pr.moves[j].v, int(pr.moves[j].from))
-				}
-				continue
-			}
-			// Mark the conflict groups and queue the gain rows the commit
-			// invalidated.
-			for _, mv := range pr.moves {
-				st.vRound[mv.v] = int32(round)
-				st.markStale(m, mv.v, int32(round))
-			}
-			res.Gain += total
-			res.Moves += applied
-			res.Committed++
-			commits++
+		if conflict {
+			continue
 		}
-		if commits == 0 {
-			// No state changed; the next round would replay this one forever.
-			break
+		// Attributed-gain recheck: re-price and re-check feasibility of
+		// every move against the live state while applying. Conflict-free
+		// prefixes re-price to their recorded gain exactly; the recheck
+		// guards the balance (earlier commits shift part weights without
+		// touching our nets) and keeps the committed gain authoritative.
+		var total int64
+		applied := 0
+		ok := true
+		for _, mv := range pr.moves {
+			v, t := mv.v, int(mv.to)
+			from := int(m.a[v])
+			if from != int(mv.from) || !m.feasibleMove(v, t) {
+				ok = false
+				break
+			}
+			m.gainRow(v, r.row)
+			total += r.row[t]
+			for _, en := range h.NetsOf(int(v)) {
+				nb := int(en) * k
+				m.pinCount[nb+from]--
+				m.pinCount[nb+t]++
+			}
+			m.moveVertex(v, from, t)
+			applied++
 		}
+		if !ok || total <= 0 {
+			// Rolled back: Φ, the weights and the assignment are restored
+			// exactly, so the gain table needs no refresh.
+			for j := applied - 1; j >= 0; j-- {
+				m.undoMove(pr.moves[j].v, int(pr.moves[j].from))
+			}
+			rolledBack++
+			continue
+		}
+		// Mark the conflict groups and queue the gain rows the commit
+		// invalidated.
+		for _, mv := range pr.moves {
+			st.vRound[mv.v] = int32(round)
+			st.markStale(m, mv.v, int32(round))
+		}
+		res.Gain += total
+		res.Moves += applied
+		res.Committed++
+		commits++
+	}
+	if commits > 0 {
+		r.updateBoundary()
 		st.refreshRows(m, P, W)
 	}
+	return commits, rolledBack
 }

@@ -352,7 +352,7 @@ func localizedRefineReferenceWith(p *partition.Problem, initial partition.Assign
 	if err := p.Feasible(initial); err != nil {
 		return nil, fmt.Errorf("fm: initial assignment: %w", err)
 	}
-	m := &cutModel{obj: cfg.Objective}
+	m := &cutModel{}
 	m.init(p, initial, sc)
 	res := &LocalizedResult{Movable: m.nMovable}
 	if m.nMovable == 0 {

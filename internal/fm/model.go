@@ -14,16 +14,14 @@ import (
 // from it or keep them incrementally from its rows. The model owns the state
 // and its structural invariants (apply/undo keep Φ and the weights
 // consistent with the assignment); move ordering lives in the policy layer
-// (kernel). obj only decides which number a finished run reports as its
-// Score: every objective in the family walks the same (λ-1) trajectory (see
-// Objective).
+// (kernel). One model lives in each Level and every refinement stage of the
+// level updates it in place.
 //
 // All bulk arrays are Scratch-backed so repeated runs reuse them.
 type cutModel struct {
-	p   *partition.Problem
-	h   *hypergraph.Hypergraph
-	k   int
-	obj Objective
+	p *partition.Problem
+	h *hypergraph.Hypergraph
+	k int
 
 	a        partition.Assignment
 	pinCount []int32 // Φ(e, q) at index e*k+q
@@ -46,9 +44,12 @@ type cutModel struct {
 	movable  []bool    // at least two allowed parts
 	locked   []bool    // moved in the current pass
 	nMovable int
+	// incW is each vertex's total incident net weight; the kernel sizes its
+	// bucket key span from the movable vertices' largest.
+	incW []int64
 
 	// tgtOff/tgtList is a flat CSR of each vertex's allowed target parts
-	// (mask ∩ live parts, ascending), built once per run so the hot path
+	// (mask ∩ live parts, ascending), built by setMovable so the hot path
 	// never consults partition.Mask. Immovable vertices get an empty row.
 	tgtOff  []int32
 	tgtList []int8
@@ -62,11 +63,11 @@ type cutModel struct {
 	movablePins []int32
 }
 
-// init sizes the model's arrays out of sc and loads the initial assignment:
-// pin counts, part weights, and movability (a vertex is movable when its
-// allowed mask intersected with the k live parts leaves at least two
-// choices; anything else is a fixed terminal for this run).
-func (m *cutModel) init(p *partition.Problem, initial partition.Assignment, sc *Scratch) {
+// init sizes the model's arrays out of sc, loads the initial assignment —
+// pin counts, part weights, incident weights — and derives movability over
+// all k parts (setMovable). It returns the assignment's (λ-1) connectivity,
+// read off Φ as it is built.
+func (m *cutModel) init(p *partition.Problem, initial partition.Assignment, sc *Scratch) int64 {
 	h := p.H
 	k := p.K
 	nv := h.NumVertices()
@@ -75,7 +76,7 @@ func (m *cutModel) init(p *partition.Problem, initial partition.Assignment, sc *
 	sc.prepare(nv, ne, nr, k)
 	m.p, m.h, m.k = p, h, k
 	// The working assignment is scratch-backed (no per-run allocation); the
-	// kernel clones it into the result on the way out.
+	// stages clone it into their results on the way out.
 	m.a = sc.assign
 	copy(m.a, initial)
 	m.pinCount = sc.pinCount
@@ -84,56 +85,108 @@ func (m *cutModel) init(p *partition.Problem, initial partition.Assignment, sc *
 	m.weight = sc.weight
 	m.movable = sc.movable
 	m.locked = sc.locked
-	m.nMovable = 0
-	all := partition.AllParts(k)
-	tgtList := sc.tgtList
+	m.incW = sc.incW
+	m.tgtOff = sc.tgtOff
+	m.tgtList = sc.tgtList[:0]
+	m.fixedLocked = sc.fixedLocked
+	m.fixedCover = sc.fixedCover
+	m.movablePins = sc.movablePins
 	for v := 0; v < nv; v++ {
 		for r := 0; r < nr; r++ {
 			m.weight[m.a[v]][r] += h.WeightIn(v, r)
 		}
-		sc.tgtOff[v] = int32(len(tgtList))
-		if live := p.MaskOf(v).Intersect(all); live.Count() >= 2 {
-			m.movable[v] = true
-			m.nMovable++
-			for t := 0; t < k; t++ {
-				if live.Contains(t) {
-					tgtList = append(tgtList, int8(t))
-				}
-			}
-		}
+		m.incW[v] = 0
 	}
-	sc.tgtOff[nv] = int32(len(tgtList))
-	sc.tgtList = tgtList
-	m.tgtOff = sc.tgtOff
-	m.tgtList = tgtList
-	// One scan over all pins fills Φ, counts each net's movable pins (which
-	// seed the kernel's per-pass unlocked-pin counters), and seeds the
-	// locked-net counters with the immovable pins: those never move, so a
-	// part they cover holds at least one "locked" pin from the first move of
-	// every pass. Only nets large enough for the kernel to track get the
-	// per-part seeding (lockTrackMinPins).
+	var km1 int64
 	for en := 0; en < ne; en++ {
-		pins := h.Pins(en)
 		base := en * k
-		track := len(pins) >= lockTrackMinPins
-		mp := int32(0)
-		for _, v := range pins {
-			q := int(m.a[v])
-			m.pinCount[base+q]++
-			if m.movable[v] {
-				mp++
-			} else if track {
-				if sc.fixedLocked[base+q] == 0 {
-					sc.fixedCover[en]++
-				}
-				sc.fixedLocked[base+q]++
+		w := h.NetWeight(en)
+		for _, v := range h.Pins(en) {
+			m.pinCount[base+int(m.a[v])]++
+			m.incW[v] += w
+		}
+		lambda := int64(0)
+		for _, c := range m.pinCount[base : base+k] {
+			if c > 0 {
+				lambda++
 			}
 		}
-		sc.movablePins[en] = mp
+		if lambda > 1 {
+			km1 += w * (lambda - 1)
+		}
 	}
-	m.fixedLocked = sc.fixedLocked
-	m.fixedCover = sc.fixedCover
-	m.movablePins = sc.movablePins
+	m.setMovable(partition.AllParts(k))
+	sc.tgtList = m.tgtList // keep any growth for the next run
+	return km1
+}
+
+// setMovable derives movability and the lock seeds for moves restricted to
+// the parts in allow: a vertex is movable when it sits in allow and its mask
+// keeps at least two parts of allow, and its target row lists those parts
+// ascending. allow = every live part gives the level's own movability; a part
+// pair gives the pairwise sweeps' (a vertex outside the pair, or allowed only
+// one part of it, is a fixed terminal for the pair). The lock seeds come off
+// the live Φ: only nets large enough for the kernel to track
+// (lockTrackMinPins) get per-part seeding, and there fixedLocked is Φ minus
+// the movable pins — the immovable pins never move, so a part they cover
+// holds at least one "locked" pin from the first move of every pass. Every
+// per-pass lock flag is cleared.
+func (m *cutModel) setMovable(allow partition.Mask) {
+	h := m.h
+	k := m.k
+	nv := h.NumVertices()
+	ne := h.NumNets()
+	// Start every tracked net from its full Φ row and span; the movable pins
+	// are taken out below, and a part whose count drops to zero leaves the
+	// cover.
+	for en := 0; en < ne; en++ {
+		base := en * k
+		m.movablePins[en] = 0
+		cover := int32(0)
+		if h.NetSize(en) >= lockTrackMinPins {
+			for q, c := range m.pinCount[base : base+k] {
+				m.fixedLocked[base+q] = c
+				if c > 0 {
+					cover++
+				}
+			}
+		} else {
+			clear(m.fixedLocked[base : base+k])
+		}
+		m.fixedCover[en] = cover
+	}
+	m.nMovable = 0
+	tgtList := m.tgtList[:0]
+	for v := 0; v < nv; v++ {
+		m.locked[v] = false
+		m.tgtOff[v] = int32(len(tgtList))
+		q := int(m.a[v])
+		var live partition.Mask
+		if allow.Contains(q) {
+			live = m.p.MaskOf(v).Intersect(allow)
+		}
+		m.movable[v] = live.Count() >= 2
+		if !m.movable[v] {
+			continue
+		}
+		m.nMovable++
+		for t := 0; t < k; t++ {
+			if live.Contains(t) {
+				tgtList = append(tgtList, int8(t))
+			}
+		}
+		for _, en := range h.NetsOf(v) {
+			m.movablePins[en]++
+			if h.NetSize(int(en)) >= lockTrackMinPins {
+				i := int(en)*k + q
+				if m.fixedLocked[i]--; m.fixedLocked[i] == 0 {
+					m.fixedCover[en]--
+				}
+			}
+		}
+	}
+	m.tgtOff[nv] = int32(len(tgtList))
+	m.tgtList = tgtList
 }
 
 // targets returns v's allowed target parts (ascending, excluding nothing —

@@ -1,11 +1,6 @@
 package fm
 
-import (
-	"fmt"
-
-	"repro/internal/hypergraph"
-	"repro/internal/partition"
-)
+import "fmt"
 
 // Objective selects the quality metric an FM run optimizes and reports as
 // its Score. The zero value is ObjectiveCut, so existing configurations are
@@ -56,14 +51,4 @@ func ParseObjective(s string) (Objective, error) {
 	default:
 		return 0, fmt.Errorf("fm: unknown objective %q (want cut or km1)", s)
 	}
-}
-
-// Score computes the objective value of an assignment from scratch. The
-// kernel reports it as a finished run's Score; the fuzz harness cross-checks
-// every kernel run against it.
-func (o Objective) Score(h *hypergraph.Hypergraph, a partition.Assignment) int64 {
-	if o == ObjectiveKM1 {
-		return partition.KMinus1(h, a)
-	}
-	return partition.Cut(h, a)
 }

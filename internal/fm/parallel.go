@@ -1,7 +1,6 @@
 package fm
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/par"
@@ -72,20 +71,26 @@ func ParallelRefine(p *partition.Problem, initial partition.Assignment, cfg Conf
 
 // ParallelRefineWith is ParallelRefine running on a caller-provided Scratch,
 // for drivers that pin one scratch per worker across a whole descent. The
-// result never aliases scratch memory.
+// result never aliases scratch memory. It is NewLevel followed by Rounds.
 func ParallelRefineWith(p *partition.Problem, initial partition.Assignment, cfg Config, workers int, salt uint64, sc *Scratch) (*ParallelResult, error) {
-	if err := p.Validate(); err != nil {
+	l, err := NewLevel(p, initial, cfg, sc)
+	if err != nil {
 		return nil, err
 	}
-	if err := p.Feasible(initial); err != nil {
-		return nil, fmt.Errorf("fm: initial assignment: %w", err)
-	}
-	m := &cutModel{obj: cfg.Objective}
-	m.init(p, initial, sc)
-	res := &ParallelResult{Movable: m.nMovable}
+	res := l.Rounds(workers, salt)
+	res.Assignment = l.Assignment()
+	return &res, nil
+}
+
+// Rounds runs the synchronous-round stage on the level (see the file comment
+// and ParallelRefine) and returns its counters; Assignment is left nil, the
+// level holds the result. The gain table is built unless the level already
+// holds it exact, and is exact again when the stage returns.
+func (l *Level) Rounds(workers int, salt uint64) ParallelResult {
+	m := &l.m
+	res := ParallelResult{Movable: m.nMovable}
 	if m.nMovable == 0 {
-		res.Assignment = m.a.Clone()
-		return res, nil
+		return res
 	}
 
 	W := max(workers, 1)
@@ -93,16 +98,15 @@ func ParallelRefineWith(p *partition.Problem, initial partition.Assignment, cfg 
 	k := m.k
 	nv := m.h.NumVertices()
 
-	st := roundStatePool.Get().(*roundState)
-	defer roundStatePool.Put(st)
-	st.prepare(m, P, W)
+	st := &l.sc.round
+	st.begin(m, P)
+	l.buildTable(P, W)
 	st.propT = growInt8(st.propT, nv)
 	st.propG = growInt64(st.propG, nv)
 	st.hash = growUint64(st.hash, nv)
 	if cap(st.order) < nv {
 		st.order = make([]int32, 0, nv)
 	}
-
 	for round := 0; ; round++ {
 		res.Rounds = round + 1
 		rs := salt + uint64(round)*0x9e3779b97f4a7c15
@@ -188,8 +192,8 @@ func ParallelRefineWith(p *partition.Problem, initial partition.Assignment, cfg 
 		st.refreshRows(m, P, W)
 	}
 
-	res.Assignment = m.a.Clone() // a is scratch-backed; the result must not alias it
-	return res, nil
+	l.km1 -= res.Gain
+	return res
 }
 
 // propose stores v's best feasible strictly positive move, read from its

@@ -46,7 +46,7 @@ func parallelRefineReference(p *partition.Problem, initial partition.Assignment,
 	if err := p.Feasible(initial); err != nil {
 		return nil, fmt.Errorf("fm: initial assignment: %w", err)
 	}
-	m := &cutModel{obj: cfg.Objective}
+	m := &cutModel{}
 	m.init(p, initial, sc)
 	res := &ParallelResult{Movable: m.nMovable}
 	if m.nMovable == 0 {

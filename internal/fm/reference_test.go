@@ -212,6 +212,15 @@ type refKernel struct {
 	partOrder []int32
 }
 
+// kernelResult is the frozen kernel's raw outcome, wrapped into Result or
+// KWayResult by the frozen entry points.
+type kernelResult struct {
+	a       partition.Assignment
+	obj     int64 // final (λ-1) connectivity; equals the cut when k = 2
+	passes  []PassStats
+	movable int
+}
+
 // bipartitionReference is the frozen pre-rewrite Bipartition.
 func bipartitionReference(p *partition.Problem, initial partition.Assignment, cfg Config) (*Result, error) {
 	if p.K != 2 {
@@ -590,4 +599,65 @@ func (e *refKernel) deltaAll(u int32, d int64) {
 		e.key[mid] += d
 		refBucketUpdate(&e.buckets[e.a[u]], mid, e.key[mid])
 	}
+}
+
+// pairwiseReference is the frozen pairwise sweep driver as it ran before it
+// moved onto the per-level partition state: for each part pair (x, y) that
+// shares a net, every vertex outside the pair is fixed at its part through a
+// fresh restricted Problem, and the frozen kernel runs restricted to moves
+// between x and y. Sweeps repeat (pairs in lexicographic order) until one
+// fails to reduce the connectivity or maxSweeps is reached. It shares no code
+// with Level.Pairwise: pair activity comes from the pin lists, movability
+// from the restricted masks, and the sweep objective from partition.KMinus1.
+func pairwiseReference(p *partition.Problem, a partition.Assignment, cfg Config, maxSweeps int) (partition.Assignment, error) {
+	nv := p.H.NumVertices()
+	prev := partition.KMinus1(p.H, a)
+	active := make([]bool, p.K*p.K)
+	allowed := make([]partition.Mask, nv)
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		clear(active)
+		for e := 0; e < p.H.NumNets(); e++ {
+			var span partition.Mask
+			for _, v := range p.H.Pins(e) {
+				span = span.With(int(a[v]))
+			}
+			for x := 0; x < p.K; x++ {
+				if !span.Contains(x) {
+					continue
+				}
+				for y := x + 1; y < p.K; y++ {
+					if span.Contains(y) {
+						active[x*p.K+y] = true
+					}
+				}
+			}
+		}
+		for x := 0; x < p.K; x++ {
+			for y := x + 1; y < p.K; y++ {
+				if !active[x*p.K+y] {
+					continue
+				}
+				pair := partition.Single(x).With(y)
+				for v := 0; v < nv; v++ {
+					if q := int(a[v]); q == x || q == y {
+						allowed[v] = p.MaskOf(v).Intersect(pair)
+					} else {
+						allowed[v] = partition.Single(q)
+					}
+				}
+				restricted := &partition.Problem{H: p.H, K: p.K, Balance: p.Balance, Allowed: allowed}
+				res, err := kwayPartitionReference(restricted, a, cfg)
+				if err != nil {
+					return nil, fmt.Errorf("pairwise reference (%d,%d): %w", x, y, err)
+				}
+				a = res.Assignment
+			}
+		}
+		cur := partition.KMinus1(p.H, a)
+		if cur >= prev {
+			break
+		}
+		prev = cur
+	}
+	return a, nil
 }

@@ -1,26 +1,24 @@
 package fm
 
-import (
-	"sync"
+import "repro/internal/par"
 
-	"repro/internal/par"
-)
-
-// roundState is the pooled per-run state the two parallel refinement stages
+// roundState is the per-level state the two parallel refinement stages
 // share — the synchronous-round stage (parallel.go) and the localized stage
-// (localized.go). Both price moves from one round-start gain table, stamp
-// the nets each commit phase touched (the conflict groups), and refresh
-// after each commit phase exactly the rows those nets invalidated. The
-// remaining fields belong to one stage each and are sized by it.
+// (localized.go). Both price moves from one gain table, stamp the nets each
+// commit phase touched (the conflict groups), and refresh after each commit
+// phase exactly the rows those nets invalidated. It lives in the Scratch,
+// and its table is the Level's: one stage hands it to the next while it is
+// exact. The remaining fields belong to one stage each and are sized by it.
 type roundState struct {
-	// gain is the round-start gain table: gain[v*k+t] is the (λ-1) gain of
-	// moving movable vertex v from its part to part t against the
-	// round-start Φ. Entries for v's own part and for parts outside its mask
-	// are never read.
+	// gain is the gain table: gain[v*k+t] is the (λ-1) gain of moving
+	// movable vertex v from its part to part t against the round-start Φ.
+	// Entries for v's own part and for parts outside its mask are never
+	// read. The kernel prices its passes into the same rows.
 	gain     []int64
 	netRound []int32 // round a net's Φ row last changed, -1 = never
 	rowRound []int32 // round a vertex's gain row was last queued for refresh, -1 = never
 	stale    []int32 // vertices whose gain rows this round's commits invalidated
+	touched  []int32 // gain-relevant nets this round's commits changed
 	chunks   [][]int32
 	order    []int32
 
@@ -30,41 +28,36 @@ type roundState struct {
 	propG []int64 // proposed gain per vertex (> 0 when propT >= 0)
 	hash  []uint64
 
-	// Localized stage: boundary stamps, the seed queue, per-search results,
-	// per-vertex commit stamps, and the round-start balance slack per (part,
-	// resource) at q*nr+r — the weight part q may still lose before its
-	// minimum (slackLo) and gain before its maximum (slackHi).
-	bnd              []int32 // round stamp: vertex is a boundary seed this round
-	seeds            []int32
-	results          []locPrefix
-	vRound           []int32 // round a vertex was last committed, -1 = never
-	slackLo, slackHi []int64
+	// Localized stage: the boundary, per-search results, per-vertex commit
+	// stamps, and the round-start balance slack per (part, resource) at
+	// q*nr+r — the weight part q may still lose before its minimum (slackLo)
+	// and gain before its maximum (slackHi). The boundary is kept
+	// incrementally: cutNet flags the gain-relevant nets spanning more than
+	// one part, bcount counts each movable vertex's flagged nets, and seeds
+	// lists the vertices with bcount > 0 ascending (seeded marks them).
+	cutNet  []bool
+	bcount  []int32
+	seeded  []bool
+	seeds   []int32
+	seedBuf []int32 // the next seed list, double-buffered with seeds
+	flips   []int32 // vertices whose bcount changed this commit phase
+	results []locPrefix
+	vRound  []int32 // round a vertex was last committed, -1 = never
+	slackLo []int64
+	slackHi []int64
 }
 
-var roundStatePool = sync.Pool{New: func() any { return &roundState{} }}
-
-// prepare sizes and clears the shared state for a run on m with the given
-// chunk count, and fills the gain table's row of every movable vertex over
-// vertex chunks.
-func (st *roundState) prepare(m *cutModel, P, W int) {
-	nv := m.h.NumVertices()
-	k := m.k
+// begin clears the round stamps and the stale and touched lists for a stage
+// run on m with P chunks.
+func (st *roundState) begin(m *cutModel, P int) {
 	st.netRound = fillInt32(st.netRound, m.h.NumNets(), -1)
-	st.rowRound = fillInt32(st.rowRound, nv, -1)
+	st.rowRound = fillInt32(st.rowRound, m.h.NumVertices(), -1)
 	st.stale = st.stale[:0]
-	st.gain = growInt64(st.gain, nv*k)
+	st.touched = st.touched[:0]
 	if cap(st.chunks) < P {
 		st.chunks = make([][]int32, P)
 	}
 	st.chunks = st.chunks[:P]
-	par.ForEachWorker(P, W, func(_, c int) {
-		lo, hi := refineChunk(nv, P, c)
-		for v := lo; v < hi; v++ {
-			if m.movable[v] {
-				m.gainRow(int32(v), st.gain[v*k:v*k+k])
-			}
-		}
-	})
 }
 
 // conflicts reports whether a commit of this round already changed Φ on one
@@ -84,7 +77,9 @@ func (st *roundState) conflicts(m *cutModel, v int32, round int32) bool {
 // into this round's conflict groups and queues the gain rows of their
 // movable pins for refresh. Those pins are exactly the vertices whose rows
 // the move invalidated; that includes v itself unless none of its nets is
-// gain-relevant, and then its row is zero before and after the move. Nets
+// gain-relevant — and such a vertex never moves in either stage: its row is
+// all zero (no positive proposal) and no search reaches it, so the table
+// stays exact for every target of every movable vertex. Nets
 // whose immovable pins cover every part never contribute to any gain (see
 // cutModel.gainRow), so their Φ shift neither conflicts nor stales.
 func (st *roundState) markStale(m *cutModel, v int32, round int32) {
@@ -93,6 +88,7 @@ func (st *roundState) markStale(m *cutModel, v int32, round int32) {
 			continue
 		}
 		st.netRound[en] = round
+		st.touched = append(st.touched, en)
 		for _, u := range m.h.Pins(int(en)) {
 			if m.movable[u] && st.rowRound[u] != round {
 				st.rowRound[u] = round
@@ -104,7 +100,7 @@ func (st *roundState) markStale(m *cutModel, v int32, round int32) {
 
 // refreshRows recomputes every queued gain row against the live Φ, over
 // chunks of the stale list (rows are distinct, so chunks never share a
-// write), and empties the list.
+// write), and empties the stale and touched lists.
 func (st *roundState) refreshRows(m *cutModel, P, W int) {
 	k := m.k
 	if len(st.stale) < 256 {
@@ -117,6 +113,7 @@ func (st *roundState) refreshRows(m *cutModel, P, W int) {
 		}
 	})
 	st.stale = st.stale[:0]
+	st.touched = st.touched[:0]
 }
 
 // refineHash is the per-round salted tie-break between equal-gain

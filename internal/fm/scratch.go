@@ -47,7 +47,11 @@ type Scratch struct {
 	movablePins []int32              // movable pins per net (constant per run)
 	touchLog    []int32              // move ids whose gain changed during one applyMove
 	lastPos     []int32              // per move id, its latest touchLog position (only entries stamped by the current applyMove are ever read)
-	rows        []int64              // dense per-mid pass-start gains (see kernel.rows)
+	incW        []int64              // incident net weight per vertex
+
+	// round is the level's round state; its gain table doubles as the
+	// kernel's dense per-mid pass-start gains (see kernel.rows).
+	round roundState
 }
 
 // NewScratch returns an empty Scratch; arrays are allocated lazily on first
@@ -74,14 +78,11 @@ func PutScratch(s *Scratch) { scratchPool.Put(s) }
 // state the kernel accumulates into. The gain buckets are sized separately
 // (by sizeBuckets) once the kernel knows the key span.
 func (s *Scratch) prepare(nv, ne, nr, k int) {
+	// movable, locked, the target CSR and the lock seeds are all rewritten
+	// by cutModel.setMovable; only size them.
 	s.movable = growBool(s.movable, nv)
-	for i := range s.movable {
-		s.movable[i] = false
-	}
 	s.locked = growBool(s.locked, nv)
-	for i := range s.locked {
-		s.locked[i] = false
-	}
+	s.incW = growInt64(s.incW, nv)
 	// gain/key pairs are fully rewritten by initPass before being read; only
 	// size.
 	s.gk = growInt64(s.gk, 2*nv*k)
@@ -118,17 +119,10 @@ func (s *Scratch) prepare(nv, ne, nr, k int) {
 		s.tgtList = make([]int8, 0, nv*2)
 	}
 	s.tgtList = s.tgtList[:0]
-	// fixedLocked is rebuilt by cutModel.init; the records' per-pass slots
-	// are overwritten from the fixed arrays at every initPass.
+	// The records' per-pass slots are overwritten from the lock seeds at
+	// every initPass.
 	s.fixedLocked = growInt32(s.fixedLocked, ne*k)
-	for i := range s.fixedLocked {
-		s.fixedLocked[i] = 0
-	}
 	s.fixedCover = growInt32(s.fixedCover, ne)
-	for i := range s.fixedCover {
-		s.fixedCover[i] = 0
-	}
-	// movablePins is rebuilt by cutModel.init.
 	s.movablePins = growInt32(s.movablePins, ne)
 	if cap(s.touchLog) < 64 {
 		s.touchLog = make([]int32, 0, 256)
@@ -136,10 +130,10 @@ func (s *Scratch) prepare(nv, ne, nr, k int) {
 	s.touchLog = s.touchLog[:0]
 	// lastPos never needs clearing: flushTouches only reads entries the
 	// current applyMove just stamped, so stale positions are never consulted.
-	// rows is rewritten by each initPass before it is read. Neither needs
-	// clearing, only sizing.
+	// The gain table is built before it is read (Level.table says when it
+	// holds exact rows). Neither needs clearing, only sizing.
 	s.lastPos = growInt32(s.lastPos, nv*k)
-	s.rows = growInt64(s.rows, nv*k)
+	s.round.gain = growInt64(s.round.gain, nv*k)
 }
 
 // sizeBuckets (re)sizes the k per-part gain-bucket structures for numMoves

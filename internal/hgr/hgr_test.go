@@ -10,8 +10,8 @@ import (
 // The same four-net, seven-vertex instance in all four fmt codes. Pins are
 // written 1-based in the files and checked 0-based here.
 const (
-	hgrFmt0 = "4 7\n1 2\n1 7 5 6\n5 6 4\n2 3 4\n"
-	hgrFmt1 = "4 7 1\n2 1 2\n3 1 7 5 6\n8 5 6 4\n7 2 3 4\n"
+	hgrFmt0  = "4 7\n1 2\n1 7 5 6\n5 6 4\n2 3 4\n"
+	hgrFmt1  = "4 7 1\n2 1 2\n3 1 7 5 6\n8 5 6 4\n7 2 3 4\n"
 	hgrFmt10 = "4 7 10\n1 2\n1 7 5 6\n5 6 4\n2 3 4\n" +
 		"5\n1\n8\n7\n3\n9\n3\n"
 	hgrFmt11 = "4 7 11\n2 1 2\n3 1 7 5 6\n8 5 6 4\n7 2 3 4\n" +

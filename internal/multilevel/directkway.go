@@ -1,10 +1,8 @@
 package multilevel
 
 import (
-	"fmt"
 	"math/rand/v2"
 
-	"repro/internal/fm"
 	"repro/internal/partition"
 )
 
@@ -23,70 +21,6 @@ func kwayMaxCluster(p *partition.Problem) int64 {
 		maxCluster = 1
 	}
 	return maxCluster
-}
-
-// pairwiseRefine improves a feasible k-way assignment with 2-way FM between
-// part pairs: for each pair (x, y) that currently shares a cut net, every
-// vertex outside the pair is fixed at its part and the FM kernel runs
-// restricted to moves between x and y. Pair moves carry full FM hill-climbing
-// power (uphill prefixes with rollback), which single-vertex k-way passes
-// lack, so this recovers recursive-bisection-strength refinement inside the
-// direct driver. Sweeps repeat (pairs in lexicographic order, so the result
-// is deterministic) until a sweep fails to improve or maxSweeps is reached.
-func pairwiseRefine(p *partition.Problem, a partition.Assignment, cfg fm.Config, maxSweeps int, sc *fm.Scratch) (partition.Assignment, error) {
-	nv := p.H.NumVertices()
-	prev := partition.KMinus1(p.H, a)
-	active := make([]bool, p.K*p.K)
-	allowed := make([]partition.Mask, nv)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		// A pair is worth refining only if some net spans both parts.
-		clear(active)
-		for e := 0; e < p.H.NumNets(); e++ {
-			var span partition.Mask
-			for _, v := range p.H.Pins(e) {
-				span = span.With(int(a[v]))
-			}
-			for x := 0; x < p.K; x++ {
-				if !span.Contains(x) {
-					continue
-				}
-				for y := x + 1; y < p.K; y++ {
-					if span.Contains(y) {
-						active[x*p.K+y] = true
-					}
-				}
-			}
-		}
-		for x := 0; x < p.K; x++ {
-			for y := x + 1; y < p.K; y++ {
-				if !active[x*p.K+y] {
-					continue
-				}
-				pair := partition.Single(x).With(y)
-				for v := 0; v < nv; v++ {
-					if q := int(a[v]); q == x || q == y {
-						allowed[v] = p.MaskOf(v).Intersect(pair)
-					} else {
-						allowed[v] = partition.Single(q)
-					}
-				}
-				// Fresh Problem per pair: the movable-count cache must not
-				// leak across mask changes.
-				restricted := &partition.Problem{H: p.H, K: p.K, Balance: p.Balance, Allowed: allowed}
-				res, err := fm.KWayPartitionWith(restricted, a, cfg, sc)
-				if err != nil {
-					return nil, fmt.Errorf("multilevel: pairwise refine (%d,%d): %w", x, y, err)
-				}
-				a = res.Assignment
-			}
-		}
-		cur := partition.KMinus1(p.H, a)
-		if cur >= prev {
-			break
-		}
-		prev = cur
-	}
-	return a, nil
 }
 
 // PartitionKWay runs one start of the direct k-way multilevel partitioner:

@@ -128,7 +128,7 @@ func buildLevels(p *partition.Problem, cfg Config, maxCluster int64, sol partiti
 // stays at full strength).
 func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (*Result, error) {
 	cfg := h.cfg
-	r := refiner{cfg: cfg, polish: refineConfig(cfg), kway: h.kway, pairwise: h.kway && h.Root().K > 2, rng: rng, sc: sc}
+	r := refiner{cfg: cfg, polish: refineConfig(cfg), pairwise: h.kway && h.Root().K > 2, rng: rng, sc: sc}
 	if follower {
 		r.polish.MaxPassFraction = followerPassFraction(cfg)
 	}
@@ -152,9 +152,15 @@ func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (
 	}
 	if r.pairwise {
 		var err error
-		cfg.Stats.track(phaseRefine, func() { a, err = pairwiseRefine(h.levels[start].problem, a, initCfg, 2, sc) })
+		cfg.Stats.track(phaseRefine, func() {
+			var lv *fm.Level
+			if lv, err = fm.NewLevel(h.levels[start].problem, a, initCfg, sc); err == nil {
+				lv.Pairwise(initCfg, 2)
+				a = lv.Assignment()
+			}
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("multilevel: pairwise refine: %w", err)
 		}
 	}
 	for lvl := start - 1; lvl >= 0; lvl-- {
@@ -214,95 +220,76 @@ func refineConfig(cfg Config) fm.Config {
 type refiner struct {
 	cfg    Config
 	polish fm.Config // serial polish config before polishConfig's per-level cap
-	// kway polishes with direct k-way FM instead of 2-way FM; pairwise adds
-	// the 2-way pair sweeps after it (direct k-way descents at k > 2 only).
-	kway, pairwise bool
-	rng            *rand.Rand
-	sc             *fm.Scratch
+	// pairwise adds the 2-way pair sweeps after the polish (direct k-way
+	// descents at k > 2 only).
+	pairwise bool
+	rng      *rand.Rand
+	sc       *fm.Scratch
 }
 
-// level refines the projected assignment a of level lvl's problem p: the
-// optional synchronous rounds, then (at the finest level) the localized FM
-// stage, then the serial polish — fm.BipartitionWith or fm.KWayPartitionWith,
+// level refines the projected assignment a of level lvl's problem p on one
+// fm.Level built once for the level: the optional synchronous rounds, then
+// (at the finest level) the localized FM stage, then the serial FM polish,
 // plus pairwise sweeps when enabled (k-way passes move single vertices; the
 // pair sweeps recover the 2-way hill-climbing power recursive bisection gets
-// for free). The polish and the sweeps are tracked under the refine phase.
+// for free). Each stage updates the level's pin counts, part weights,
+// assignment and running objective in place and hands its gain table on, so
+// nothing is rebuilt between stages. The level is built under the first
+// stage's phase; the polish and the sweeps are tracked under the refine
+// phase.
 func (r *refiner) level(p *partition.Problem, a partition.Assignment, lvl int) (partition.Assignment, error) {
+	var lv *fm.Level
 	var err error
-	if a, err = parallelRounds(p, a, r.cfg, r.rng, r.sc); err != nil {
+	build := func() { lv, err = fm.NewLevel(p, a, fm.Config{Objective: r.cfg.Objective}, r.sc) }
+	if r.cfg.RefineWorkers >= 1 {
+		r.cfg.Stats.track(phaseRefineParallel, build)
+	} else {
+		r.cfg.Stats.track(phaseRefine, build)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
 	}
-	if a, err = localizedRounds(p, a, r.cfg, lvl, r.rng, r.sc); err != nil {
-		return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
-	}
+	parallelRounds(lv, r.cfg, r.rng)
+	localizedRounds(lv, r.cfg, lvl, r.rng)
 	polish := polishConfig(r.polish, r.cfg, lvl)
 	r.cfg.Stats.track(phaseRefine, func() {
-		if r.kway {
-			var res *fm.KWayResult
-			if res, err = fm.KWayPartitionWith(p, a, polish, r.sc); err == nil {
-				a = res.Assignment
-			}
-		} else {
-			var res *fm.Result
-			if res, err = fm.BipartitionWith(p, a, polish, r.sc); err == nil {
-				a = res.Assignment
-			}
-		}
-		if err == nil && r.pairwise {
-			a, err = pairwiseRefine(p, a, polish, 2, r.sc)
+		lv.Polish(polish)
+		if r.pairwise {
+			lv.Pairwise(polish, 2)
 		}
 	})
-	if err != nil {
-		return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
-	}
-	return a, nil
+	return lv.Assignment(), nil
 }
 
-// parallelRounds runs the Config.RefineWorkers synchronous-round stage on one
-// level's problem when enabled, tracked under the refine_parallel phase. The
+// parallelRounds runs the Config.RefineWorkers synchronous-round stage on the
+// level when enabled, tracked under the refine_parallel phase. The
 // commit-order salt is drawn from rng with exactly one draw per call whatever
 // the worker count, so the RNG stream — and therefore every downstream draw —
-// is identical for all RefineWorkers values >= 1. Disabled (< 1), it returns
-// a unchanged and consumes nothing.
-func parallelRounds(p *partition.Problem, a partition.Assignment, cfg Config, rng *rand.Rand, sc *fm.Scratch) (partition.Assignment, error) {
+// is identical for all RefineWorkers values >= 1. Disabled (< 1), it leaves
+// the level unchanged and consumes nothing.
+func parallelRounds(lv *fm.Level, cfg Config, rng *rand.Rand) {
 	if cfg.RefineWorkers < 1 {
-		return a, nil
+		return
 	}
 	salt := rng.Uint64()
-	var res *fm.ParallelResult
-	var err error
-	cfg.Stats.track(phaseRefineParallel, func() {
-		res, err = fm.ParallelRefineWith(p, a, fm.Config{Objective: cfg.Objective}, cfg.RefineWorkers, salt, sc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Assignment, nil
+	cfg.Stats.track(phaseRefineParallel, func() { lv.Rounds(cfg.RefineWorkers, salt) })
 }
 
 // localizedRounds runs the Config.LocalizedFMWorkers localized parallel FM
-// stage when enabled, tracked under the refine_localized phase. The stage
-// only runs at the finest level (lvl 0) — that is where the full-budget
-// serial polish used to dominate every solve; coarse
-// levels are cheap enough for the round stage plus a one-pass polish. The
-// salt is drawn from rng with exactly one draw per enabled finest level
-// whatever the worker count, so the RNG stream stays identical for all
-// LocalizedFMWorkers values >= 1. Disabled (< 1) or above the finest level,
-// it returns a unchanged and consumes nothing.
-func localizedRounds(p *partition.Problem, a partition.Assignment, cfg Config, lvl int, rng *rand.Rand, sc *fm.Scratch) (partition.Assignment, error) {
+// stage on the level when enabled, tracked under the refine_localized phase.
+// The stage only runs at the finest level (lvl 0) — that is where the
+// full-budget serial polish used to dominate every solve; coarse levels are
+// cheap enough for the round stage plus a one-pass polish. The salt is drawn
+// from rng with exactly one draw per enabled finest level whatever the
+// worker count, so the RNG stream stays identical for all LocalizedFMWorkers
+// values >= 1. Disabled (< 1) or above the finest level, it leaves the level
+// unchanged and consumes nothing.
+func localizedRounds(lv *fm.Level, cfg Config, lvl int, rng *rand.Rand) {
 	if cfg.LocalizedFMWorkers < 1 || lvl != 0 {
-		return a, nil
+		return
 	}
 	salt := rng.Uint64()
-	var res *fm.LocalizedResult
-	var err error
-	cfg.Stats.track(phaseRefineLocalized, func() {
-		res, err = fm.LocalizedRefineWith(p, a, fm.Config{Objective: cfg.Objective}, cfg.LocalizedFMWorkers, salt, sc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Assignment, nil
+	cfg.Stats.track(phaseRefineLocalized, func() { lv.Localized(cfg.LocalizedFMWorkers, salt) })
 }
 
 // polishConfig caps the serial FM polish to one pass at coarse levels while
@@ -338,8 +325,9 @@ func followerPassFraction(cfg Config) float64 {
 // its coarsest-level initial partitioning (for direct k-way descents that
 // includes the recursive-bisection seeds, whose own nested phases are not
 // counted again) and, per level, each refinement stage — the serial polish
-// and the k-way pairwise sweeps both count under refine — so on a serial
-// run TotalNS accounts for nearly all of the wall time. Counters are added
+// and the k-way pairwise sweeps both count under refine; a level's state is
+// built under its first stage's counter — so on a serial run TotalNS
+// accounts for nearly all of the wall time. Counters are added
 // to atomically, so one PhaseStats may be shared by concurrent descents.
 type PhaseStats struct {
 	CoarsenNS int64 `json:"coarsen_ns"`

@@ -36,7 +36,7 @@ func VCycle(p *partition.Problem, a partition.Assignment, cfg Config, rng *rand.
 	h, sol := buildLevels(p, cfg, kwayMaxCluster(p), a.Clone(), rng)
 	sc := fm.GetScratch()
 	defer fm.PutScratch(sc)
-	r := refiner{cfg: cfg, polish: refineConfig(cfg), kway: p.K > 2, rng: rng, sc: sc}
+	r := refiner{cfg: cfg, polish: refineConfig(cfg), rng: rng, sc: sc}
 	top := len(h.levels) - 1
 	for lvl := top; lvl >= 0; lvl-- {
 		if lvl < top {

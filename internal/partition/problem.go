@@ -186,6 +186,7 @@ func (p *Problem) Feasible(a Assignment) error {
 func RandomFeasible(p *Problem, rng *rand.Rand) (Assignment, error) {
 	nv := p.H.NumVertices()
 	nr := p.H.NumResources()
+	seated := make([]int, 0, nv)
 	for attempt := 0; attempt < 8; attempt++ {
 		a := make(Assignment, nv)
 		w := make([][]int64, p.K)
@@ -199,12 +200,21 @@ func RandomFeasible(p *Problem, rng *rand.Rand) (Assignment, error) {
 		}
 		// Seat forced vertices first — they have no choice, so placing them
 		// after free vertices have consumed the balance headroom would fail
-		// spuriously on tightly balanced instances with many terminals.
-		sort.SliceStable(order, func(i, j int) bool {
-			_, fi := p.FixedPart(order[i])
-			_, fj := p.FixedPart(order[j])
-			return fi && !fj
-		})
+		// spuriously on tightly balanced instances with many terminals. The
+		// stable partition keeps each group's shuffled order, as a stable
+		// sort on the fixed flag would.
+		seated = seated[:0]
+		for _, v := range order {
+			if _, fixed := p.FixedPart(v); fixed {
+				seated = append(seated, v)
+			}
+		}
+		for _, v := range order {
+			if _, fixed := p.FixedPart(v); !fixed {
+				seated = append(seated, v)
+			}
+		}
+		order = seated
 		ok := true
 		for _, v := range order {
 			mask := p.MaskOf(v)
@@ -241,7 +251,8 @@ func RandomFeasible(p *Problem, rng *rand.Rand) (Assignment, error) {
 // resource under Max, or -1 when none qualifies.
 func chooseFeasiblePart(p *Problem, mask Mask, w [][]int64, v int, rng *rand.Rand) int {
 	nr := p.H.NumResources()
-	candidates := make([]int, 0, p.K)
+	var buf [MaxParts]int
+	candidates := buf[:0]
 	for q := 0; q < p.K; q++ {
 		if !mask.Contains(q) {
 			continue
