@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/benchgen"
 	"repro/internal/experiments"
@@ -302,49 +301,6 @@ func BenchmarkMultiway(b *testing.B) {
 	}
 }
 
-// BenchmarkVCycleAblation measures the paper's engineering claim that
-// V-cycling is "a net loss in terms of overall cost-runtime profile": it
-// compares plain multilevel starts against starts followed by V-cycles,
-// reporting quality gain and runtime cost.
-func BenchmarkVCycleAblation(b *testing.B) {
-	nl := mustNetlist(b, "IBM01S", benchScale())
-	p := partitionProblem(nl)
-	const runs = 6
-	b.ResetTimer()
-	var plainCut, vcCut float64
-	var plainNs, vcNs int64
-	for i := 0; i < b.N; i++ {
-		plainCut, vcCut, plainNs, vcNs = 0, 0, 0, 0
-		rng := rand.New(rand.NewPCG(11, 11))
-		for r := 0; r < runs; r++ {
-			t0 := nowNano()
-			res, err := multilevel.Partition(p, multilevel.Config{}, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plainNs += nowNano() - t0
-			plainCut += float64(res.Cut)
-
-			t0 = nowNano()
-			vres, err := solve(p, multilevel.Config{Workers: 1}, multilevel.Spec{VCycles: 2}, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			vcNs += nowNano() - t0
-			vcCut += float64(vres.Cut)
-		}
-	}
-	b.StopTimer()
-	vcycleOnce.Do(func() {
-		fmt.Printf("V-cycle ablation (%d runs, %s): plain cut=%.1f (%.0f ms), +2 V-cycles cut=%.1f (%.0f ms)\n",
-			runs, "IBM01S", plainCut/runs, float64(plainNs)/runs/1e6, vcCut/runs, float64(vcNs)/runs/1e6)
-	})
-	if plainCut > 0 && plainNs > 0 {
-		b.ReportMetric(vcCut/plainCut, "vcycle-cut-ratio")
-		b.ReportMetric(float64(vcNs)/float64(plainNs), "vcycle-time-ratio")
-	}
-}
-
 // BenchmarkPolicyAblation compares CLIP against LIFO refinement in the
 // multilevel engine (the paper reports "very similar results").
 func BenchmarkPolicyAblation(b *testing.B) {
@@ -407,44 +363,6 @@ func BenchmarkConstraintStudy(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCoarseningAblation compares the coarsening schemes (heavy-edge
-// matching as in the paper's engine vs hMetis's hyperedge variants) on cut
-// quality at equal start counts.
-func BenchmarkCoarseningAblation(b *testing.B) {
-	nl := mustNetlist(b, "IBM01S", benchScale())
-	p := partitionProblem(nl)
-	schemes := []multilevel.Scheme{multilevel.HeavyEdge, multilevel.Hyperedge, multilevel.ModifiedHyperedge}
-	const runs = 6
-	cuts := make([]float64, len(schemes))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for si, scheme := range schemes {
-			cuts[si] = 0
-			rng := rand.New(rand.NewPCG(16, uint64(si)))
-			for r := 0; r < runs; r++ {
-				res, err := multilevel.Partition(p, multilevel.Config{Scheme: scheme}, rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cuts[si] += float64(res.Cut)
-			}
-			cuts[si] /= runs
-		}
-	}
-	b.StopTimer()
-	coarsenOnce.Do(func() {
-		for si, scheme := range schemes {
-			fmt.Printf("coarsening ablation: %-20v avg cut = %.1f (%d runs)\n", scheme, cuts[si], runs)
-		}
-	})
-	if cuts[0] > 0 {
-		b.ReportMetric(cuts[1]/cuts[0], "EC-vs-HEM")
-		b.ReportMetric(cuts[2]/cuts[0], "MHEC-vs-HEM")
-	}
-}
-
-var coarsenOnce sync.Once
 
 // BenchmarkPassProfile regenerates the Section III pass-shape study: the
 // cumulative-gain curve of FM passes, which concentrates toward the start of
@@ -510,7 +428,6 @@ func BenchmarkStartsRequired(b *testing.B) {
 }
 
 var (
-	vcycleOnce     sync.Once
 	policyOnce     sync.Once
 	constraintOnce sync.Once
 	profileOnce    sync.Once
@@ -520,8 +437,6 @@ var (
 func partitionProblem(nl *gen.Netlist) *partition.Problem {
 	return partition.NewBipartition(nl.H, 0.02)
 }
-
-func nowNano() int64 { return time.Now().UnixNano() }
 
 func benchPlace(nl *gen.Netlist, seed uint64) (*place.Placement, error) {
 	nv := nl.H.NumVertices()

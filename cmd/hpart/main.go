@@ -131,7 +131,7 @@ func main() {
 	flag.Uint64Var(&o.fixSeed, "fix-seed", 1, "seed for -fix-fraction's vertex choice")
 	flag.StringVar(&o.writeFix, "write-fix", "", "write the instance's effective constraints as a .fix file")
 	flag.StringVar(&o.engine, "engine", "ml", "partitioning engine: ml (multilevel CLIP), lifo or clip (flat FM)")
-	flag.StringVar(&o.kway, "kway", "direct", "k>2 strategy for the ml engine: direct (k-way V-cycle) or rb (recursive bisection)")
+	flag.StringVar(&o.kway, "kway", "direct", "k>2 strategy for the ml engine: direct (direct k-way multilevel) or rb (recursive bisection)")
 	flag.StringVar(&o.objective, "objective", "cut", "metric to optimize and select by: cut or km1")
 	flag.IntVar(&o.starts, "starts", 1, "independent starts; the best result is kept")
 	flag.Float64Var(&o.cutoff, "cutoff", 1, "pass cutoff fraction after the first pass (1 = none)")

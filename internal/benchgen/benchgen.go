@@ -270,56 +270,6 @@ func netWeight(pl *place.Placement, spec Spec, e int) int64 {
 	return w
 }
 
-// SpecsAtLevel returns one spec per block of the regular 2^level x 1 (odd
-// levels alternate axes) slicing of the chip at the given hierarchy depth,
-// each with both cutline directions. Level 0 is the whole chip; level 1 the
-// two halves of a vertical top-level cut; level 2 the four quadrants, and so
-// on, with blocks named by their slicing path (L2_V0_H1, ...). It
-// generalizes the A-D family of StandardSpecs to arbitrary depth.
-func SpecsAtLevel(pl *place.Placement, base string, level int) []Spec {
-	type node struct {
-		r    Rect
-		name string
-	}
-	eps := 1.0001
-	blocks := []node{{Rect{0, 0, pl.Width * eps, pl.Height * eps}, fmt.Sprintf("L%d", level)}}
-	for d := 0; d < level; d++ {
-		vertical := d%2 == 0
-		var next []node
-		for _, n := range blocks {
-			var a, b Rect
-			if vertical {
-				mid := (n.r.X0 + n.r.X1) / 2
-				a = Rect{n.r.X0, n.r.Y0, mid, n.r.Y1}
-				b = Rect{mid, n.r.Y0, n.r.X1, n.r.Y1}
-			} else {
-				mid := (n.r.Y0 + n.r.Y1) / 2
-				a = Rect{n.r.X0, n.r.Y0, n.r.X1, mid}
-				b = Rect{n.r.X0, mid, n.r.X1, n.r.Y1}
-			}
-			axis := "V"
-			if !vertical {
-				axis = "H"
-			}
-			next = append(next,
-				node{a, fmt.Sprintf("%s_%s0", n.name, axis)},
-				node{b, fmt.Sprintf("%s_%s1", n.name, axis)})
-		}
-		blocks = next
-	}
-	var specs []Spec
-	for _, n := range blocks {
-		for _, cut := range []CutDir{Vertical, Horizontal} {
-			specs = append(specs, Spec{
-				Name:  fmt.Sprintf("%s_%s_%s", base, n.name, cut),
-				Block: n.r,
-				Cut:   cut,
-			})
-		}
-	}
-	return specs
-}
-
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo

@@ -277,43 +277,6 @@ func TestDeriveQuadErrors(t *testing.T) {
 	}
 }
 
-func TestSpecsAtLevel(t *testing.T) {
-	pl := testPlacement(t, 300, 10)
-	l0 := benchgen.SpecsAtLevel(pl, "X", 0)
-	if len(l0) != 2 {
-		t.Fatalf("level 0 specs = %d", len(l0))
-	}
-	l2 := benchgen.SpecsAtLevel(pl, "X", 2)
-	if len(l2) != 8 {
-		t.Fatalf("level 2 specs = %d, want 4 blocks x 2 cuts", len(l2))
-	}
-	names := map[string]bool{}
-	totalCells := 0
-	for _, s := range l2 {
-		if names[s.Name] {
-			t.Errorf("duplicate name %q", s.Name)
-		}
-		names[s.Name] = true
-		if s.Cut == benchgen.Vertical {
-			inst, err := benchgen.Derive(pl, s, 0.1)
-			if err != nil {
-				t.Fatalf("Derive %s: %v", s.Name, err)
-			}
-			totalCells += inst.Stats.Cells
-		}
-	}
-	// The four level-2 blocks tile the chip: movable cells sum to all cells.
-	wantCells := 0
-	for v := 0; v < pl.H.NumVertices(); v++ {
-		if !pl.H.IsPad(v) {
-			wantCells++
-		}
-	}
-	if totalCells != wantCells {
-		t.Errorf("level-2 blocks cover %d cells, want %d", totalCells, wantCells)
-	}
-}
-
 func TestWirelengthWeights(t *testing.T) {
 	pl := testPlacement(t, 400, 11)
 	base := benchgen.Spec{

@@ -605,44 +605,3 @@ func TestOverconstrainedEmpty(t *testing.T) {
 		t.Errorf("two-point result flagged %v", got)
 	}
 }
-
-func TestKWayModeStudy(t *testing.T) {
-	h := testNetlist(t, 250, 6)
-	cfg := experiments.SweepConfig{
-		Fractions:  []float64{0, 0.2},
-		Trials:     2,
-		Tolerance:  0.1,
-		GoodStarts: 2,
-		Seed:       6,
-	}
-	rows, err := experiments.KWayModeStudy("T250", h, []int{3, 4}, cfg)
-	if err != nil {
-		t.Fatalf("KWayModeStudy: %v", err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4 (2 ks x 2 fractions)", len(rows))
-	}
-	for _, r := range rows {
-		if r.DirectCut < 0 || r.RBCut < 0 {
-			t.Errorf("negative mean cut in row %+v", r)
-		}
-	}
-	// Determinism across worker counts.
-	cfg.Workers = 3
-	rows2, err := experiments.KWayModeStudy("T250", h, []int{3, 4}, cfg)
-	if err != nil {
-		t.Fatalf("KWayModeStudy workers=3: %v", err)
-	}
-	for i := range rows {
-		if rows[i] != rows2[i] {
-			t.Errorf("row %d differs across worker counts: %+v vs %+v", i, rows[i], rows2[i])
-		}
-	}
-	var buf bytes.Buffer
-	if err := experiments.RenderKWayModeStudy(&buf, rows); err != nil {
-		t.Fatalf("render: %v", err)
-	}
-	if !strings.Contains(buf.String(), "direct cut") {
-		t.Error("rendered table missing header")
-	}
-}

@@ -83,7 +83,7 @@ func BenchmarkBipartitionFreshScratch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fm.BipartitionWith(p, initial, fm.Config{Policy: fm.CLIP}, fm.NewScratch()); err != nil {
+		if _, err := fm.BipartitionWith(p, initial, fm.Config{Policy: fm.CLIP}, &fm.Scratch{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkBipartitionFreshScratch(b *testing.B) {
 func BenchmarkBipartitionReusedScratch(b *testing.B) {
 	p := benchProblem(b)
 	initial := benchInitial(b, p)
-	sc := fm.NewScratch()
+	sc := &fm.Scratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,7 +19,7 @@
 // incremental gain arithmetic is λ−1-native — at k = 2 it coincides with
 // the classic cut gain — so both objectives follow the identical move
 // trajectory; they differ only in the reported Result.Score, which callers
-// (the multilevel multistart and V-cycle drivers) use to select among
+// (the multilevel multistart drivers) use to select among
 // candidates. ObjectiveCut runs are bit-identical to the pre-objective
 // kernel. There is one model (cutModel, model.go) for every objective; the
 // level state's objective only picks which number Score reports.
@@ -35,8 +35,8 @@
 // The gain table passes from the rounds to localized FM to the kernel's
 // first pass while it is exact. Pairwise re-derives each part pair's
 // movability and lock seeds from Φ and restores the level's afterwards.
-// ParallelRefineWith, LocalizedRefineWith, KWayPartitionWith and
-// BipartitionWith are each NewLevel plus one stage.
+// LocalizedRefine, KWayPartitionWith and BipartitionWith are each NewLevel
+// plus one stage.
 //
 // # Localized FM
 //

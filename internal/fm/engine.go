@@ -51,16 +51,6 @@ type Config struct {
 	// MaxPasses bounds the number of passes (safety net; FM converges well
 	// before this). 0 means the default of 64.
 	MaxPasses int
-	// RecordProfile fills PassStats.Profile with the cumulative-gain curve
-	// of each pass, used by the Section III pass-statistics study.
-	RecordProfile bool
-	// StallCutoff, when positive, ends a pass (after the first) once that
-	// many consecutive moves have failed to reach a new best prefix. It is
-	// an adaptive alternative to MaxPassFraction in the spirit of the
-	// paper's call for heuristics that exploit the fixed-terminals regime:
-	// rather than a fixed move budget, the pass stops when it has
-	// demonstrably gone stale. Both cutoffs may be combined.
-	StallCutoff int
 	// Stats, when non-nil, accumulates the net-state-aware kernel's work
 	// counters (nets skipped, pin scans avoided, bucket updates saved)
 	// atomically across runs, so one KernelStats may be shared by concurrent
@@ -82,13 +72,6 @@ type PassStats struct {
 	Moves int   // moves attempted during the pass
 	Kept  int   // best-prefix length: moves retained after rollback
 	Gain  int64 // objective reduction achieved by the pass (>= 0)
-	// Profile, when Config.RecordProfile is set, holds the fraction of the
-	// pass's final gain that had accumulated after 10%, 20%, ..., 100% of
-	// the moves (entries may be negative while the pass explores downhill).
-	// It quantifies the paper's observation that with fixed terminals the
-	// improvements concentrate near the beginning of the pass. Nil when the
-	// pass achieved no gain.
-	Profile []float64
 }
 
 // Result is the outcome of a flat FM bipartitioning run.
@@ -109,15 +92,6 @@ type Result struct {
 	Passes []PassStats
 	// Movable is the number of vertices free to move between the two parts.
 	Movable int
-}
-
-// TotalMoves returns the total number of moves attempted across all passes.
-func (r *Result) TotalMoves() int {
-	n := 0
-	for _, p := range r.Passes {
-		n += p.Moves
-	}
-	return n
 }
 
 // kernel is the policy layer of the part-count-generic FM engine: it owns
@@ -271,11 +245,7 @@ func (e *kernel) run() []PassStats {
 				limit = 1
 			}
 		}
-		stall := 0
-		if pass > 0 {
-			stall = e.cfg.StallCutoff
-		}
-		stats := e.runPass(limit, stall, &moveLog)
+		stats := e.runPass(limit, &moveLog)
 		passes = append(passes, stats)
 		e.lv.km1 -= stats.Gain
 		if stats.Gain <= 0 {
@@ -290,15 +260,13 @@ func (e *kernel) run() []PassStats {
 	return passes
 }
 
-// runPass executes one FM pass (up to limit moves, ending early after
-// stall consecutive non-improving moves when stall > 0), rolls back to the
-// best prefix, and returns its statistics.
-func (e *kernel) runPass(limit, stall int, moveLog *[]moveRec) PassStats {
+// runPass executes one FM pass (up to limit moves), rolls back to the best
+// prefix, and returns its statistics.
+func (e *kernel) runPass(limit int, moveLog *[]moveRec) PassStats {
 	e.initPass()
 	log := (*moveLog)[:0]
 	var cum, bestCum int64
 	bestIdx := 0
-	var cumLog []int64
 	for len(log) < limit {
 		mid := e.selectMove()
 		if mid < 0 {
@@ -311,41 +279,16 @@ func (e *kernel) runPass(limit, stall int, moveLog *[]moveRec) PassStats {
 		e.applyMove(v, t)
 		cum += g
 		log = append(log, moveRec{v: v, from: from})
-		if e.cfg.RecordProfile {
-			cumLog = append(cumLog, cum)
-		}
 		if cum > bestCum {
 			bestCum = cum
 			bestIdx = len(log)
-		}
-		if stall > 0 && len(log)-bestIdx >= stall {
-			break
 		}
 	}
 	for i := len(log) - 1; i >= bestIdx; i-- {
 		e.undoMove(log[i].v, int(log[i].from))
 	}
 	*moveLog = log
-	stats := PassStats{Moves: len(log), Kept: bestIdx, Gain: bestCum}
-	if e.cfg.RecordProfile && bestCum > 0 {
-		stats.Profile = gainProfile(cumLog, bestCum)
-	}
-	return stats
-}
-
-// gainProfile samples the cumulative gain curve at move-count deciles,
-// normalized by the pass's final (best-prefix) gain.
-func gainProfile(cumLog []int64, best int64) []float64 {
-	prof := make([]float64, 10)
-	n := len(cumLog)
-	for i := 0; i < 10; i++ {
-		idx := (i + 1) * n / 10
-		if idx == 0 {
-			continue
-		}
-		prof[i] = float64(cumLog[idx-1]) / float64(best)
-	}
-	return prof
+	return PassStats{Moves: len(log), Kept: bestIdx, Gain: bestCum}
 }
 
 // initPass computes fresh gains for every legal (vertex, target) move — one

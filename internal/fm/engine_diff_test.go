@@ -66,9 +66,6 @@ func diffConfig(rng *rand.Rand) fm.Config {
 	if rng.IntN(2) == 1 {
 		cfg.MaxPassFraction = 0.25 + 0.5*rng.Float64()
 	}
-	if rng.IntN(3) == 0 {
-		cfg.StallCutoff = 4 + rng.IntN(12)
-	}
 	return cfg
 }
 

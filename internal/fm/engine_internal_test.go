@@ -179,7 +179,7 @@ func TestKWayKernelGainConsistency(t *testing.T) {
 
 // mustLevel builds the level state of a feasible assignment.
 func mustLevel(p *partition.Problem, a partition.Assignment) *Level {
-	l, err := NewLevel(p, a, Config{}, NewScratch())
+	l, err := NewLevel(p, a, Config{}, &Scratch{})
 	if err != nil {
 		panic(err)
 	}

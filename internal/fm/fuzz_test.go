@@ -19,7 +19,7 @@ import (
 // recomputation. The reference predates the objective layer and always
 // walks the (λ-1) trajectory, so comparing a km1 run against it also
 // enforces the documented trajectory-independence invariant. Each input
-// additionally drives the parallel round engine (ParallelRefine) at a
+// additionally drives the parallel round engine (Level.Rounds) at a
 // randomized worker count and cross-checks it against workers=1 and
 // workers=1 against the frozen round engine (parallel_reference_test.go):
 // identical assignment and round/move/gain counts, feasible output, and a
@@ -120,9 +120,6 @@ func FuzzFMKernel(f *testing.F) {
 		if mode&2 != 0 {
 			cfg.MaxPassFraction = 0.5
 		}
-		if mode&4 != 0 {
-			cfg.StallCutoff = 6
-		}
 		if mode&8 != 0 {
 			cfg.Objective = fm.ObjectiveKM1
 		}
@@ -167,11 +164,11 @@ func FuzzFMKernel(f *testing.F) {
 		// connectivity reduction.
 		workers := 2 + int(mode>>4)%7
 		salt := uint64(fu8(data, pos))<<8 | uint64(mode)
-		pWant, err := fm.ParallelRefine(p, initial, cfg, 1, salt)
+		pWant, err := parallelRefine(p, initial, cfg, 1, salt, &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("parallel workers=1: %v", err)
 		}
-		pGot, err := fm.ParallelRefine(p, initial, cfg, workers, salt)
+		pGot, err := parallelRefine(p, initial, cfg, workers, salt, &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("parallel workers=%d: %v", workers, err)
 		}
@@ -261,7 +258,7 @@ func FuzzFMKernel(f *testing.F) {
 		// level's movability), with a running objective and Score that match
 		// a from-scratch recount.
 		sweeps := 1 + int(fu8(data, pos+2))%2
-		lv, err := fm.NewLevel(p, initial, cfg, fm.NewScratch())
+		lv, err := fm.NewLevel(p, initial, cfg, &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("level: %v", err)
 		}

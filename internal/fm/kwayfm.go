@@ -14,8 +14,8 @@ type KWayResult struct {
 	// KMinus1 is the connectivity ledger the kernel's passes track.
 	KMinus1 int64
 	// Score is Assignment evaluated under the run's Objective (== Cut for
-	// ObjectiveCut, == KMinus1 for ObjectiveKM1), the number multistart and
-	// V-cycle drivers select by.
+	// ObjectiveCut, == KMinus1 for ObjectiveKM1), the number multistart
+	// drivers select by.
 	Score int64
 	// Objective is the metric the run optimized (Config.Objective).
 	Objective Objective

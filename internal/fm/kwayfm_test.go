@@ -220,7 +220,7 @@ func TestKWayBeatsGreedyRefine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("KWayPartition: %v", err)
 		}
-		greedy, err := fm.ParallelRefine(p, initial, fm.Config{}, 1, rng.Uint64())
+		greedy, err := parallelRefine(p, initial, fm.Config{}, 1, rng.Uint64(), &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("ParallelRefine: %v", err)
 		}

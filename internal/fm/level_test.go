@@ -9,6 +9,29 @@ import (
 	"repro/internal/partition"
 )
 
+// parallelRefine runs the round stage on a fresh level of initial built on
+// sc, and returns the stage's counters with the refined assignment.
+func parallelRefine(p *partition.Problem, initial partition.Assignment, cfg fm.Config, workers int, salt uint64, sc *fm.Scratch) (*fm.ParallelResult, error) {
+	lv, err := fm.NewLevel(p, initial, cfg, sc)
+	if err != nil {
+		return nil, err
+	}
+	res := lv.Rounds(workers, salt)
+	res.Assignment = lv.Assignment()
+	return &res, nil
+}
+
+// localizedRefine is parallelRefine for the localized FM stage.
+func localizedRefine(p *partition.Problem, initial partition.Assignment, cfg fm.Config, workers int, salt uint64, sc *fm.Scratch) (*fm.LocalizedResult, error) {
+	lv, err := fm.NewLevel(p, initial, cfg, sc)
+	if err != nil {
+		return nil, err
+	}
+	res := lv.Localized(workers, salt)
+	res.Assignment = lv.Assignment()
+	return &res, nil
+}
+
 // TestPairwiseMatchesReference differentially tests the pairwise sweeps on
 // the level state against the frozen driver (reference_test.go), which
 // builds a fresh restricted Problem per pair and runs the frozen kernel on
@@ -34,7 +57,7 @@ func TestPairwiseMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trials, err)
 		}
-		lv, err := fm.NewLevel(p, initial, cfg, fm.NewScratch())
+		lv, err := fm.NewLevel(p, initial, cfg, &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}
@@ -73,13 +96,13 @@ func TestLevelChainMatchesFreshStages(t *testing.T) {
 			cfg.Objective = fm.ObjectiveKM1
 		}
 		for _, workers := range []int{1, 2, 4} {
-			sc := fm.NewScratch()
+			sc := &fm.Scratch{}
 			// Fresh: one state per stage.
-			r1, err := fm.ParallelRefineWith(p, initial, cfg, workers, salt1, sc)
+			r1, err := parallelRefine(p, initial, cfg, workers, salt1, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := fm.LocalizedRefineWith(p, r1.Assignment, cfg, workers, salt2, sc)
+			r2, err := localizedRefine(p, r1.Assignment, cfg, workers, salt2, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +122,7 @@ func TestLevelChainMatchesFreshStages(t *testing.T) {
 			}
 
 			// Chained: one state for the whole level.
-			lv, err := fm.NewLevel(p, initial, cfg, fm.NewScratch())
+			lv, err := fm.NewLevel(p, initial, cfg, &fm.Scratch{})
 			if err != nil {
 				t.Fatal(err)
 			}

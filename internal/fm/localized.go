@@ -75,8 +75,7 @@ const (
 	// length.
 	locMaxDistinct = 64
 	// locStall ends a search after this many consecutive moves that failed
-	// to reach a new best prefix — the localized analogue of the serial
-	// kernel's StallCutoff.
+	// to reach a new best prefix.
 	locStall = 8
 )
 
@@ -414,18 +413,11 @@ func localizedSearch(m *cutModel, ls *locScratch, st *roundState, i int, roundSa
 // the result is bit-identical for every worker count. salt seeds the commit
 // order and the per-search tie-breaks and is the engine's only randomness —
 // callers draw it once from their RNG so the stream stays
-// worker-count-agnostic. Working state comes from internal sync.Pools; use
-// LocalizedRefineWith to manage the FM Scratch explicitly.
+// worker-count-agnostic. Working state comes from internal sync.Pools. It is
+// NewLevel followed by Localized.
 func LocalizedRefine(p *partition.Problem, initial partition.Assignment, cfg Config, workers int, salt uint64) (*LocalizedResult, error) {
 	sc := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(sc)
-	return LocalizedRefineWith(p, initial, cfg, workers, salt, sc)
-}
-
-// LocalizedRefineWith is LocalizedRefine running on a caller-provided Scratch,
-// for drivers that pin one scratch per worker across a whole descent. The
-// result never aliases scratch memory. It is NewLevel followed by Localized.
-func LocalizedRefineWith(p *partition.Problem, initial partition.Assignment, cfg Config, workers int, salt uint64, sc *Scratch) (*LocalizedResult, error) {
 	l, err := NewLevel(p, initial, cfg, sc)
 	if err != nil {
 		return nil, err

@@ -131,7 +131,7 @@ func TestLocalizedRefineAllFixed(t *testing.T) {
 // checks the tail never undoes the localized stage's progress.
 func TestLocalizedRefineThenPolish(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x10ca11, 3))
-	sc := fm.NewScratch()
+	sc := &fm.Scratch{}
 	trials := 0
 	for trials < 20 {
 		p, initial, ok := diffProblem(rng)
@@ -140,7 +140,7 @@ func TestLocalizedRefineThenPolish(t *testing.T) {
 		}
 		trials++
 		salt := rng.Uint64()
-		loc, err := fm.LocalizedRefineWith(p, initial, fm.Config{}, 4, salt, sc)
+		loc, err := localizedRefine(p, initial, fm.Config{}, 4, salt, sc)
 		if err != nil {
 			t.Fatalf("trial %d: localized: %v", trials, err)
 		}
@@ -172,7 +172,7 @@ func TestLocalizedRefineBeatsRounds(t *testing.T) {
 		}
 		trials++
 		salt := rng.Uint64()
-		rres, err := fm.ParallelRefine(p, initial, fm.Config{}, 2, salt)
+		rres, err := parallelRefine(p, initial, fm.Config{}, 2, salt, &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("trial %d: rounds: %v", trials, err)
 		}

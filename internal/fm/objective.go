@@ -13,8 +13,8 @@ import "fmt"
 // classic FM cut gain, and for km1 it is the connectivity gain by
 // definition, so cut and km1 runs follow byte-identical move trajectories.
 // Where the objectives diverge is scoring and selection: which number a run
-// reports as its Score, and therefore which candidate a multistart or
-// V-cycle driver keeps.
+// reports as its Score, and therefore which candidate a multistart driver
+// keeps.
 type Objective int8
 
 const (

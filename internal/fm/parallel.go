@@ -38,10 +38,11 @@ import (
 // kernel and the localized engine (localized.go) recover gains requiring
 // negative prefixes.
 
-// ParallelResult is the outcome of a ParallelRefine run.
+// ParallelResult is the outcome of a Level.Rounds run.
 type ParallelResult struct {
 	// Assignment is the refined solution (feasible by construction; never
-	// aliases scratch memory).
+	// aliases scratch memory). Level.Rounds leaves it nil: the level holds
+	// the solution.
 	Assignment partition.Assignment
 	// Rounds is the number of synchronous propose/commit rounds executed,
 	// including the final round that produced no commits.
@@ -55,37 +56,14 @@ type ParallelResult struct {
 	Movable int
 }
 
-// ParallelRefine improves a feasible k-way assignment with deterministic
-// synchronous-round parallel refinement (see the file comment for round
-// semantics). The initial assignment is not modified. workers < 1 runs the
-// rounds serially; the result is bit-identical for every worker count. salt
-// seeds the per-round commit-order tie-break and is the engine's only
-// randomness — callers draw it once from their RNG so the stream stays
-// worker-count-agnostic. Working state comes from an internal sync.Pool; use
-// ParallelRefineWith to manage the Scratch explicitly.
-func ParallelRefine(p *partition.Problem, initial partition.Assignment, cfg Config, workers int, salt uint64) (*ParallelResult, error) {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	return ParallelRefineWith(p, initial, cfg, workers, salt, sc)
-}
-
-// ParallelRefineWith is ParallelRefine running on a caller-provided Scratch,
-// for drivers that pin one scratch per worker across a whole descent. The
-// result never aliases scratch memory. It is NewLevel followed by Rounds.
-func ParallelRefineWith(p *partition.Problem, initial partition.Assignment, cfg Config, workers int, salt uint64, sc *Scratch) (*ParallelResult, error) {
-	l, err := NewLevel(p, initial, cfg, sc)
-	if err != nil {
-		return nil, err
-	}
-	res := l.Rounds(workers, salt)
-	res.Assignment = l.Assignment()
-	return &res, nil
-}
-
 // Rounds runs the synchronous-round stage on the level (see the file comment
-// and ParallelRefine) and returns its counters; Assignment is left nil, the
-// level holds the result. The gain table is built unless the level already
-// holds it exact, and is exact again when the stage returns.
+// for round semantics) and returns its counters; Assignment is left nil, the
+// level holds the result. workers < 1 runs the rounds serially; the result
+// is bit-identical for every worker count. salt seeds the per-round
+// commit-order tie-break and is the stage's only randomness — callers draw
+// it once from their RNG so the stream stays worker-count-agnostic. The
+// gain table is built unless the level already holds it exact, and is
+// exact again when the stage returns.
 func (l *Level) Rounds(workers int, salt uint64) ParallelResult {
 	m := &l.m
 	res := ParallelResult{Movable: m.nMovable}

@@ -39,7 +39,7 @@ var refParScratchPool = sync.Pool{New: func() any { return &refParScratch{} }}
 // parallelRefineReference is the round engine as it stood before it shared the
 // localized engine's round-start gain table. It runs on a fresh Scratch.
 func parallelRefineReference(p *partition.Problem, initial partition.Assignment, cfg Config, workers int, salt uint64) (*ParallelResult, error) {
-	sc := NewScratch()
+	sc := &Scratch{}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -30,12 +30,12 @@ func TestParallelRefineWorkerInvariance(t *testing.T) {
 		if trials%2 == 0 {
 			cfg.Objective = fm.ObjectiveKM1
 		}
-		want, err := fm.ParallelRefine(p, initial, cfg, 1, salt)
+		want, err := parallelRefine(p, initial, cfg, 1, salt, &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("trial %d: workers=1: %v", trials, err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, err := fm.ParallelRefine(p, initial, cfg, workers, salt)
+			got, err := parallelRefine(p, initial, cfg, workers, salt, &fm.Scratch{})
 			if err != nil {
 				t.Fatalf("trial %d: workers=%d: %v", trials, workers, err)
 			}
@@ -66,7 +66,7 @@ func TestParallelRefineImproves(t *testing.T) {
 		trials++
 		before := initial.Clone()
 		km1In := partition.KMinus1(p.H, initial)
-		res, err := fm.ParallelRefine(p, initial, fm.Config{}, 3, rng.Uint64())
+		res, err := parallelRefine(p, initial, fm.Config{}, 3, rng.Uint64(), &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}
@@ -110,7 +110,7 @@ func TestParallelRefineAllFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fm.ParallelRefine(p, initial, fm.Config{}, 4, 99)
+	res, err := parallelRefine(p, initial, fm.Config{}, 4, 99, &fm.Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestParallelRefineAllFixed(t *testing.T) {
 // as good as either stage alone under the run objective).
 func TestParallelRefineThenPolish(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x9a11e1, 3))
-	sc := fm.NewScratch()
+	sc := &fm.Scratch{}
 	trials := 0
 	for trials < 20 {
 		p, initial, ok := diffProblem(rng)
@@ -137,7 +137,7 @@ func TestParallelRefineThenPolish(t *testing.T) {
 		}
 		trials++
 		salt := rng.Uint64()
-		rounds, err := fm.ParallelRefineWith(p, initial, fm.Config{}, 4, salt, sc)
+		rounds, err := parallelRefine(p, initial, fm.Config{}, 4, salt, sc)
 		if err != nil {
 			t.Fatalf("trial %d: rounds: %v", trials, err)
 		}
@@ -173,10 +173,10 @@ func BenchmarkParallelRefineRounds(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := fm.NewScratch()
+	sc := &fm.Scratch{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fm.ParallelRefineWith(p, initial, fm.Config{}, 4, 42, sc); err != nil {
+		if _, err := parallelRefine(p, initial, fm.Config{}, 4, 42, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestParallelRefineMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: reference: %v", trials, err)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			got, err := fm.ParallelRefine(p, initial, cfg, workers, salt)
+			got, err := parallelRefine(p, initial, cfg, workers, salt, &fm.Scratch{})
 			if err != nil {
 				t.Fatalf("trial %d: workers=%d: %v", trials, workers, err)
 			}
@@ -251,7 +251,7 @@ func TestRoundStateChunkedRefresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pGot, err := fm.ParallelRefine(p, initial, fm.Config{}, 4, salt)
+		pGot, err := parallelRefine(p, initial, fm.Config{}, 4, salt, &fm.Scratch{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -390,11 +390,7 @@ func (e *refKernel) run() *kernelResult {
 				limit = 1
 			}
 		}
-		stall := 0
-		if pass > 0 {
-			stall = e.cfg.StallCutoff
-		}
-		stats := e.runPass(limit, stall, &moveLog)
+		stats := e.runPass(limit, &moveLog)
 		res.passes = append(res.passes, stats)
 		obj -= stats.Gain
 		if stats.Gain <= 0 {
@@ -407,12 +403,11 @@ func (e *refKernel) run() *kernelResult {
 	return res
 }
 
-func (e *refKernel) runPass(limit, stall int, moveLog *[]moveRec) PassStats {
+func (e *refKernel) runPass(limit int, moveLog *[]moveRec) PassStats {
 	e.initPass()
 	log := (*moveLog)[:0]
 	var cum, bestCum int64
 	bestIdx := 0
-	var cumLog []int64
 	for len(log) < limit {
 		mid := e.selectMove()
 		if mid < 0 {
@@ -425,26 +420,16 @@ func (e *refKernel) runPass(limit, stall int, moveLog *[]moveRec) PassStats {
 		e.applyMove(v, t)
 		cum += g
 		log = append(log, moveRec{v: v, from: from})
-		if e.cfg.RecordProfile {
-			cumLog = append(cumLog, cum)
-		}
 		if cum > bestCum {
 			bestCum = cum
 			bestIdx = len(log)
-		}
-		if stall > 0 && len(log)-bestIdx >= stall {
-			break
 		}
 	}
 	for i := len(log) - 1; i >= bestIdx; i-- {
 		e.undoMove(log[i].v, int(log[i].from))
 	}
 	*moveLog = log
-	stats := PassStats{Moves: len(log), Kept: bestIdx, Gain: bestCum}
-	if e.cfg.RecordProfile && bestCum > 0 {
-		stats.Profile = gainProfile(cumLog, bestCum)
-	}
-	return stats
+	return PassStats{Moves: len(log), Kept: bestIdx, Gain: bestCum}
 }
 
 func (e *refKernel) initPass() {

@@ -54,15 +54,11 @@ type Scratch struct {
 	round roundState
 }
 
-// NewScratch returns an empty Scratch; arrays are allocated lazily on first
-// use and retained between runs.
-func NewScratch() *Scratch { return &Scratch{} }
-
 // scratchPool caches Scratch values for callers of the non-With entry points
 // (Bipartition, KWayPartition, RunFromRandom). With a bounded worker pool
 // upstream, each worker effectively keeps one warm Scratch, so repeated
 // starts on the same problem allocate almost nothing.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
 
 // GetScratch leases a Scratch from the shared pool. Callers running many FM
 // runs back to back (e.g. one multilevel descent: coarsest-level tries plus a

@@ -48,21 +48,6 @@ type Layout struct {
 	Parts []Rect
 }
 
-// Bisection returns the 2-part layout splitting the w x h region with a
-// vertical (left = part 0) or horizontal (bottom = part 0) cutline.
-func Bisection(w, h float64, vertical bool) Layout {
-	return BisectionOf(Rect{0, 0, w, h}, vertical)
-}
-
-// BisectionOf splits an arbitrary block rectangle in two.
-func BisectionOf(r Rect, vertical bool) Layout {
-	cx, cy := r.Center()
-	if vertical {
-		return Layout{Parts: []Rect{{r.X0, r.Y0, cx, r.Y1}, {cx, r.Y0, r.X1, r.Y1}}}
-	}
-	return Layout{Parts: []Rect{{r.X0, r.Y0, r.X1, cy}, {r.X0, cy, r.X1, r.Y1}}}
-}
-
 // Quadrisection returns the 4-part layout of the w x h region in the order
 // bottom-left, bottom-right, top-left, top-right.
 func Quadrisection(w, h float64) Layout {
@@ -108,34 +93,6 @@ func (l Layout) MaskForRegion(r Rect) (partition.Mask, error) {
 		return 0, fmt.Errorf("geometry: region %+v intersects no partition", r)
 	}
 	return m, nil
-}
-
-// NearestPart returns the partition whose rectangle is closest to (x, y)
-// (containment wins; otherwise minimal L1 distance to the rectangle).
-func (l Layout) NearestPart(x, y float64) int {
-	best, bestDist := 0, -1.0
-	for i, pr := range l.Parts {
-		d := rectDistL1(pr, x, y)
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
-func rectDistL1(r Rect, x, y float64) float64 {
-	var dx, dy float64
-	if x < r.X0 {
-		dx = r.X0 - x
-	} else if x > r.X1 {
-		dx = x - r.X1
-	}
-	if y < r.Y0 {
-		dy = r.Y0 - y
-	} else if y > r.Y1 {
-		dy = y - r.Y1
-	}
-	return dx + dy
 }
 
 // PropagationRegion models terminal propagation onto a block in the

@@ -58,17 +58,6 @@ func TestRectIntersects(t *testing.T) {
 }
 
 func TestLayouts(t *testing.T) {
-	bis := geometry.Bisection(10, 8, true)
-	if err := bis.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if len(bis.Parts) != 2 || bis.Parts[0].X1 != 5 {
-		t.Errorf("vertical bisection wrong: %+v", bis)
-	}
-	hor := geometry.Bisection(10, 8, false)
-	if hor.Parts[0].Y1 != 4 {
-		t.Errorf("horizontal bisection wrong: %+v", hor)
-	}
 	quad := geometry.Quadrisection(10, 8)
 	if err := quad.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -113,20 +102,6 @@ func TestMaskForRegion(t *testing.T) {
 	// Disjoint region errors.
 	if _, err := quad.MaskForRegion(geometry.Point(20, 20)); err == nil {
 		t.Error("want error for unassignable region")
-	}
-}
-
-func TestNearestPart(t *testing.T) {
-	quad := geometry.Quadrisection(10, 10)
-	if got := quad.NearestPart(1, 1); got != 0 {
-		t.Errorf("NearestPart(1,1) = %d", got)
-	}
-	if got := quad.NearestPart(9, 9); got != 3 {
-		t.Errorf("NearestPart(9,9) = %d", got)
-	}
-	// Outside the chip, nearest by L1.
-	if got := quad.NearestPart(-3, 9); got != 2 {
-		t.Errorf("NearestPart(-3,9) = %d", got)
 	}
 }
 

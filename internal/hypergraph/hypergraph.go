@@ -137,17 +137,6 @@ func (h *Hypergraph) MaxVertexWeight() int64 {
 	return m
 }
 
-// MaxDegree returns the largest vertex degree, or 0 for an empty hypergraph.
-func (h *Hypergraph) MaxDegree() int {
-	m := 0
-	for v := 0; v < h.numVerts; v++ {
-		if d := h.Degree(v); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // String returns a one-line summary, e.g. "hypergraph{v=833 e=902 pins=2901}".
 func (h *Hypergraph) String() string {
 	return fmt.Sprintf("hypergraph{v=%d e=%d pins=%d}", h.numVerts, h.numNets, len(h.netPins))

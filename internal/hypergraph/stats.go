@@ -2,7 +2,6 @@ package hypergraph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -61,18 +60,4 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "total weight=%d max weight=%d (%.2f%%)\n", s.TotalWeight, s.MaxWeight, s.MaxWeightPct)
 	fmt.Fprintf(&b, "avg degree=%.2f avg net size=%.2f max net size=%d", s.AvgDegree, s.AvgNetSize, s.MaxNetSize)
 	return b.String()
-}
-
-// NetSizeHistogram returns (size, count) pairs sorted by size.
-func (s Stats) NetSizeHistogram() [][2]int {
-	sizes := make([]int, 0, len(s.NetSizeCounts))
-	for sz := range s.NetSizeCounts {
-		sizes = append(sizes, sz)
-	}
-	sort.Ints(sizes)
-	out := make([][2]int, len(sizes))
-	for i, sz := range sizes {
-		out[i] = [2]int{sz, s.NetSizeCounts[sz]}
-	}
-	return out
 }

@@ -60,21 +60,6 @@ func BenchmarkPartitionFixed30(b *testing.B) {
 	}
 }
 
-func BenchmarkVCycle(b *testing.B) {
-	p := benchProblem(b, 0.2)
-	rng := rand.New(rand.NewPCG(1, 1))
-	base, err := multilevel.Partition(p, multilevel.Config{}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := multilevel.VCycle(p, base.Assignment, multilevel.Config{}, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRecursiveBisect4(b *testing.B) {
 	pr, err := gen.PresetByName("IBM01S")
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fm"
 	"repro/internal/multilevel"
 	"repro/internal/partition"
 )
@@ -148,7 +147,7 @@ func TestMultistartOnHierarchiesDeterministic(t *testing.T) {
 		}
 	}
 	// A different refinement config on the same hierarchies must also work
-	// (WithRefinement rebinding) and stay deterministic.
+	// (withRefinement rebinding) and stay deterministic.
 	cut := multilevel.Config{MaxPassFraction: 0.25}
 	r1, err := multilevel.MultistartOnHierarchies(context.Background(), hiers, cut, 4, 7)
 	if err != nil {
@@ -159,19 +158,4 @@ func TestMultistartOnHierarchiesDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "rebound refinement", r1, r2)
-}
-
-// TestCoarseningFingerprint: refinement-phase knobs do not move the
-// fingerprint; coarsening-phase knobs do.
-func TestCoarseningFingerprint(t *testing.T) {
-	base := multilevel.Config{}.CoarseningFingerprint()
-	refine := multilevel.Config{MaxPassFraction: 0.25, InitialTries: 9}
-	refine.SetPolicy(fm.LIFO)
-	if got := refine.CoarseningFingerprint(); got != base {
-		t.Errorf("refinement-only config changed fingerprint: %016x vs %016x", got, base)
-	}
-	coarse := multilevel.Config{CoarsestSize: 300}
-	if got := coarse.CoarseningFingerprint(); got == base {
-		t.Error("CoarsestSize change did not move fingerprint")
-	}
 }

@@ -1,9 +1,7 @@
 package multilevel
 
 import (
-	"fmt"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,35 +14,6 @@ import (
 type level struct {
 	problem   *partition.Problem
 	clusterOf []int32 // maps this level's vertices to the next-coarser level
-}
-
-// Scheme selects the coarsening algorithm.
-type Scheme int
-
-const (
-	// HeavyEdge is pairwise heavy-edge matching (the default; what the
-	// paper's engine and MLC use).
-	HeavyEdge Scheme = iota
-	// Hyperedge contracts entire small nets whose pins are all unmatched,
-	// heaviest-first (hMetis's EC scheme).
-	Hyperedge
-	// ModifiedHyperedge is Hyperedge plus a second pass contracting the
-	// unmatched pins of partially matched nets (hMetis's MHEC scheme).
-	ModifiedHyperedge
-)
-
-// String returns the scheme name.
-func (s Scheme) String() string {
-	switch s {
-	case HeavyEdge:
-		return "heavy-edge"
-	case Hyperedge:
-		return "hyperedge"
-	case ModifiedHyperedge:
-		return "modified-hyperedge"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
 }
 
 // maxMatchRounds caps the propose/resolve iterations of matchLevel; in
@@ -120,10 +89,9 @@ func matchChunk(n, p, c int) (int, int) {
 // (scaled to integers), the "heavy edge" metric of multilevel partitioners.
 // Fixed and OR-region vertices only match when their allowed masks
 // intersect; the merged cluster carries the intersection, so a cluster
-// containing a terminal stays a terminal. When part is non-nil (V-cycling's
-// restricted coarsening), vertices only match within the same part. Nets
-// with more than hugeNet pins are ignored while scoring (threshold from
-// Config.HugeNetThreshold).
+// containing a terminal stays a terminal. Nets with more than
+// hugeNetThreshold pins are ignored while scoring. The level is useful only
+// when it shrinks the vertex count to at most clusteringRatio of p's.
 //
 // The matching runs as deterministic propose/resolve rounds so it
 // parallelizes without a sequential vertex order (the serial greedy's
@@ -137,7 +105,7 @@ func matchChunk(n, p, c int) (int, int) {
 // drawn once from rng), so the clustering is bit-identical for every value
 // of workers, including 1. Worker ranges only split the scan; see
 // DESIGN.md "Deterministic intra-descent parallel coarsening".
-func matchLevel(p *partition.Problem, part partition.Assignment, maxClusterWeight int64, minShrink float64, hugeNet, workers int, rng *rand.Rand) (*partition.Problem, []int32, bool) {
+func matchLevel(p *partition.Problem, maxClusterWeight int64, workers int, rng *rand.Rand) (*partition.Problem, []int32, bool) {
 	h := p.H
 	nv := h.NumVertices()
 	W := workers
@@ -201,7 +169,7 @@ func matchLevel(p *partition.Problem, part partition.Assignment, maxClusterWeigh
 				cand := sh.cand[:0]
 				for _, en := range h.NetsOf(v) {
 					pins := h.Pins(int(en))
-					if len(pins) > hugeNet {
+					if len(pins) > hugeNetThreshold {
 						continue
 					}
 					// Score scaled by 1e6 to keep integer arithmetic.
@@ -237,9 +205,6 @@ func matchLevel(p *partition.Problem, part partition.Assignment, maxClusterWeigh
 						}
 					}
 					if mv.Intersect(p.MaskOf(int(u))) == 0 {
-						continue
-					}
-					if part != nil && part[v] != part[u] {
 						continue
 					}
 					if wv+h.Weight(int(u)) > maxClusterWeight {
@@ -315,7 +280,7 @@ func matchLevel(p *partition.Problem, part partition.Assignment, maxClusterWeigh
 		matched += 2 * delta
 		// Once the level already shrinks enough, a trickle of extra pairs is
 		// not worth another full scoring sweep.
-		if delta < nv/256 && float64(nv-matched/2) <= minShrink*float64(nv) {
+		if delta < nv/256 && float64(nv-matched/2) <= clusteringRatio*float64(nv) {
 			break
 		}
 	}
@@ -323,7 +288,7 @@ func matchLevel(p *partition.Problem, part partition.Assignment, maxClusterWeigh
 		return nil, nil, false
 	}
 	newCount := nv - matched/2
-	if float64(newCount) > minShrink*float64(nv) {
+	if float64(newCount) > clusteringRatio*float64(nv) {
 		return nil, nil, false
 	}
 
@@ -388,8 +353,8 @@ func growI64(s []int64, n int) []int64 {
 func contractProblem(p *partition.Problem, clusterOf []int32, numClusters, workers int) (*partition.Problem, []int32, bool) {
 	coarseH, _, err := hypergraph.ContractParallel(p.H, clusterOf, numClusters, hypergraph.ContractOptions{MergeParallelNets: true}, workers)
 	if err != nil {
-		// Contract only fails on malformed inputs, which the matchers never
-		// produce; treat as "cannot coarsen further".
+		// Contract only fails on malformed inputs, which the matcher never
+		// produces; treat as "cannot coarsen further".
 		return nil, nil, false
 	}
 	coarse := &partition.Problem{H: coarseH, K: p.K, Balance: p.Balance}
@@ -405,96 +370,4 @@ func contractProblem(p *partition.Problem, clusterOf []int32, numClusters, worke
 		coarse.Allowed = masks
 	}
 	return coarse, clusterOf, true
-}
-
-// hyperedgeLevel performs one round of (modified) hyperedge coarsening:
-// nets are visited heaviest-first (ties broken smaller-first, then randomly)
-// and contracted whole when all pins are unmatched, mask-compatible,
-// same-part (when part is non-nil) and within the weight cap. The modified
-// variant then contracts the unmatched-pin subsets of remaining nets.
-//
-// The net scan itself stays serial (it is inherently order-dependent and only
-// used by the ablation schemes); workers only parallelizes the contraction,
-// which is bit-identical for every worker count.
-func hyperedgeLevel(p *partition.Problem, part partition.Assignment, maxClusterWeight int64, minShrink float64, hugeNet int, modified bool, workers int, rng *rand.Rand) (*partition.Problem, []int32, bool) {
-	h := p.H
-	nv := h.NumVertices()
-	clusterOf := make([]int32, nv)
-	for i := range clusterOf {
-		clusterOf[i] = -1
-	}
-	next := int32(0)
-	merged := 0
-
-	tryContract := func(pins []int32, requireAllFree bool) {
-		group := pins
-		if !requireAllFree {
-			group = group[:0:0]
-			for _, v := range pins {
-				if clusterOf[v] < 0 {
-					group = append(group, v)
-				}
-			}
-		}
-		if len(group) < 2 {
-			return
-		}
-		mask := partition.AllParts(p.K)
-		var weight int64
-		for _, v := range group {
-			if requireAllFree && clusterOf[v] >= 0 {
-				return
-			}
-			mask = mask.Intersect(p.MaskOf(int(v)))
-			weight += h.Weight(int(v))
-			if part != nil && part[v] != part[group[0]] {
-				return
-			}
-		}
-		if mask == 0 || weight > maxClusterWeight {
-			return
-		}
-		for _, v := range group {
-			clusterOf[v] = next
-		}
-		next++
-		merged += len(group) - 1
-	}
-
-	order := rng.Perm(h.NumNets())
-	sort.SliceStable(order, func(i, j int) bool {
-		ei, ej := order[i], order[j]
-		if h.NetWeight(ei) != h.NetWeight(ej) {
-			return h.NetWeight(ei) > h.NetWeight(ej)
-		}
-		return h.NetSize(ei) < h.NetSize(ej)
-	})
-	for _, e := range order {
-		if h.NetSize(e) > hugeNet {
-			continue
-		}
-		tryContract(h.Pins(e), true)
-	}
-	if modified {
-		for _, e := range order {
-			if h.NetSize(e) > hugeNet {
-				continue
-			}
-			tryContract(h.Pins(e), false)
-		}
-	}
-	if merged == 0 {
-		return nil, nil, false
-	}
-	newCount := nv - merged
-	if float64(newCount) > minShrink*float64(nv) {
-		return nil, nil, false
-	}
-	for v := 0; v < nv; v++ {
-		if clusterOf[v] < 0 {
-			clusterOf[v] = next
-			next++
-		}
-	}
-	return contractProblem(p, clusterOf, int(next), workers)
 }

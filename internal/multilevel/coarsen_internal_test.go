@@ -30,7 +30,7 @@ func TestMatchLevelRespectsMasksAndWeights(t *testing.T) {
 		p.Fix(v, (v/3)%2)
 	}
 	const maxW = 4
-	coarse, clusterOf, ok := matchLevel(p, nil, maxW, 0.95, 50, 2, rng)
+	coarse, clusterOf, ok := matchLevel(p, maxW, 2, rng)
 	if !ok {
 		t.Fatal("matching failed to shrink")
 	}
@@ -59,112 +59,5 @@ func TestMatchLevelRespectsMasksAndWeights(t *testing.T) {
 		if coarse.H.Weight(int(c)) != w {
 			t.Fatalf("cluster %d weight %d, want %d", c, coarse.H.Weight(int(c)), w)
 		}
-	}
-}
-
-func TestMatchLevelPartRestriction(t *testing.T) {
-	p := coarsenFixture(t)
-	rng := rand.New(rand.NewPCG(7, 7))
-	part := make(partition.Assignment, p.H.NumVertices())
-	for v := range part {
-		part[v] = int8(v % 2)
-	}
-	_, clusterOf, ok := matchLevel(p, part, 1<<40, 0.95, 50, 3, rng)
-	if !ok {
-		t.Skip("restricted matching found nothing (acceptable on this draw)")
-	}
-	members := map[int32][]int{}
-	for v, c := range clusterOf {
-		members[c] = append(members[c], v)
-	}
-	for c, vs := range members {
-		for _, v := range vs[1:] {
-			if part[v] != part[vs[0]] {
-				t.Fatalf("cluster %d crosses the current partition", c)
-			}
-		}
-	}
-}
-
-func TestHyperedgeLevelContractsWholeNets(t *testing.T) {
-	// A hypergraph of disjoint triangles: hyperedge coarsening contracts
-	// each 3-pin net whole.
-	b := hypergraph.NewBuilder(1)
-	const groups = 30
-	for i := 0; i < 3*groups; i++ {
-		b.AddVertex(1)
-	}
-	for g := 0; g < groups; g++ {
-		// Heavier than the ring nets so the triangles contract first (the
-		// scheme visits nets heaviest-first, smaller-first on ties).
-		b.AddWeightedNet(2, 3*g, 3*g+1, 3*g+2)
-	}
-	// Join the triangles in a ring so nets survive contraction.
-	for g := 0; g < groups; g++ {
-		b.AddNet(3*g, (3*(g+1))%(3*groups))
-	}
-	p := partition.NewBipartition(b.MustBuild(), 0.2)
-	rng := rand.New(rand.NewPCG(8, 8))
-	coarse, clusterOf, ok := hyperedgeLevel(p, nil, 1<<40, 0.95, 50, false, 2, rng)
-	if !ok {
-		t.Fatal("hyperedge coarsening failed")
-	}
-	// Every triangle collapses to one cluster.
-	for g := 0; g < groups; g++ {
-		if clusterOf[3*g] != clusterOf[3*g+1] || clusterOf[3*g] != clusterOf[3*g+2] {
-			t.Fatalf("triangle %d not contracted whole", g)
-		}
-	}
-	if coarse.H.NumVertices() != groups {
-		t.Fatalf("coarse vertices = %d, want %d", coarse.H.NumVertices(), groups)
-	}
-}
-
-func TestHyperedgeLevelWeightCap(t *testing.T) {
-	b := hypergraph.NewBuilder(1)
-	for i := 0; i < 6; i++ {
-		b.AddVertex(10)
-	}
-	b.AddNet(0, 1, 2)
-	b.AddNet(3, 4)
-	b.AddNet(2, 3)
-	p := partition.NewBipartition(b.MustBuild(), 0.3)
-	rng := rand.New(rand.NewPCG(9, 9))
-	// Cap 20 allows the 2-pin net only.
-	_, clusterOf, ok := hyperedgeLevel(p, nil, 20, 0.99, 50, false, 1, rng)
-	if !ok {
-		t.Fatal("coarsening failed")
-	}
-	if clusterOf[0] == clusterOf[1] {
-		t.Error("over-cap triangle contracted")
-	}
-	if clusterOf[3] != clusterOf[4] {
-		t.Error("in-cap pair not contracted")
-	}
-}
-
-func TestModifiedHyperedgeContractsResiduals(t *testing.T) {
-	// Net A = {0,1}; net B = {1,2,3}. EC contracts A; MHEC additionally
-	// contracts B's unmatched pins {2,3}.
-	b := hypergraph.NewBuilder(1)
-	for i := 0; i < 4; i++ {
-		b.AddVertex(1)
-	}
-	b.AddWeightedNet(5, 0, 1) // heavier: contracted first
-	b.AddNet(1, 2, 3)
-	p := partition.NewBipartition(b.MustBuild(), 0.5)
-	rng := rand.New(rand.NewPCG(10, 10))
-	_, clusterOf, ok := hyperedgeLevel(p, nil, 1<<40, 0.99, 50, true, 1, rng)
-	if !ok {
-		t.Fatal("coarsening failed")
-	}
-	if clusterOf[0] != clusterOf[1] {
-		t.Error("heavy net not contracted")
-	}
-	if clusterOf[2] != clusterOf[3] {
-		t.Error("MHEC residual {2,3} not contracted")
-	}
-	if clusterOf[1] == clusterOf[2] {
-		t.Error("matched vertex re-contracted")
 	}
 }

@@ -31,12 +31,11 @@ func kwayMaxCluster(p *partition.Problem) int64 {
 // into a tree of independent 2-way cuts and cannot recover from early
 // bisection mistakes.
 //
-// The coarsest-level initial partition is the best of cfg.InitialTries
-// attempts, each a recursive bisection of the (small) coarsest problem
-// refined by k-way FM; attempts fall back to a random feasible assignment
-// when bisection cannot satisfy the masks, and the driver backs off toward
-// finer levels when heavy clusters leave no feasible start at the coarsest
-// one. Works for any 2 <= k <= partition.MaxParts, power of two or not.
+// The coarsest-level initial partition is the best of four attempts, each a
+// recursive bisection of the (small) coarsest problem refined by k-way FM;
+// attempts fall back to a random feasible assignment when bisection cannot
+// satisfy the masks, and the driver backs off toward finer levels when heavy
+// clusters leave no feasible start at the coarsest one. Works for any 2 <= k <= partition.MaxParts, power of two or not.
 func PartitionKWay(p *partition.Problem, cfg Config, rng *rand.Rand) (*Result, error) {
 	return partitionOne(p, cfg, true, rng)
 }

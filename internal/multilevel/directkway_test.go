@@ -80,7 +80,7 @@ func TestPartitionKWayHonorsFixedVertices(t *testing.T) {
 
 // TestPartitionKWayHonorsORMasks restricts a slice of vertices to a two-part
 // OR-region and checks the direct driver lands each inside its region at
-// every level of the V-cycle-free pipeline.
+// every level of the pipeline.
 func TestPartitionKWayHonorsORMasks(t *testing.T) {
 	for _, k := range directKs {
 		if k < 3 {
@@ -179,29 +179,6 @@ func TestDirectKWayNotWorseThanRB(t *testing.T) {
 				t.Errorf("direct k-way mean cut %.1f exceeds recursive bisection's %.1f", float64(sumDirect)/seeds, float64(sumRB)/seeds)
 			}
 		})
-	}
-}
-
-// TestVCycleKWay checks the generalized V-cycle accepts k-way problems and
-// never worsens a feasible solution.
-func TestVCycleKWay(t *testing.T) {
-	const k = 4
-	h := clusters(k, 60, 3)
-	p := partition.NewFree(h, k, 0.1)
-	rng := rand.New(rand.NewPCG(55, 55))
-	res, err := multilevel.PartitionKWay(p, multilevel.Config{}, rng)
-	if err != nil {
-		t.Fatalf("PartitionKWay: %v", err)
-	}
-	vres, err := multilevel.VCycle(p, res.Assignment, multilevel.Config{}, rng)
-	if err != nil {
-		t.Fatalf("VCycle k=%d: %v", k, err)
-	}
-	if err := p.Feasible(vres.Assignment); err != nil {
-		t.Fatalf("infeasible after V-cycle: %v", err)
-	}
-	if vres.Cut > res.Cut {
-		t.Errorf("V-cycle worsened cut: %d -> %d", res.Cut, vres.Cut)
 	}
 }
 

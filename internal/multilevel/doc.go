@@ -2,16 +2,17 @@
 // paper uses as its testbed engine: heavy-edge-matching coarsening that
 // respects fixed vertices, random feasible initial solutions at the coarsest
 // level, and FM refinement during uncoarsening (CLIP by default, no
-// V-cycling), plus recursive bisection and a direct k-way V-cycle for k > 2.
+// V-cycling), plus recursive bisection and a direct k-way driver for k > 2.
+// The coarsening parameters are the paper's, fixed as package constants.
 //
 // Solve is the one multistart entry point. Its Spec selects the number of
 // starts, 2-way or direct k-way descents, shared coarsening hierarchies with
-// cheap "follower" descents, adaptive patience and trailing V-cycles.
-// Partition, PartitionKWay, RecursiveBisect and VCycle run single starts;
-// BuildHierarchies and MultistartOnHierarchies split coarsening from
-// refinement for the hpartd hierarchy cache. Every descent — 2-way, k-way
-// and V-cycle — refines each level with the same step: synchronous rounds,
-// localized FM at the finest level, then the serial polish.
+// cheap "follower" descents, and adaptive patience. Partition,
+// PartitionKWay and RecursiveBisect run single starts; BuildHierarchies and
+// MultistartOnHierarchies split coarsening from refinement for the hpartd
+// hierarchy cache. Every descent — 2-way and k-way — refines each level
+// with the same step: synchronous rounds, localized FM at the finest level,
+// then the serial polish.
 //
 // # Concurrency
 //
@@ -21,9 +22,9 @@
 // LocalizedFMWorkers split their stage's scans over goroutines via
 // internal/par. Every entry point is safe to call from many goroutines at
 // once. A Hierarchy is immutable once built: any number of concurrent
-// descents — including descents under different refinement configurations
-// via WithRefinement, which shares the levels and rebinds only the config —
-// may read it simultaneously. This immutability is what lets the hpartd
+// descents — including descents under different refinement configurations,
+// which share the levels and rebind only the config — may read it
+// simultaneously. This immutability is what lets the hpartd
 // server cache hierarchies across concurrent requests.
 //
 // # Determinism

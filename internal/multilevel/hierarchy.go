@@ -18,12 +18,8 @@ import (
 // (PartitionKWay). It is immutable once built, so many refinement-only
 // descents — serial or concurrent — can share it; that is what Solve's
 // shared-hierarchy mode exploits to amortise coarsening (and its contraction
-// cost) over many starts.
-//
-// A Hierarchy is only sound to share between *starts of the same problem and
-// config*. It must not be reused for V-cycling: V-cycles re-coarsen
-// restricted to the current solution, so their stack depends on the very
-// assignment being refined.
+// cost) over many starts. A Hierarchy is only sound to share between starts
+// of the same problem.
 type Hierarchy struct {
 	levels []level
 	cfg    Config // effective config the hierarchy was built with
@@ -35,35 +31,6 @@ func (h *Hierarchy) Root() *partition.Problem { return h.levels[0].problem }
 
 // Levels returns the number of coarsening levels (0 = the hierarchy is flat).
 func (h *Hierarchy) Levels() int { return len(h.levels) - 1 }
-
-// Coarsest returns the coarsest problem of the stack.
-func (h *Hierarchy) Coarsest() *partition.Problem { return h.levels[len(h.levels)-1].problem }
-
-// BuildHierarchy runs the coarsening phase of Partition once and returns the
-// resulting hierarchy. Partition(p, cfg, rng) is exactly
-// BuildHierarchy(p, cfg, rng) followed by Descend(rng) on the same rng.
-func BuildHierarchy(p *partition.Problem, cfg Config, rng *rand.Rand) (*Hierarchy, error) {
-	if p.K != 2 {
-		return nil, fmt.Errorf("multilevel: BuildHierarchy requires k=2, got k=%d", p.K)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return coarsen(p, cfg.effective(), false, rng), nil
-}
-
-// Descend runs one full-refinement start over the hierarchy: initial
-// partitioning at the coarsest feasible level, then FM refinement at every
-// level on the way up. Each call consumes rng exactly as the corresponding
-// phase of Partition does.
-func (h *Hierarchy) Descend(rng *rand.Rand) (*Result, error) {
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	return h.descendWith(rng, false, sc)
-}
 
 // bipartitionMaxCluster caps cluster growth well below the part capacity so
 // the coarsest level retains enough granularity near the balance boundary.
@@ -83,37 +50,20 @@ func coarsen(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) *Hiera
 	if kway {
 		maxCluster = kwayMaxCluster(p)
 	}
-	h, _ := buildLevels(p, cfg, maxCluster, nil, rng)
-	h.kway = kway
-	return h
-}
-
-// buildLevels runs the coarsening loop on an already-validated problem and
-// effective config. A non-nil sol restricts every matching to vertices of
-// one part of sol (V-cycle coarsening); its projection onto the coarsest
-// level is returned alongside the hierarchy.
-func buildLevels(p *partition.Problem, cfg Config, maxCluster int64, sol partition.Assignment, rng *rand.Rand) (*Hierarchy, partition.Assignment) {
-	h := &Hierarchy{cfg: cfg}
+	h := &Hierarchy{cfg: cfg, kway: kway}
 	cfg.Stats.track(phaseCoarsen, func() {
 		h.levels = []level{{problem: p}}
-		for curr := p; len(h.levels) < cfg.MaxLevels && curr.MovableCount() > cfg.CoarsestSize; {
-			coarse, clusterOf, ok := coarsenLevel(cfg.Scheme, curr, sol, maxCluster, cfg.ClusteringRatio, cfg.HugeNetThreshold, cfg.CoarsenWorkers, rng)
+		for curr := p; len(h.levels) < maxLevels && curr.MovableCount() > coarsestSize; {
+			coarse, clusterOf, ok := matchLevel(curr, maxCluster, cfg.CoarsenWorkers, rng)
 			if !ok {
 				break
-			}
-			if sol != nil {
-				coarseSol := make(partition.Assignment, coarse.H.NumVertices())
-				for v, c := range clusterOf {
-					coarseSol[c] = sol[v]
-				}
-				sol = coarseSol
 			}
 			h.levels[len(h.levels)-1].clusterOf = clusterOf
 			h.levels = append(h.levels, level{problem: coarse})
 			curr = coarse
 		}
 	})
-	return h, sol
+	return h
 }
 
 // descendWith runs one refinement start over the hierarchy on a
@@ -122,7 +72,7 @@ func buildLevels(p *partition.Problem, cfg Config, maxCluster int64, sol partiti
 // (follower=false) refine with the full configured FM discipline and replay
 // Partition's and PartitionKWay's phases bit-identically; follower descents
 // — extra starts resampling a hierarchy another start owns — apply
-// cfg.FollowerPassFraction as a pass cutoff during uncoarsening refinement,
+// followerPassFraction as a pass cutoff during uncoarsening refinement,
 // trading a sliver of per-start quality for a large reduction in per-start
 // cost (the coarsest initial partitioning, where start diversity comes from,
 // stays at full strength).
@@ -130,7 +80,7 @@ func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (
 	cfg := h.cfg
 	r := refiner{cfg: cfg, polish: refineConfig(cfg), pairwise: h.kway && h.Root().K > 2, rng: rng, sc: sc}
 	if follower {
-		r.polish.MaxPassFraction = followerPassFraction(cfg)
+		r.polish.MaxPassFraction = followerCutoff(cfg)
 	}
 	initCfg := refineConfig(cfg)
 	initCfg.MaxPasses = 0
@@ -172,7 +122,7 @@ func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (
 	return newResult(h.Root(), a, cfg, len(h.levels)-1), nil
 }
 
-// initial returns the best of cfg.InitialTries refined starts on the level
+// initial returns the best of initialTries refined starts on the level
 // problem lp, or nil when it admits none. 2-way tries are random feasible
 // starts refined by 2-way FM and ranked by Score (at k = 2 every objective
 // coincides with the cut); k-way tries are recursive-bisection seeds
@@ -182,7 +132,7 @@ func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (
 func (h *Hierarchy) initial(lp *partition.Problem, initCfg fm.Config, rng *rand.Rand, sc *fm.Scratch) partition.Assignment {
 	var best partition.Assignment
 	var bestScore int64
-	for try := 0; try < h.cfg.InitialTries; try++ {
+	for try := 0; try < initialTries; try++ {
 		var a partition.Assignment
 		var score int64
 		if h.kway {
@@ -215,8 +165,8 @@ func refineConfig(cfg Config) fm.Config {
 	return fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, MaxPasses: cfg.RefineMaxPasses, Stats: kernelStats(cfg.Stats)}
 }
 
-// refiner is the one per-level refinement step every descent and V-cycle
-// runs, with what all the levels of one of them share.
+// refiner is the one per-level refinement step every descent runs, with
+// what all the levels of one descent share.
 type refiner struct {
 	cfg    Config
 	polish fm.Config // serial polish config before polishConfig's per-level cap
@@ -309,15 +259,14 @@ func polishConfig(fmCfg fm.Config, cfg Config, lvl int) fm.Config {
 	return fmCfg
 }
 
-// followerPassFraction resolves the pass cutoff for follower descents: the
-// configured FollowerPassFraction, unless the run-wide MaxPassFraction is
-// already an even stricter cutoff.
-func followerPassFraction(cfg Config) float64 {
-	f := cfg.FollowerPassFraction
-	if cfg.MaxPassFraction > 0 && cfg.MaxPassFraction < 1 && cfg.MaxPassFraction < f {
-		f = cfg.MaxPassFraction
+// followerCutoff resolves the pass cutoff for follower descents:
+// followerPassFraction, unless the run-wide MaxPassFraction is already an
+// even stricter cutoff.
+func followerCutoff(cfg Config) float64 {
+	if cfg.MaxPassFraction > 0 && cfg.MaxPassFraction < followerPassFraction {
+		return cfg.MaxPassFraction
 	}
-	return f
+	return followerPassFraction
 }
 
 // PhaseStats accumulates wall time per engine phase. Attach one to

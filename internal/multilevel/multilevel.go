@@ -8,10 +8,27 @@ import (
 	"repro/internal/partition"
 )
 
+// The paper's engine configuration, fixed: coarsening stops once at most
+// coarsestSize movable vertices remain, once a level fails to shrink the
+// vertex count to clusteringRatio of the finer one, or after maxLevels
+// levels; nets with more than hugeNetThreshold pins are ignored while scoring
+// matches (they carry almost no clustering signal and cost quadratic time);
+// the coarsest level takes the best of initialTries refined starts; and
+// follower descents (Spec.Hierarchies, MultistartOnHierarchies) refine under
+// the pass cutoff followerPassFraction. No other setting changes what
+// coarsening builds, so CoarseningFingerprint hashes the first four.
+const (
+	coarsestSize         = 120
+	clusteringRatio      = 0.9
+	maxLevels            = 40
+	hugeNetThreshold     = 50
+	initialTries         = 4
+	followerPassFraction = 0.10
+)
+
 // Config controls the multilevel partitioner. The zero value reproduces the
-// paper's engine configuration: CLIP refinement, no V-cycling, heavy-edge
-// matching with a 0.9 clustering-ratio stop, coarsest level around 120
-// movable vertices.
+// paper's engine configuration: CLIP refinement over the fixed heavy-edge
+// coarsening above, with no V-cycling.
 type Config struct {
 	// Policy is the FM refinement discipline. Because the zero Policy value
 	// is LIFO while the paper's engine default is CLIP, set it through
@@ -20,47 +37,20 @@ type Config struct {
 	Policy    fm.Policy
 	policySet bool
 	// Objective selects the metric the FM kernels score by and every driver
-	// selects on (multistart best-of, adaptive patience, V-cycle acceptance).
+	// selects on (multistart best-of, adaptive patience).
 	// The zero value, fm.ObjectiveCut, reproduces the historical engine bit
 	// for bit; fm.ObjectiveKM1 ranks candidates by connectivity-minus-one.
-	// Coarsening is objective-independent, so CoarseningFingerprint excludes
-	// this field and cached hierarchies may serve either objective.
+	// Coarsening is objective-independent, so cached hierarchies may serve
+	// either objective.
 	Objective fm.Objective
-	// Scheme selects the coarsening algorithm (default HeavyEdge, as in the
-	// paper's engine; Hyperedge and ModifiedHyperedge are the hMetis
-	// alternatives, compared in BenchmarkCoarseningAblation).
-	Scheme Scheme
-	// CoarsestSize stops coarsening once at most this many movable vertices
-	// remain (default 120).
-	CoarsestSize int
-	// ClusteringRatio is the minimum per-level shrink: a matching round must
-	// reduce the vertex count to at most this fraction or coarsening stops
-	// (default 0.9).
-	ClusteringRatio float64
-	// InitialTries is the number of random-start FM attempts at the coarsest
-	// level (default 4).
-	InitialTries int
 	// MaxPassFraction applies the paper's pass cutoff to every refinement FM
-	// run (0 or 1 disables).
+	// run (0 or 1 disables; values outside [0,1] are rejected).
 	MaxPassFraction float64
-	// MaxLevels bounds the coarsening stack depth (default 40).
-	MaxLevels int
 	// RefineMaxPasses bounds the FM passes per refinement run during
-	// uncoarsening (0 = run to convergence, the default). The
-	// coarsest-level initial partitioning always runs to convergence.
+	// uncoarsening (0 = run to convergence, the default; negative values
+	// are rejected). The coarsest-level initial partitioning always runs to
+	// convergence.
 	RefineMaxPasses int
-	// HugeNetThreshold: nets with more pins than this are ignored while
-	// scoring coarsening matches — they carry almost no clustering signal
-	// and cost quadratic time (default 50). Negative values are rejected.
-	HugeNetThreshold int
-	// FollowerPassFraction is the pass cutoff (the paper's Table III
-	// mechanism) applied to the uncoarsening refinement of *follower* starts
-	// (Spec.Hierarchies, MultistartOnHierarchies) — starts that resample a
-	// hierarchy already built and fully refined by its owner start (default
-	// 0.10; set to 1 to give followers full refinement). It never affects
-	// owner starts, so Solve with Hierarchies == Starts reproduces the
-	// unshared run exactly.
-	FollowerPassFraction float64
 	// Workers bounds the pool of goroutines that Solve and
 	// MultistartOnHierarchies run independent starts on (<= 0 means
 	// runtime.GOMAXPROCS; 1 runs every start serially on the calling
@@ -73,11 +63,10 @@ type Config struct {
 	// goroutine). Like Workers it never affects results — matching is
 	// propose/resolve with deterministic conflict resolution and contraction
 	// merges shards in net order, so hierarchies, cuts and fingerprints are
-	// bit-identical for every value — which is why CoarseningFingerprint
-	// deliberately excludes it.
+	// bit-identical for every value.
 	CoarsenWorkers int
 	// RefineWorkers enables the deterministic synchronous-round parallel
-	// refinement stage (fm.ParallelRefine) during uncoarsening: at every
+	// refinement stage (fm.Level.Rounds) during uncoarsening: at every
 	// level the stage runs before the serial FM polish, and at coarse levels
 	// the polish is capped to a single pass (the rounds replace its repeated
 	// passes; the finest level keeps the full configured polish). <= 0
@@ -87,12 +76,10 @@ type Config struct {
 	// deterministic commit order; worker chunks only split the scans), but
 	// enabling the stage does change results relative to serial-only: the
 	// rounds commit their own move sequence and draw one RNG value per
-	// refined level. Like CoarsenWorkers it is excluded from
-	// CoarseningFingerprint — coarsening never depends on it, so cached
-	// hierarchies serve every value.
+	// refined level.
 	RefineWorkers int
 	// LocalizedFMWorkers enables the deterministic localized parallel FM
-	// stage (fm.LocalizedRefine) at the finest level of every descent:
+	// stage (fm.Level.Localized) at the finest level of every descent:
 	// bounded FM searches seeded from boundary vertices run on this many
 	// workers and replace the full-budget serial polish there, which drops to
 	// a single-pass serial tail. <= 0 disables the stage — the finest level
@@ -102,13 +89,10 @@ type Config struct {
 	// index; the work queue only balances load), but enabling the stage does
 	// change results relative to off: the searches commit their own move
 	// sequence and draw one RNG value at the finest level of each descent.
-	// Like CoarsenWorkers and RefineWorkers it is excluded from
-	// CoarseningFingerprint — coarsening never depends on it, so cached
-	// hierarchies serve every value.
 	LocalizedFMWorkers int
 	// Stats, when non-nil, accumulates per-phase wall time (coarsen /
 	// initial partitioning / the three refinement stages) and the FM
-	// kernel's work counters over every descent and V-cycle run with this
+	// kernel's work counters over every descent run with this
 	// config, on the 2-way and the direct k-way path alike. Counters are
 	// updated atomically, so concurrent runs may share one PhaseStats.
 	Stats *PhaseStats
@@ -124,31 +108,16 @@ func (c Config) effective() Config {
 	if !c.policySet {
 		c.Policy = fm.CLIP
 	}
-	if c.CoarsestSize <= 0 {
-		c.CoarsestSize = 120
-	}
-	if c.ClusteringRatio <= 0 || c.ClusteringRatio >= 1 {
-		c.ClusteringRatio = 0.9
-	}
-	if c.InitialTries <= 0 {
-		c.InitialTries = 4
-	}
-	if c.MaxLevels <= 0 {
-		c.MaxLevels = 40
-	}
-	if c.HugeNetThreshold == 0 {
-		c.HugeNetThreshold = 50
-	}
-	if c.FollowerPassFraction <= 0 {
-		c.FollowerPassFraction = 0.10
-	}
 	return c
 }
 
-// validate rejects config values that effective() cannot default away.
+// validate rejects config values no descent can honour, naming the field.
 func (c Config) validate() error {
-	if c.HugeNetThreshold < 0 {
-		return fmt.Errorf("multilevel: HugeNetThreshold must be non-negative, got %d", c.HugeNetThreshold)
+	if c.MaxPassFraction < 0 || c.MaxPassFraction > 1 {
+		return fmt.Errorf("multilevel: MaxPassFraction %v outside [0,1]", c.MaxPassFraction)
+	}
+	if c.RefineMaxPasses < 0 {
+		return fmt.Errorf("multilevel: RefineMaxPasses must be non-negative, got %d", c.RefineMaxPasses)
 	}
 	return nil
 }
@@ -208,8 +177,8 @@ func newResult(p *partition.Problem, a partition.Assignment, cfg Config, levels 
 }
 
 // Partition runs one start of the multilevel FM partitioner on the 2-way
-// problem p: one coarsening descent (BuildHierarchy) followed by one
-// full-refinement descent over it.
+// problem p: one coarsening descent followed by one full-refinement descent
+// over the hierarchy it built.
 func Partition(p *partition.Problem, cfg Config, rng *rand.Rand) (*Result, error) {
 	if p.K != 2 {
 		return nil, fmt.Errorf("multilevel: Partition requires k=2, got k=%d (use RecursiveBisect)", p.K)
@@ -229,18 +198,6 @@ func partitionOne(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) (
 	sc := fm.GetScratch()
 	defer fm.PutScratch(sc)
 	return coarsen(p, cfg.effective(), kway, rng).descendWith(rng, false, sc)
-}
-
-// coarsenLevel dispatches one coarsening round to the configured scheme.
-func coarsenLevel(s Scheme, p *partition.Problem, part partition.Assignment, maxCluster int64, minShrink float64, hugeNet, workers int, rng *rand.Rand) (*partition.Problem, []int32, bool) {
-	switch s {
-	case Hyperedge:
-		return hyperedgeLevel(p, part, maxCluster, minShrink, hugeNet, false, workers, rng)
-	case ModifiedHyperedge:
-		return hyperedgeLevel(p, part, maxCluster, minShrink, hugeNet, true, workers, rng)
-	default:
-		return matchLevel(p, part, maxCluster, minShrink, hugeNet, workers, rng)
-	}
 }
 
 func project(coarse partition.Assignment, clusterOf []int32) partition.Assignment {

@@ -1,7 +1,9 @@
 package multilevel_test
 
 import (
+	"context"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +168,65 @@ func TestPartitionErrors(t *testing.T) {
 	}
 }
 
+// TestConfigValidation checks that every entry point rejects an
+// out-of-range pass cutoff or pass bound with an error naming the field,
+// rather than failing later as if the instance were overconstrained or
+// silently running to convergence.
+func TestConfigValidation(t *testing.T) {
+	h := clusters(2, 200, 4)
+	p := partition.NewBipartition(h, 0.05)
+	hiers, err := multilevel.BuildHierarchies(context.Background(), p, multilevel.Config{}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []struct {
+		name string
+		run  func(cfg multilevel.Config) error
+	}{
+		{"Partition", func(cfg multilevel.Config) error {
+			_, err := multilevel.Partition(p, cfg, rand.New(rand.NewPCG(1, 1)))
+			return err
+		}},
+		{"PartitionKWay", func(cfg multilevel.Config) error {
+			_, err := multilevel.PartitionKWay(p, cfg, rand.New(rand.NewPCG(1, 1)))
+			return err
+		}},
+		{"Solve", func(cfg multilevel.Config) error {
+			_, err := multilevel.Solve(context.Background(), p, cfg, multilevel.Spec{Starts: 2}, rand.New(rand.NewPCG(1, 1)))
+			return err
+		}},
+		{"BuildHierarchies", func(cfg multilevel.Config) error {
+			_, err := multilevel.BuildHierarchies(context.Background(), p, cfg, 1, 1)
+			return err
+		}},
+		{"MultistartOnHierarchies", func(cfg multilevel.Config) error {
+			_, err := multilevel.MultistartOnHierarchies(context.Background(), hiers, cfg, 2, 1)
+			return err
+		}},
+	}
+	bad := []struct {
+		field string
+		cfg   multilevel.Config
+	}{
+		{"MaxPassFraction", multilevel.Config{MaxPassFraction: -0.5}},
+		{"MaxPassFraction", multilevel.Config{MaxPassFraction: 1.5}},
+		{"RefineMaxPasses", multilevel.Config{RefineMaxPasses: -1}},
+	}
+	for _, e := range entries {
+		for _, b := range bad {
+			err := e.run(b.cfg)
+			if err == nil || !strings.Contains(err.Error(), b.field) {
+				t.Errorf("%s with %+v: error %v, want one naming %s", e.name, b.cfg, err, b.field)
+			}
+		}
+		for _, ok := range []multilevel.Config{{MaxPassFraction: 0}, {MaxPassFraction: 1}, {MaxPassFraction: 0.3, RefineMaxPasses: 2}} {
+			if err := e.run(ok); err != nil {
+				t.Errorf("%s with %+v: %v", e.name, ok, err)
+			}
+		}
+	}
+}
+
 func TestRecursiveBisectFourClusters(t *testing.T) {
 	h := clusters(4, 150, 3)
 	p := partition.NewFree(h, 4, 0.05)
@@ -302,62 +363,5 @@ func TestAdaptiveMultistart(t *testing.T) {
 	}
 	if res2.Starts < 3 || res2.Starts > 16 {
 		t.Errorf("default Starts = %d", res2.Starts)
-	}
-}
-
-func TestCoarseningSchemes(t *testing.T) {
-	h := clusters(2, 400, 6)
-	for _, scheme := range []multilevel.Scheme{multilevel.HeavyEdge, multilevel.Hyperedge, multilevel.ModifiedHyperedge} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			p := partition.NewBipartition(h, 0.02)
-			rng := rand.New(rand.NewPCG(41, uint64(scheme)))
-			res, err := multilevel.Partition(p, multilevel.Config{Scheme: scheme}, rng)
-			if err != nil {
-				t.Fatalf("Partition: %v", err)
-			}
-			if err := p.Feasible(res.Assignment); err != nil {
-				t.Fatalf("infeasible: %v", err)
-			}
-			if res.Levels == 0 {
-				t.Errorf("no coarsening happened under %v", scheme)
-			}
-			if res.Cut > 30 {
-				t.Errorf("%v: cut = %d, want near 6", scheme, res.Cut)
-			}
-		})
-	}
-}
-
-func TestCoarseningSchemesRespectFixed(t *testing.T) {
-	h := clusters(2, 300, 4)
-	for _, scheme := range []multilevel.Scheme{multilevel.Hyperedge, multilevel.ModifiedHyperedge} {
-		p := partition.NewBipartition(h, 0.05)
-		rng := rand.New(rand.NewPCG(43, uint64(scheme)))
-		fixed := map[int]int{}
-		for _, v := range rng.Perm(h.NumVertices())[:60] {
-			part := rng.IntN(2)
-			p.Fix(v, part)
-			fixed[v] = part
-		}
-		res, err := multilevel.Partition(p, multilevel.Config{Scheme: scheme}, rng)
-		if err != nil {
-			t.Fatalf("%v: %v", scheme, err)
-		}
-		for v, part := range fixed {
-			if int(res.Assignment[v]) != part {
-				t.Errorf("%v: fixed vertex %d moved", scheme, v)
-			}
-		}
-	}
-}
-
-func TestSchemeString(t *testing.T) {
-	if multilevel.HeavyEdge.String() != "heavy-edge" ||
-		multilevel.Hyperedge.String() != "hyperedge" ||
-		multilevel.ModifiedHyperedge.String() != "modified-hyperedge" {
-		t.Error("Scheme strings wrong")
-	}
-	if multilevel.Scheme(9).String() == "" {
-		t.Error("unknown scheme should format")
 	}
 }

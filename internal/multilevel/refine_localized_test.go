@@ -11,7 +11,7 @@ import (
 
 // TestLocalizedFMGoldenEquivalence is the determinism contract of the
 // localized FM stage at the driver level: for workers in {2, 4, 8} every
-// driver — 2-way Partition, direct k-way, V-cycle and shared multistart —
+// driver — 2-way Partition, direct k-way and shared multistart —
 // must return a result bit-identical to LocalizedFMWorkers=1 (the searches
 // serialised onto the calling goroutine), on free and fixed-terminals
 // instances. Run under -race in CI, which also exercises the concurrent
@@ -22,7 +22,7 @@ func TestLocalizedFMGoldenEquivalence(t *testing.T) {
 	p4 := partition.NewFree(p2free.H, 4, 0.1)
 
 	type runs struct {
-		part, kway, vcyc, shared *multilevel.Result
+		part, kway, shared *multilevel.Result
 	}
 	run := func(workers int) runs {
 		var r runs
@@ -33,13 +33,6 @@ func TestLocalizedFMGoldenEquivalence(t *testing.T) {
 		}
 		if r.kway, err = multilevel.PartitionKWay(p4, cfg, rand.New(rand.NewPCG(5, 6))); err != nil {
 			t.Fatalf("workers=%d: PartitionKWay: %v", workers, err)
-		}
-		base, err := multilevel.Partition(p2, multilevel.Config{}, rand.New(rand.NewPCG(7, 8)))
-		if err != nil {
-			t.Fatalf("workers=%d: VCycle base: %v", workers, err)
-		}
-		if r.vcyc, err = multilevel.VCycle(p2, base.Assignment, cfg, rand.New(rand.NewPCG(9, 10))); err != nil {
-			t.Fatalf("workers=%d: VCycle: %v", workers, err)
 		}
 		if r.shared, err = solve(p2, cfg, multilevel.Spec{Starts: 4, Hierarchies: 2}, rand.New(rand.NewPCG(11, 12))); err != nil {
 			t.Fatalf("workers=%d: shared Solve: %v", workers, err)
@@ -52,7 +45,6 @@ func TestLocalizedFMGoldenEquivalence(t *testing.T) {
 		got := run(workers)
 		sameResult(t, "partition", want.part, got.part)
 		sameResult(t, "kway", want.kway, got.kway)
-		sameResult(t, "vcycle", want.vcyc, got.vcyc)
 		sameResult(t, "shared", want.shared, got.shared)
 	}
 }
@@ -117,19 +109,6 @@ func TestLocalizedFMDifferentialQuality(t *testing.T) {
 		if float64(locKM1) > 1.02*float64(baseKM1) {
 			t.Errorf("objective=%s: mean km1 with localized FM %.1f exceeds baseline %.1f by more than 2%%",
 				obj, float64(locKM1)/float64(trial), float64(baseKM1)/float64(trial))
-		}
-	}
-}
-
-// TestLocalizedFMFingerprintUnchanged pins the cache-compatibility rule: the
-// localized stage runs strictly after coarsening, so LocalizedFMWorkers must
-// not move CoarseningFingerprint — hpartd's hierarchy cache serves every
-// value with the same entries.
-func TestLocalizedFMFingerprintUnchanged(t *testing.T) {
-	base := multilevel.Config{}.CoarseningFingerprint()
-	for _, workers := range []int{1, 2, 8, 64} {
-		if got := (multilevel.Config{LocalizedFMWorkers: workers}).CoarseningFingerprint(); got != base {
-			t.Errorf("LocalizedFMWorkers=%d moved CoarseningFingerprint: %x vs %x", workers, got, base)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // TestRefineWorkersGoldenEquivalence is the determinism contract of the
 // synchronous-round parallel refinement stage at the driver level: for
-// workers in {2, 4, 8} every driver — 2-way Partition, direct k-way, V-cycle
-// and shared multistart — must return a result bit-identical to workers=1
+// workers in {2, 4, 8} every driver — 2-way Partition, direct k-way and
+// shared multistart — must return a result bit-identical to workers=1
 // (the stage serialised onto the calling goroutine), on free and
 // fixed-terminals instances. Run under -race in CI, which also exercises the
 // concurrent gain-table build, propose and stale-row refresh phases.
@@ -22,7 +22,7 @@ func TestRefineWorkersGoldenEquivalence(t *testing.T) {
 	p4 := partition.NewFree(p2free.H, 4, 0.1)
 
 	type runs struct {
-		part, kway, vcyc, shared *multilevel.Result
+		part, kway, shared *multilevel.Result
 	}
 	run := func(workers int) runs {
 		var r runs
@@ -33,13 +33,6 @@ func TestRefineWorkersGoldenEquivalence(t *testing.T) {
 		}
 		if r.kway, err = multilevel.PartitionKWay(p4, cfg, rand.New(rand.NewPCG(5, 6))); err != nil {
 			t.Fatalf("workers=%d: PartitionKWay: %v", workers, err)
-		}
-		base, err := multilevel.Partition(p2, multilevel.Config{}, rand.New(rand.NewPCG(7, 8)))
-		if err != nil {
-			t.Fatalf("workers=%d: VCycle base: %v", workers, err)
-		}
-		if r.vcyc, err = multilevel.VCycle(p2, base.Assignment, cfg, rand.New(rand.NewPCG(9, 10))); err != nil {
-			t.Fatalf("workers=%d: VCycle: %v", workers, err)
 		}
 		if r.shared, err = solve(p2, cfg, multilevel.Spec{Starts: 4, Hierarchies: 2}, rand.New(rand.NewPCG(11, 12))); err != nil {
 			t.Fatalf("workers=%d: shared Solve: %v", workers, err)
@@ -52,7 +45,6 @@ func TestRefineWorkersGoldenEquivalence(t *testing.T) {
 		got := run(workers)
 		sameResult(t, "partition", want.part, got.part)
 		sameResult(t, "kway", want.kway, got.kway)
-		sameResult(t, "vcycle", want.vcyc, got.vcyc)
 		sameResult(t, "shared", want.shared, got.shared)
 	}
 }
@@ -117,19 +109,6 @@ func TestRefineWorkersDifferentialQuality(t *testing.T) {
 		if float64(parKM1) > 1.02*float64(serialKM1) {
 			t.Errorf("objective=%s: mean km1 with rounds %.1f exceeds serial-only %.1f by more than 2%%",
 				obj, float64(parKM1)/float64(trial), float64(serialKM1)/float64(trial))
-		}
-	}
-}
-
-// TestRefineWorkersFingerprintUnchanged pins the cache-compatibility rule:
-// the round stage runs strictly after coarsening, so RefineWorkers must not
-// move CoarseningFingerprint — hpartd's hierarchy cache serves every value
-// with the same entries.
-func TestRefineWorkersFingerprintUnchanged(t *testing.T) {
-	base := multilevel.Config{}.CoarseningFingerprint()
-	for _, workers := range []int{1, 2, 8, 64} {
-		if got := (multilevel.Config{RefineWorkers: workers}).CoarseningFingerprint(); got != base {
-			t.Errorf("RefineWorkers=%d moved CoarseningFingerprint: %x vs %x", workers, got, base)
 		}
 	}
 }

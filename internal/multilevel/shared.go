@@ -47,41 +47,25 @@ func BuildHierarchies(ctx context.Context, p *partition.Problem, cfg Config, n i
 	return hiers, nil
 }
 
-// WithRefinement returns a Hierarchy that shares h's (immutable) coarsening
-// stack but descends with cfg's refinement-phase settings — policy, pass
-// cutoffs, initial tries, follower pass fraction and the stats sink — after
-// the usual defaulting. This is how cached hierarchies serve requests whose
-// refinement configuration differs from the one the hierarchy was built
-// under: only the coarsening-phase fields (see CoarseningFingerprint) must
-// match the build for reuse to be sound.
-func (h *Hierarchy) WithRefinement(cfg Config) *Hierarchy {
+// withRefinement returns a Hierarchy that shares h's (immutable) coarsening
+// stack but descends with cfg's refinement settings — policy, objective,
+// pass cutoffs, worker counts and the stats sink. Coarsening reads no Config
+// field that changes its result, so a cached hierarchy serves any request.
+func (h *Hierarchy) withRefinement(cfg Config) *Hierarchy {
 	return &Hierarchy{levels: h.levels, cfg: cfg.effective(), kway: h.kway}
 }
 
-// CoarseningFingerprint returns a stable hash of the configuration fields
-// that influence hierarchy construction — scheme, coarsest size, clustering
-// ratio, level bound and huge-net threshold — after defaulting. Two configs
-// with equal fingerprints build identical hierarchies from the same problem
-// and seed, so a hierarchy cache may serve either with the other's entries;
-// refinement-phase fields (policy, cutoffs, tries, stats) are deliberately
-// excluded because WithRefinement rebinds them per descent. CoarsenWorkers
-// is excluded too: it only splits the matching and contraction scans over
-// goroutines and never changes the hierarchy, so caches stay shareable
-// across clients asking for different worker counts — and RefineWorkers
-// and LocalizedFMWorkers with it, since the parallel refinement stages run
-// strictly after coarsening and never influence hierarchy construction.
-// Objective is likewise excluded — coarsening is objective-independent
-// (matching and contraction never consult the metric), so a hierarchy built
-// once may serve both cut and km1 descents; any objective separation a cache wants (hpartd keys on
-// it conservatively) belongs in the cache key, not here.
-func (c Config) CoarseningFingerprint() uint64 {
-	eff := c.effective()
+// CoarseningFingerprint returns a stable hash of the constants that shape
+// every hierarchy: the coarsest size, the level bound, the huge-net
+// threshold and the clustering ratio. A hierarchy cache folds it into its
+// keys, so changing any of them retires every cached entry.
+func CoarseningFingerprint() uint64 {
 	return hypergraph.NewFingerprint().
-		Word(uint64(eff.Scheme)).
-		Word(uint64(eff.CoarsestSize)).
-		Word(uint64(eff.MaxLevels)).
-		Word(uint64(eff.HugeNetThreshold)).
-		Word(uint64(int64(eff.ClusteringRatio * 1e9))).
+		Word(0). // the former heavy-edge scheme id, kept so cache keys and build seeds do not move
+		Word(coarsestSize).
+		Word(maxLevels).
+		Word(hugeNetThreshold).
+		Word(uint64(int64(clusteringRatio * 1e9))).
 		Sum()
 }
 
@@ -90,7 +74,7 @@ func (c Config) CoarseningFingerprint() uint64 {
 // from the cache and no request pays for coarsening. Start i descends
 // hierarchy i % len(hiers) on rand.NewPCG(baseSeed, i); the first
 // len(hiers) starts refine at full strength (owner discipline), later
-// starts apply cfg.FollowerPassFraction exactly as Solve's shared-hierarchy
+// starts apply the follower pass cutoff exactly as Solve's shared-hierarchy
 // followers do. The outcome is a pure function of (hiers, cfg, starts,
 // baseSeed) for any worker count; under cancellation Solve's
 // best-of-completed-prefix contract applies. Hierarchies are immutable, so
@@ -104,7 +88,7 @@ func MultistartOnHierarchies(ctx context.Context, hiers []*Hierarchy, cfg Config
 	}
 	bound := make([]*Hierarchy, len(hiers))
 	for j, hier := range hiers {
-		bound[j] = hier.WithRefinement(cfg)
+		bound[j] = hier.withRefinement(cfg)
 	}
 	s := newScheduler(ctx, cfg.Workers, 0, starts)
 	defer s.release()

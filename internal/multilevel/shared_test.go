@@ -42,10 +42,7 @@ func TestBuildHierarchyDescendMatchesPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(3, 7))
-	h, err := multilevel.BuildHierarchy(p, multilevel.Config{}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := multilevel.BuildHierarchy(p, multilevel.Config{}, rng)
 	got, err := h.Descend(rng)
 	if err != nil {
 		t.Fatal(err)
@@ -141,33 +138,6 @@ func TestSharedMultistartWork(t *testing.T) {
 	if float64(sharedCut) > 1.02*float64(unsharedCut) {
 		t.Errorf("shared mean best cut %.1f more than 2%% above unshared %.1f",
 			float64(sharedCut)/seeds, float64(unsharedCut)/seeds)
-	}
-}
-
-// TestHugeNetThresholdConfig covers the new Config field: negative values are
-// rejected by every driver entry point, and sweeping the threshold changes
-// coarsening (tiny thresholds leave nothing to score, so the engine still
-// works, just flatter).
-func TestHugeNetThresholdConfig(t *testing.T) {
-	p := presetProblem(t, "IBM01S", 0.05, 0)
-	bad := multilevel.Config{HugeNetThreshold: -1}
-	if _, err := multilevel.Partition(p, bad, rand.New(rand.NewPCG(1, 1))); err == nil {
-		t.Error("Partition accepted negative HugeNetThreshold")
-	}
-	if _, err := solve(p, bad, multilevel.Spec{Starts: 2, Hierarchies: 1}, rand.New(rand.NewPCG(1, 1))); err == nil {
-		t.Error("shared Solve accepted negative HugeNetThreshold")
-	}
-	if _, err := multilevel.BuildHierarchy(p, bad, rand.New(rand.NewPCG(1, 1))); err == nil {
-		t.Error("BuildHierarchy accepted negative HugeNetThreshold")
-	}
-	for _, thr := range []int{1, 3, 50} {
-		res, err := multilevel.Partition(p, multilevel.Config{HugeNetThreshold: thr}, rand.New(rand.NewPCG(2, 2)))
-		if err != nil {
-			t.Fatalf("threshold %d: %v", thr, err)
-		}
-		if res.Cut < 0 {
-			t.Fatalf("threshold %d: negative cut", thr)
-		}
 	}
 }
 

@@ -23,9 +23,8 @@ type Spec struct {
 	// 0..Hierarchies-1 are owners that each build a hierarchy and refine it
 	// at full strength, exactly as an unshared start does; every later start
 	// i is a follower that resamples hierarchy i % Hierarchies with a fresh
-	// coarsest-level initial partitioning and a pass-cutoff refinement
-	// (Config.FollowerPassFraction). Coarsening cost is amortised
-	// Hierarchies/Starts-fold. Any other value gives every start its own
+	// coarsest-level initial partitioning and a refinement under a 10% pass
+	// cutoff. Coarsening cost is amortised Hierarchies/Starts-fold. Any other value gives every start its own
 	// hierarchy, so Hierarchies == Starts reproduces the unshared run.
 	Hierarchies int
 	// Patience, when >= 1, stops the run once that many consecutive starts
@@ -35,9 +34,6 @@ type Spec struct {
 	// fixed-terminals regime the run stops after the minimum patience
 	// window, on free instances it keeps paying for improvements.
 	Patience int
-	// VCycles follows every start with up to this many V-cycles (VCycle) on
-	// the start's RNG, stopping early when a cycle fails to improve.
-	VCycles int
 }
 
 // Solve is the multistart multilevel partitioner: it runs spec.Starts
@@ -75,12 +71,6 @@ func Solve(ctx context.Context, p *partition.Problem, cfg Config, spec Spec, rng
 	if owners < s.requested {
 		hiers = make([]*Hierarchy, owners)
 	}
-	finish := func(res *Result, err error, r *rand.Rand) (*Result, error) {
-		if err != nil || spec.VCycles < 1 {
-			return res, err
-		}
-		return vcycles(p, res, cfg, spec.VCycles, r)
-	}
 	// Owner start j builds hierarchy j and descends on the same RNG: the
 	// exact Partition (or PartitionKWay) sequence.
 	s.run(owners, func(j int, sc *fm.Scratch) (*Result, error) {
@@ -89,14 +79,11 @@ func Solve(ctx context.Context, p *partition.Problem, cfg Config, spec Spec, rng
 		if hiers != nil {
 			hiers[j] = h
 		}
-		res, err := h.descendWith(r, false, sc)
-		return finish(res, err, r)
+		return h.descendWith(r, false, sc)
 	})
 	// Followers fan out over the completed, immutable hierarchies.
 	s.run(s.requested, func(i int, sc *fm.Scratch) (*Result, error) {
-		r := startRNG(baseSeed, i)
-		res, err := hiers[i%owners].descendWith(r, true, sc)
-		return finish(res, err, r)
+		return hiers[i%owners].descendWith(startRNG(baseSeed, i), true, sc)
 	})
 	return s.result()
 }

@@ -49,21 +49,12 @@ func goldenKWayProblem(t *testing.T) *partition.Problem {
 // TestSolveGoldens pins every multistart and descent shape to the exact
 // results the engine produced before its drivers were folded into Solve:
 // plain, adaptive and shared 2-way multistart, direct k-way km1 with fixed
-// vertices, the hierarchy-cache warm path and single V-cycles at k = 2 and
-// k = 4. Each shape runs at Workers 1 and 4, with the round and localized
+// vertices and the hierarchy-cache warm path. Each shape runs at Workers 1 and 4, with the round and localized
 // refinement stages off and on; the worker count must never move a value.
 func TestSolveGoldens(t *testing.T) {
 	p2 := presetProblem(t, "IBM01S", 0.05, 0.2)
 	p4 := goldenKWayProblem(t)
 	km1 := func(cfg multilevel.Config) multilevel.Config { cfg.Objective = fm.ObjectiveKM1; return cfg }
-	vcycle := func(p *partition.Problem, cfg multilevel.Config, seed uint64) (*multilevel.Result, error) {
-		rng := rand.New(rand.NewPCG(seed, 3))
-		a, err := partition.RandomFeasible(p, rng)
-		if err != nil {
-			return nil, err
-		}
-		return multilevel.VCycle(p, a, cfg, rng)
-	}
 	shapes := []struct {
 		name string
 		run  func(cfg multilevel.Config) (*multilevel.Result, error)
@@ -89,12 +80,6 @@ func TestSolveGoldens(t *testing.T) {
 			}
 			return multilevel.MultistartOnHierarchies(context.Background(), hiers, cfg, 5, 16)
 		}, [2]solveGolden{{208, 208, 5, 0x3fd35082da3e64ce}, {211, 211, 5, 0x3a3930eb3c00d671}}},
-		{"vcycle-k2", func(cfg multilevel.Config) (*multilevel.Result, error) {
-			return vcycle(p2, cfg, 17)
-		}, [2]solveGolden{{207, 207, 1, 0x2673017387dcd80a}, {219, 219, 1, 0x1e56fa454a3c222f}}},
-		{"vcycle-k4", func(cfg multilevel.Config) (*multilevel.Result, error) {
-			return vcycle(p4, km1(cfg), 18)
-		}, [2]solveGolden{{376, 469, 1, 0x7c98b78b2ee69410}, {328, 376, 1, 0xe8854735594a19cd}}},
 	}
 	for _, sh := range shapes {
 		for stages := 0; stages < 2; stages++ {

@@ -104,6 +104,11 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 	dispatched := 0
 feed:
 	for i := 0; i < n; i++ {
+		// select picks at random among ready cases, so a done context must
+		// be checked first or an idle worker could still take the index.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case idx <- i:
 			dispatched++

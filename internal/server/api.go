@@ -362,15 +362,14 @@ func (e errTooLarge) Error() string { return e.msg }
 // netlist, so warm requests skip generation entirely; prob may be nil in
 // that case. The per-key hierarchy build seed is derived from the key
 // itself, keeping hierarchy construction a pure function of the key.
-// coarsen_workers is deliberately absent: it never changes the hierarchies
-// (CoarseningFingerprint excludes it for the same reason), so entries built
-// at any worker count serve every request. refine_workers and
-// localized_fm_workers are absent for the same reason — the round and
+// coarsen_workers is deliberately absent: it never changes the hierarchies,
+// so entries built at any worker count serve every request. refine_workers
+// and localized_fm_workers are absent for the same reason — the round and
 // localized stages run strictly after coarsening, so cached hierarchies
 // serve every value, stage off included. The objective IS in the key,
-// conservatively: coarsening never consults it (CoarseningFingerprint
-// excludes it), but separating cut and km1 entries keeps every cached
-// answer trivially attributable to one objective's request stream.
+// conservatively: coarsening never consults it, but separating cut and km1
+// entries keeps every cached answer trivially attributable to one
+// objective's request stream.
 //
 // The two branches hash different things on purpose. For uploads the key is
 // Problem.Fingerprint() — the instance as *built*, covering the netlist, k,
@@ -385,7 +384,7 @@ func (r Request) cacheKey(prob *partition.Problem) string {
 	f := hypergraph.NewFingerprint().
 		Word(uint64(r.Hierarchies)).
 		Word(uint64(obj)).
-		Word(multilevel.Config{}.CoarseningFingerprint())
+		Word(multilevel.CoarseningFingerprint())
 	if r.Preset != nil {
 		f = f.Word(uint64(r.K)).
 			Word(uint64(int64(r.Tolerance * 1e9))).

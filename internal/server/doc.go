@@ -13,7 +13,7 @@
 //   - Hierarchy cache. Coarsening hierarchies are cached under a key that is
 //     a pure function of the instance (partition.Problem.Fingerprint, or the
 //     preset parameters before generation), the coarsening-relevant config
-//     (multilevel.Config.CoarseningFingerprint) and the hierarchy count.
+//     (multilevel.CoarseningFingerprint) and the hierarchy count.
 //     Repeated requests against the same netlist skip generation/parsing and
 //     coarsening entirely and run refinement-only descents
 //     (multilevel.MultistartOnHierarchies). Hierarchies are immutable, so

@@ -1,49 +1,12 @@
-// Package stats provides the small numeric summaries and text-table
+// Package stats provides the small numeric helpers and text-table
 // rendering used by the experiment harness.
 package stats
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N    int
-	Mean float64
-	Std  float64
-	Min  float64
-	Max  float64
-}
-
-// Summarize computes a Summary of xs (population standard deviation).
-// An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = math.Inf(1), math.Inf(-1)
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.Std = math.Sqrt(ss / float64(s.N))
-	return s
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 { return Summarize(xs).Mean }
 
 // MinInt64 returns the minimum of xs; it panics on empty input.
 func MinInt64(xs []int64) int64 {

@@ -2,35 +2,11 @@ package stats_test
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/stats"
 )
-
-func TestSummarize(t *testing.T) {
-	s := stats.Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 {
-		t.Errorf("N=%d Mean=%v", s.N, s.Mean)
-	}
-	if math.Abs(s.Std-2) > 1e-12 {
-		t.Errorf("Std = %v, want 2", s.Std)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := stats.Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.Std != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-	if stats.Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-}
 
 func TestMinInt64(t *testing.T) {
 	if got := stats.MinInt64([]int64{5, -2, 9}); got != -2 {
