@@ -35,9 +35,9 @@
 //
 // With the ml engine, independent starts run on -workers goroutines
 // (0 = GOMAXPROCS); the result is identical for every worker count.
-// -coarsen-workers parallelizes the inside of each coarsening descent —
-// heavy-edge matching and contraction — on top of that (default 1, serial;
-// 0 = GOMAXPROCS). It too never changes results: hierarchies, cuts and
+// -coarsen-workers parallelizes the heavy-edge matching inside each
+// coarsening descent on top of that (default 1, serial; 0 = GOMAXPROCS;
+// contraction is always serial). It too never changes results: hierarchies, cuts and
 // fingerprints are bit-identical for every value.
 // -refine-workers (ml engine) enables the deterministic synchronous-round
 // parallel refinement stage inside each descent (default 1: stage on;
@@ -137,7 +137,7 @@ func main() {
 	flag.Float64Var(&o.cutoff, "cutoff", 1, "pass cutoff fraction after the first pass (1 = none)")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.IntVar(&o.workers, "workers", 0, "goroutines for parallel multistart (0 = GOMAXPROCS)")
-	flag.IntVar(&o.coarsenWorkers, "coarsen-workers", 1, "goroutines inside each coarsening descent (0 = GOMAXPROCS; never changes results)")
+	flag.IntVar(&o.coarsenWorkers, "coarsen-workers", 1, "heavy-edge matching goroutines inside each coarsening descent (0 = GOMAXPROCS; never changes results)")
 	flag.IntVar(&o.refineWorkers, "refine-workers", 1, "parallel-refinement workers per descent (0 disables the round stage; counts >= 1 are bit-identical; clamped to GOMAXPROCS)")
 	flag.IntVar(&o.localizedWorkers, "localized-fm-workers", 1, "localized-FM workers at the finest level (0 disables the stage; counts >= 1 are bit-identical; clamped to GOMAXPROCS)")
 	flag.BoolVar(&o.shared, "shared-coarsen", false, "share coarsening hierarchies across ml starts (2-way only)")

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
+	"math"
 	"math/rand/v2"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -178,6 +181,31 @@ func TestRunErrors(t *testing.T) {
 	frac.fixFraction = 1.5
 	if err := run(frac); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
 		t.Errorf("run(-fix-fraction 1.5) = %v, want range error", err)
+	}
+}
+
+// TestCutoffNaN: a NaN -cutoff is an error on every engine, and through the
+// real flag parser hpart exits 1, rather than solving with no cutoff.
+func TestCutoffNaN(t *testing.T) {
+	if args := os.Getenv("HPART_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"hpart"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	writeBundle(t, dir, "tiny")
+	for _, engine := range []string{"ml", "clip"} {
+		o := testOpts(dir, "tiny")
+		o.engine, o.cutoff = engine, math.NaN()
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "MaxPassFraction") {
+			t.Errorf("engine %s, cutoff NaN: %v, want a MaxPassFraction error", engine, err)
+		}
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCutoffNaN$")
+	cmd.Env = append(os.Environ(), "HPART_TEST_ARGS=-dir "+dir+" -base tiny -cutoff NaN")
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("hpart -cutoff NaN: %v, want exit status 1", err)
 	}
 }
 

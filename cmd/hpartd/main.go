@@ -15,9 +15,9 @@
 //	-queue int          admission queue depth (default 2*concurrency)
 //	-cache int          hierarchy cache capacity in instances (default 32)
 //	-run-workers int    goroutines per run's multistart fan-out (default 1)
-//	-coarsen-workers int  default goroutines inside each coarsening descent
-//	                    (default 1; requests may override with
-//	                    "coarsen_workers", clamped to GOMAXPROCS; never
+//	-coarsen-workers int  default heavy-edge matching goroutines inside each
+//	                    coarsening descent (default 1; requests may override
+//	                    with "coarsen_workers", clamped to GOMAXPROCS; never
 //	                    changes results)
 //	-refine-workers int  default worker count for the synchronous-round
 //	                    parallel refinement stage in each descent (default 1:
@@ -61,7 +61,7 @@ func main() {
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 2*concurrency)")
 	cache := flag.Int("cache", 32, "hierarchy cache capacity in instances")
 	runWorkers := flag.Int("run-workers", 1, "goroutines per run's multistart fan-out")
-	coarsenWorkers := flag.Int("coarsen-workers", 1, "default goroutines inside each coarsening descent (clamped to GOMAXPROCS; never changes results)")
+	coarsenWorkers := flag.Int("coarsen-workers", 1, "default heavy-edge matching goroutines inside each coarsening descent (clamped to GOMAXPROCS; never changes results)")
 	refineWorkers := flag.Int("refine-workers", 1, "default parallel-refinement workers per descent (0 disables the round stage; counts >= 1 are bit-identical; clamped to GOMAXPROCS)")
 	localizedFMWorkers := flag.Int("localized-fm-workers", 1, "default localized-FM workers at the finest level (0 disables the stage; counts >= 1 are bit-identical; clamped to GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", 32<<20, "request body limit in bytes")

@@ -58,6 +58,15 @@ type Config struct {
 	Stats *KernelStats
 }
 
+// validate rejects a MaxPassFraction outside [0,1]. The check is written so
+// that NaN fails it too: a NaN fraction would otherwise run uncut.
+func (c Config) validate() error {
+	if !(c.MaxPassFraction >= 0 && c.MaxPassFraction <= 1) {
+		return fmt.Errorf("fm: MaxPassFraction %v outside [0,1]", c.MaxPassFraction)
+	}
+	return nil
+}
+
 func (c Config) maxPasses() int {
 	if c.MaxPasses <= 0 {
 		return 64
@@ -182,8 +191,8 @@ func BipartitionWith(p *partition.Problem, initial partition.Assignment, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxPassFraction < 0 || cfg.MaxPassFraction > 1 {
-		return nil, fmt.Errorf("fm: MaxPassFraction %v outside [0,1]", cfg.MaxPassFraction)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	passes := l.Polish(cfg)
 	return &Result{Assignment: l.Assignment(), Cut: l.km1, Score: l.km1, Objective: cfg.Objective, Passes: passes, Movable: l.m.nMovable}, nil

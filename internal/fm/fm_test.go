@@ -1,6 +1,7 @@
 package fm_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -253,8 +254,10 @@ func TestBipartitionErrors(t *testing.T) {
 	})
 	t.Run("bad fraction", func(t *testing.T) {
 		p := partition.NewBipartition(h, 0.1)
-		if _, err := fm.Bipartition(p, initial, fm.Config{MaxPassFraction: 1.5}); err == nil {
-			t.Error("want error")
+		for _, f := range []float64{1.5, -0.5, math.NaN()} {
+			if _, err := fm.Bipartition(p, initial, fm.Config{MaxPassFraction: f}); err == nil {
+				t.Errorf("MaxPassFraction %v: want error", f)
+			}
 		}
 	})
 }

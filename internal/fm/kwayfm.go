@@ -1,10 +1,6 @@
 package fm
 
-import (
-	"fmt"
-
-	"repro/internal/partition"
-)
+import "repro/internal/partition"
 
 // KWayResult is the outcome of a direct k-way FM run.
 type KWayResult struct {
@@ -47,8 +43,8 @@ func KWayPartitionWith(p *partition.Problem, initial partition.Assignment, cfg C
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxPassFraction < 0 || cfg.MaxPassFraction > 1 {
-		return nil, fmt.Errorf("fm: MaxPassFraction %v outside [0,1]", cfg.MaxPassFraction)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	passes := l.Polish(cfg)
 	return &KWayResult{

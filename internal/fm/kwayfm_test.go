@@ -1,6 +1,7 @@
 package fm_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -184,8 +185,10 @@ func TestKWayPartitionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RandomFeasible: %v", err)
 	}
-	if _, err := fm.KWayPartition(p, initial, fm.Config{MaxPassFraction: -1}); err == nil {
-		t.Error("want error for bad fraction")
+	for _, f := range []float64{-1, 1.5, math.NaN()} {
+		if _, err := fm.KWayPartition(p, initial, fm.Config{MaxPassFraction: f}); err == nil {
+			t.Errorf("MaxPassFraction %v: want error for bad fraction", f)
+		}
 	}
 }
 
@@ -220,12 +223,12 @@ func TestKWayBeatsGreedyRefine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("KWayPartition: %v", err)
 		}
-		greedy, err := parallelRefine(p, initial, fm.Config{}, 1, rng.Uint64(), &fm.Scratch{})
+		_, greedy, err := parallelRefine(p, initial, fm.Config{}, 1, rng.Uint64(), &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("ParallelRefine: %v", err)
 		}
 		fmSum += res.Cut
-		greedySum += partition.Cut(h, greedy.Assignment)
+		greedySum += partition.Cut(h, greedy)
 	}
 	t.Logf("avg cut over 5 random starts: k-way FM=%d, greedy=%d", fmSum/5, greedySum/5)
 	// FM hill-climbs through zero/negative moves; it should not lose to the

@@ -11,14 +11,13 @@ import (
 
 // parallelRefine runs the round stage on a fresh level of initial built on
 // sc, and returns the stage's counters with the refined assignment.
-func parallelRefine(p *partition.Problem, initial partition.Assignment, cfg fm.Config, workers int, salt uint64, sc *fm.Scratch) (*fm.ParallelResult, error) {
+func parallelRefine(p *partition.Problem, initial partition.Assignment, cfg fm.Config, workers int, salt uint64, sc *fm.Scratch) (*fm.ParallelResult, partition.Assignment, error) {
 	lv, err := fm.NewLevel(p, initial, cfg, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := lv.Rounds(workers, salt)
-	res.Assignment = lv.Assignment()
-	return &res, nil
+	return &res, lv.Assignment(), nil
 }
 
 // localizedRefine is parallelRefine for the localized FM stage.
@@ -98,11 +97,11 @@ func TestLevelChainMatchesFreshStages(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			sc := &fm.Scratch{}
 			// Fresh: one state per stage.
-			r1, err := parallelRefine(p, initial, cfg, workers, salt1, sc)
+			r1, r1A, err := parallelRefine(p, initial, cfg, workers, salt1, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := localizedRefine(p, r1.Assignment, cfg, workers, salt2, sc)
+			r2, err := localizedRefine(p, r1A, cfg, workers, salt2, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +140,7 @@ func TestLevelChainMatchesFreshStages(t *testing.T) {
 				}
 			}
 			c1 := lv.Rounds(workers, salt1)
-			check("rounds", r1.Assignment)
+			check("rounds", r1A)
 			if c1.Rounds != r1.Rounds || c1.Moves != r1.Moves || c1.Gain != r1.Gain {
 				t.Fatalf("trial %d workers=%d: chained rounds %+v, fresh %+v", trials, workers, c1, *r1)
 			}

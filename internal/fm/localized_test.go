@@ -172,7 +172,7 @@ func TestLocalizedRefineBeatsRounds(t *testing.T) {
 		}
 		trials++
 		salt := rng.Uint64()
-		rres, err := parallelRefine(p, initial, fm.Config{}, 2, salt, &fm.Scratch{})
+		_, rounds, err := parallelRefine(p, initial, fm.Config{}, 2, salt, &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("trial %d: rounds: %v", trials, err)
 		}
@@ -180,7 +180,7 @@ func TestLocalizedRefineBeatsRounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: localized: %v", trials, err)
 		}
-		roundsTotal += partition.KMinus1(p.H, rres.Assignment)
+		roundsTotal += partition.KMinus1(p.H, rounds)
 		locTotal += partition.KMinus1(p.H, lres.Assignment)
 	}
 	if locTotal > roundsTotal {

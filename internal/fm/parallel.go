@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/par"
-	"repro/internal/partition"
 )
 
 // This file implements the deterministic synchronous-round parallel
@@ -40,10 +39,6 @@ import (
 
 // ParallelResult is the outcome of a Level.Rounds run.
 type ParallelResult struct {
-	// Assignment is the refined solution (feasible by construction; never
-	// aliases scratch memory). Level.Rounds leaves it nil: the level holds
-	// the solution.
-	Assignment partition.Assignment
 	// Rounds is the number of synchronous propose/commit rounds executed,
 	// including the final round that produced no commits.
 	Rounds int
@@ -57,8 +52,8 @@ type ParallelResult struct {
 }
 
 // Rounds runs the synchronous-round stage on the level (see the file comment
-// for round semantics) and returns its counters; Assignment is left nil, the
-// level holds the result. workers < 1 runs the rounds serially; the result
+// for round semantics) and returns its counters; the level holds the
+// result. workers < 1 runs the rounds serially; the result
 // is bit-identical for every worker count. salt seeds the per-round
 // commit-order tie-break and is the stage's only randomness — callers draw
 // it once from their RNG so the stream stays worker-count-agnostic. The

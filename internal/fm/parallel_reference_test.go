@@ -38,20 +38,19 @@ var refParScratchPool = sync.Pool{New: func() any { return &refParScratch{} }}
 
 // parallelRefineReference is the round engine as it stood before it shared the
 // localized engine's round-start gain table. It runs on a fresh Scratch.
-func parallelRefineReference(p *partition.Problem, initial partition.Assignment, cfg Config, workers int, salt uint64) (*ParallelResult, error) {
+func parallelRefineReference(p *partition.Problem, initial partition.Assignment, cfg Config, workers int, salt uint64) (*ParallelResult, partition.Assignment, error) {
 	sc := &Scratch{}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := p.Feasible(initial); err != nil {
-		return nil, fmt.Errorf("fm: initial assignment: %w", err)
+		return nil, nil, fmt.Errorf("fm: initial assignment: %w", err)
 	}
 	m := &cutModel{}
 	m.init(p, initial, sc)
 	res := &ParallelResult{Movable: m.nMovable}
 	if m.nMovable == 0 {
-		res.Assignment = m.a.Clone()
-		return res, nil
+		return res, m.a.Clone(), nil
 	}
 
 	W := workers
@@ -221,8 +220,7 @@ func parallelRefineReference(p *partition.Problem, initial partition.Assignment,
 		}
 	}
 
-	res.Assignment = m.a.Clone() // a is scratch-backed; the result must not alias it
-	return res, nil
+	return res, m.a.Clone(), nil // a is scratch-backed; the result must not alias it
 }
 
 // refProposeMove recomputes v's best feasible positive-gain move against the

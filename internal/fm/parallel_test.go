@@ -30,16 +30,16 @@ func TestParallelRefineWorkerInvariance(t *testing.T) {
 		if trials%2 == 0 {
 			cfg.Objective = fm.ObjectiveKM1
 		}
-		want, err := parallelRefine(p, initial, cfg, 1, salt, &fm.Scratch{})
+		want, wantA, err := parallelRefine(p, initial, cfg, 1, salt, &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("trial %d: workers=1: %v", trials, err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, err := parallelRefine(p, initial, cfg, workers, salt, &fm.Scratch{})
+			got, gotA, err := parallelRefine(p, initial, cfg, workers, salt, &fm.Scratch{})
 			if err != nil {
 				t.Fatalf("trial %d: workers=%d: %v", trials, workers, err)
 			}
-			if !reflect.DeepEqual(got.Assignment, want.Assignment) {
+			if !reflect.DeepEqual(gotA, wantA) {
 				t.Fatalf("trial %d: workers=%d assignment diverges from workers=1", trials, workers)
 			}
 			if got.Rounds != want.Rounds || got.Moves != want.Moves || got.Gain != want.Gain {
@@ -66,17 +66,17 @@ func TestParallelRefineImproves(t *testing.T) {
 		trials++
 		before := initial.Clone()
 		km1In := partition.KMinus1(p.H, initial)
-		res, err := parallelRefine(p, initial, fm.Config{}, 3, rng.Uint64(), &fm.Scratch{})
+		res, resA, err := parallelRefine(p, initial, fm.Config{}, 3, rng.Uint64(), &fm.Scratch{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}
 		if !reflect.DeepEqual(initial, before) {
 			t.Fatalf("trial %d: input assignment was modified", trials)
 		}
-		if err := p.Feasible(res.Assignment); err != nil {
+		if err := p.Feasible(resA); err != nil {
 			t.Fatalf("trial %d: infeasible result: %v", trials, err)
 		}
-		km1Out := partition.KMinus1(p.H, res.Assignment)
+		km1Out := partition.KMinus1(p.H, resA)
 		if km1Out > km1In {
 			t.Fatalf("trial %d: connectivity worsened: %d -> %d", trials, km1In, km1Out)
 		}
@@ -110,14 +110,14 @@ func TestParallelRefineAllFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := parallelRefine(p, initial, fm.Config{}, 4, 99, &fm.Scratch{})
+	res, resA, err := parallelRefine(p, initial, fm.Config{}, 4, 99, &fm.Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Moves != 0 || res.Gain != 0 || res.Movable != 0 {
 		t.Errorf("all-fixed problem: moves=%d gain=%d movable=%d, want zeros", res.Moves, res.Gain, res.Movable)
 	}
-	if !reflect.DeepEqual(res.Assignment, initial) {
+	if !reflect.DeepEqual(resA, initial) {
 		t.Error("all-fixed problem: assignment changed")
 	}
 }
@@ -137,18 +137,18 @@ func TestParallelRefineThenPolish(t *testing.T) {
 		}
 		trials++
 		salt := rng.Uint64()
-		rounds, err := parallelRefine(p, initial, fm.Config{}, 4, salt, sc)
+		_, rounds, err := parallelRefine(p, initial, fm.Config{}, 4, salt, sc)
 		if err != nil {
 			t.Fatalf("trial %d: rounds: %v", trials, err)
 		}
-		polished, err := fm.KWayPartitionWith(p, rounds.Assignment, fm.Config{Policy: fm.CLIP}, sc)
+		polished, err := fm.KWayPartitionWith(p, rounds, fm.Config{Policy: fm.CLIP}, sc)
 		if err != nil {
 			t.Fatalf("trial %d: polish: %v", trials, err)
 		}
 		if err := p.Feasible(polished.Assignment); err != nil {
 			t.Fatalf("trial %d: polish result infeasible: %v", trials, err)
 		}
-		if after, mid := partition.KMinus1(p.H, polished.Assignment), partition.KMinus1(p.H, rounds.Assignment); after > mid {
+		if after, mid := partition.KMinus1(p.H, polished.Assignment), partition.KMinus1(p.H, rounds); after > mid {
 			t.Fatalf("trial %d: polish worsened connectivity %d -> %d", trials, mid, after)
 		}
 	}
@@ -176,7 +176,7 @@ func BenchmarkParallelRefineRounds(b *testing.B) {
 	sc := &fm.Scratch{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := parallelRefine(p, initial, fm.Config{}, 4, 42, sc); err != nil {
+		if _, _, err := parallelRefine(p, initial, fm.Config{}, 4, 42, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,16 +201,16 @@ func TestParallelRefineMatchesReference(t *testing.T) {
 		if trials%2 == 0 {
 			cfg.Objective = fm.ObjectiveKM1
 		}
-		want, err := fm.ParallelRefineReference(p, initial, cfg, 1, salt)
+		want, wantA, err := fm.ParallelRefineReference(p, initial, cfg, 1, salt)
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trials, err)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			got, err := parallelRefine(p, initial, cfg, workers, salt, &fm.Scratch{})
+			got, gotA, err := parallelRefine(p, initial, cfg, workers, salt, &fm.Scratch{})
 			if err != nil {
 				t.Fatalf("trial %d: workers=%d: %v", trials, workers, err)
 			}
-			if !reflect.DeepEqual(got.Assignment, want.Assignment) {
+			if !reflect.DeepEqual(gotA, wantA) {
 				t.Fatalf("trial %d (k=%d, nv=%d): workers=%d assignment diverges from the reference",
 					trials, p.K, p.H.NumVertices(), workers)
 			}
@@ -247,15 +247,15 @@ func TestRoundStateChunkedRefresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		salt := rng.Uint64()
-		pWant, err := fm.ParallelRefineReference(p, initial, fm.Config{}, 1, salt)
+		pWant, pWantA, err := fm.ParallelRefineReference(p, initial, fm.Config{}, 1, salt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pGot, err := parallelRefine(p, initial, fm.Config{}, 4, salt, &fm.Scratch{})
+		pGot, pGotA, err := parallelRefine(p, initial, fm.Config{}, 4, salt, &fm.Scratch{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(pGot, pWant) {
+		if !reflect.DeepEqual(pGot, pWant) || !reflect.DeepEqual(pGotA, pWantA) {
 			t.Fatalf("trial %d (k=%d, nv=%d): round stage diverges from its reference", trial, k, nv)
 		}
 		lWant, err := fm.LocalizedRefineReference(p, initial, fm.Config{}, 1, salt)

@@ -254,7 +254,7 @@ func TestPinResource(t *testing.T) {
 	// Resource 1 equals the (deduplicated) pin count, except isolated
 	// vertices which carry 1.
 	for v := 0; v < h.NumVertices(); v++ {
-		want := int64(h.Degree(v))
+		want := int64(len(h.NetsOf(v)))
 		if want == 0 {
 			want = 1
 		}

@@ -75,11 +75,10 @@ func benchClustering(h *hypergraph.Hypergraph) ([]int32, int) {
 func BenchmarkContract(b *testing.B) {
 	h := benchInput(b, 10000, 12000)
 	clusterOf, nc := benchClustering(h)
-	opts := hypergraph.ContractOptions{MergeParallelNets: true}
 	b.Run("scratch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := hypergraph.Contract(h, clusterOf, nc, opts); err != nil {
+			if _, err := hypergraph.Contract(h, clusterOf, nc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -87,7 +86,7 @@ func BenchmarkContract(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := hypergraph.ContractReference(h, clusterOf, nc, opts); err != nil {
+			if _, _, err := hypergraph.ContractReference(h, clusterOf, nc, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -99,14 +98,13 @@ func BenchmarkContract(b *testing.B) {
 func TestContractAllocReduction(t *testing.T) {
 	h := benchInput(t, 10000, 12000)
 	clusterOf, nc := benchClustering(h)
-	opts := hypergraph.ContractOptions{MergeParallelNets: true}
 	newAllocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := hypergraph.Contract(h, clusterOf, nc, opts); err != nil {
+		if _, err := hypergraph.Contract(h, clusterOf, nc); err != nil {
 			t.Fatal(err)
 		}
 	})
 	refAllocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := hypergraph.ContractReference(h, clusterOf, nc, opts); err != nil {
+		if _, _, err := hypergraph.ContractReference(h, clusterOf, nc, true); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -16,8 +16,6 @@ type Builder struct {
 
 	nets       [][]int32
 	netWeights []int64
-	netNames   []string
-	anyNetName bool
 
 	// DropSingletons drops nets with fewer than two distinct pins at Build
 	// time instead of rejecting them. Such nets cannot be cut and carry no
@@ -101,14 +99,7 @@ func (b *Builder) AddWeightedNet(weight int64, pins ...int) int {
 	id := len(b.nets)
 	b.nets = append(b.nets, p)
 	b.netWeights = append(b.netWeights, weight)
-	b.netNames = append(b.netNames, "")
 	return id
-}
-
-// NameNet assigns a name to net e.
-func (b *Builder) NameNet(e int, name string) {
-	b.netNames[e] = name
-	b.anyNetName = b.anyNetName || name != ""
 }
 
 // NumVertices returns the number of vertices added so far.
@@ -145,7 +136,6 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	type netRec struct {
 		pins   []int32
 		weight int64
-		name   string
 	}
 	kept := make([]netRec, 0, len(b.nets))
 	seen := make([]int32, nv) // seen[v] = net id+1 that last used v
@@ -178,7 +168,7 @@ func (b *Builder) Build() (*Hypergraph, error) {
 			}
 			return nil, fmt.Errorf("hypergraph: net %d has %d distinct pins; nets need at least 2 (set DropSingletons to drop)", e, len(out))
 		}
-		kept = append(kept, netRec{pins: out, weight: b.netWeights[e], name: b.netNames[e]})
+		kept = append(kept, netRec{pins: out, weight: b.netWeights[e]})
 	}
 
 	h := &Hypergraph{
@@ -206,21 +196,14 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	}
 	h.netOffsets = make([]int32, len(kept)+1)
 	h.netPins = make([]int32, 0, totalPins)
-	anyNetName := false
-	names := make([]string, len(kept))
 	for e, n := range kept {
 		h.netOffsets[e] = int32(len(h.netPins))
 		h.netPins = append(h.netPins, n.pins...)
 		h.netWeights[e] = n.weight
-		names[e] = n.name
-		anyNetName = anyNetName || n.name != ""
 	}
 	h.netOffsets[len(kept)] = int32(len(h.netPins))
-	if anyNetName {
-		h.netNames = names
-	}
 
-	buildVertexCSR(h)
+	buildVertexCSR(h, nil)
 	return h, nil
 }
 
@@ -234,18 +217,19 @@ func (b *Builder) MustBuild() *Hypergraph {
 	return h
 }
 
-// buildVertexCSR fills vertOffsets/vertNets from the net->pin CSR.
-func buildVertexCSR(h *Hypergraph) {
-	deg := make([]int32, h.numVerts+1)
-	for _, v := range h.netPins {
-		deg[v+1]++
-	}
+// buildVertexCSR fills vertOffsets/vertNets from the net->pin CSR, using
+// cursor as the fill cursors; it returns the (possibly grown) cursor buffer
+// so a caller can keep it for the next build.
+func buildVertexCSR(h *Hypergraph, cursor []int32) []int32 {
 	h.vertOffsets = make([]int32, h.numVerts+1)
+	for _, v := range h.netPins {
+		h.vertOffsets[v+1]++
+	}
 	for v := 0; v < h.numVerts; v++ {
-		h.vertOffsets[v+1] = h.vertOffsets[v] + deg[v+1]
+		h.vertOffsets[v+1] += h.vertOffsets[v]
 	}
 	h.vertNets = make([]int32, len(h.netPins))
-	cursor := make([]int32, h.numVerts)
+	cursor = growInts(cursor, h.numVerts)
 	copy(cursor, h.vertOffsets[:h.numVerts])
 	for e := 0; e < h.numNets; e++ {
 		for _, v := range h.Pins(e) {
@@ -253,6 +237,7 @@ func buildVertexCSR(h *Hypergraph) {
 			cursor[v]++
 		}
 	}
+	return cursor
 }
 
 // Validate checks internal consistency of the hypergraph (CSR symmetry,

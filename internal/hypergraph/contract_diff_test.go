@@ -54,12 +54,11 @@ func sameHypergraph(t *testing.T, a, b *hypergraph.Hypergraph) {
 }
 
 // TestContractMatchesReference drives the allocation-free Contract and the
-// frozen ContractReference over random hypergraphs and clusterings (merge on
-// and off, pads, multi-resource weights, repeated calls through one pooled
-// scratch) and requires bit-identical output.
+// frozen ContractReference (parallel-net merging on) over random hypergraphs
+// and clusterings (pads, multi-resource weights, repeated calls through the
+// pooled scratch) and requires bit-identical output.
 func TestContractMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 1))
-	scratch := hypergraph.NewContractScratch()
 	for trial := 0; trial < 40; trial++ {
 		nv := 3 + rng.IntN(120)
 		ne := 1 + rng.IntN(240)
@@ -99,10 +98,8 @@ func TestContractMatchesReference(t *testing.T) {
 		for c := 0; c < nc && c < nv; c++ {
 			clusterOf[c] = int32(c)
 		}
-		opts := hypergraph.ContractOptions{MergeParallelNets: trial%2 == 0}
-
-		want, wantMap, wantErr := hypergraph.ContractReference(h, clusterOf, nc, opts)
-		got, gotMap, gotErr := hypergraph.ContractInto(h, clusterOf, nc, opts, scratch)
+		want, _, wantErr := hypergraph.ContractReference(h, clusterOf, nc, true)
+		got, gotErr := hypergraph.Contract(h, clusterOf, nc)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, wantErr, gotErr)
 		}
@@ -110,14 +107,6 @@ func TestContractMatchesReference(t *testing.T) {
 			continue
 		}
 		sameHypergraph(t, want, got)
-		if len(wantMap) != len(gotMap) {
-			t.Fatalf("trial %d: netMap length mismatch", trial)
-		}
-		for e := range wantMap {
-			if wantMap[e] != gotMap[e] {
-				t.Fatalf("trial %d: netMap[%d] = %d, reference %d", trial, e, gotMap[e], wantMap[e])
-			}
-		}
 		if err := got.Validate(); err != nil {
 			t.Fatalf("trial %d: coarse hypergraph invalid: %v", trial, err)
 		}
@@ -142,8 +131,8 @@ func TestContractErrorsMatchReference(t *testing.T) {
 		{[]int32{0, 0, 0}, 2}, // empty cluster
 	}
 	for i, c := range cases {
-		_, _, refErr := hypergraph.ContractReference(h, c.clusterOf, c.nc, hypergraph.ContractOptions{})
-		_, _, newErr := hypergraph.Contract(h, c.clusterOf, c.nc, hypergraph.ContractOptions{})
+		_, _, refErr := hypergraph.ContractReference(h, c.clusterOf, c.nc, true)
+		_, newErr := hypergraph.Contract(h, c.clusterOf, c.nc)
 		if (refErr == nil) != (newErr == nil) {
 			t.Fatalf("case %d: error mismatch: reference %v, new %v", i, refErr, newErr)
 		}

@@ -12,7 +12,7 @@ import (
 // reduction against it. It allocates a string-keyed map entry per distinct
 // coarse net and grows the coarse CSR by append, which dominated
 // coarsening's allocation profile.
-func contractReference(h *Hypergraph, clusterOf []int32, numClusters int, opts ContractOptions) (*Hypergraph, []int32, error) {
+func contractReference(h *Hypergraph, clusterOf []int32, numClusters int, merge bool) (*Hypergraph, []int32, error) {
 	if len(clusterOf) != h.numVerts {
 		return nil, nil, fmt.Errorf("hypergraph: clusterOf has %d entries for %d vertices", len(clusterOf), h.numVerts)
 	}
@@ -82,7 +82,7 @@ func contractReference(h *Hypergraph, clusterOf []int32, numClusters int, opts C
 			netMap[e] = -1
 			continue
 		}
-		if opts.MergeParallelNets {
+		if merge {
 			sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
 			keyBuf = keyBuf[:0]
 			for _, c := range scratch {
@@ -104,6 +104,6 @@ func contractReference(h *Hypergraph, clusterOf []int32, numClusters int, opts C
 	coarse.netOffsets = coarseOffsets
 	coarse.netPins = coarsePins
 	coarse.netWeights = coarseWeights
-	buildVertexCSR(coarse)
+	buildVertexCSR(coarse, nil)
 	return coarse, netMap, nil
 }

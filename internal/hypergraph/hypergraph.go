@@ -41,7 +41,6 @@ type Hypergraph struct {
 	totalWeight []int64 // per resource
 
 	vertNames []string // optional, nil when unnamed
-	netNames  []string // optional, nil when unnamed
 }
 
 // NumVertices returns the number of vertices.
@@ -66,11 +65,6 @@ func (h *Hypergraph) Pins(e int) []int32 {
 // internal storage and must not be modified.
 func (h *Hypergraph) NetsOf(v int) []int32 {
 	return h.vertNets[h.vertOffsets[v]:h.vertOffsets[v+1]]
-}
-
-// Degree returns the number of nets incident to vertex v.
-func (h *Hypergraph) Degree(v int) int {
-	return int(h.vertOffsets[v+1] - h.vertOffsets[v])
 }
 
 // NetSize returns the number of pins on net e.
@@ -114,15 +108,6 @@ func (h *Hypergraph) VertexName(v int) string {
 		return h.vertNames[v]
 	}
 	return fmt.Sprintf("v%d", v)
-}
-
-// NetName returns the name of net e, or a generated "n<i>" name when the
-// hypergraph is unnamed.
-func (h *Hypergraph) NetName(e int) string {
-	if h.netNames != nil && h.netNames[e] != "" {
-		return h.netNames[e]
-	}
-	return fmt.Sprintf("n%d", e)
 }
 
 // MaxVertexWeight returns the largest primary-resource vertex weight,

@@ -37,8 +37,8 @@ func TestBuilderBasic(t *testing.T) {
 	if h.Weight(2) != 3 {
 		t.Errorf("Weight(2) = %d, want 3", h.Weight(2))
 	}
-	if h.Degree(1) != 3 {
-		t.Errorf("Degree(1) = %d, want 3", h.Degree(1))
+	if got := len(h.NetsOf(1)); got != 3 {
+		t.Errorf("len(NetsOf(1)) = %d, want 3", got)
 	}
 	if h.NetSize(2) != 3 {
 		t.Errorf("NetSize(2) = %d, want 3", h.NetSize(2))
@@ -228,7 +228,7 @@ func TestRandomHypergraphsValidate(t *testing.T) {
 func TestContractBasic(t *testing.T) {
 	h := buildTriangle(t)
 	// Merge v0 and v1 into cluster 0, keep v2 as cluster 1.
-	coarse, netMap, err := hypergraph.Contract(h, []int32{0, 0, 1}, 2, hypergraph.ContractOptions{})
+	coarse, err := hypergraph.Contract(h, []int32{0, 0, 1}, 2)
 	if err != nil {
 		t.Fatalf("Contract: %v", err)
 	}
@@ -236,12 +236,9 @@ func TestContractBasic(t *testing.T) {
 		t.Fatalf("coarse vertices = %d, want 2", coarse.NumVertices())
 	}
 	// Net {0,1} collapses to a single cluster and is dropped; nets {1,2} and
-	// {0,1,2} both become {c0,c1}.
-	if netMap[0] != -1 {
-		t.Errorf("net 0 should be dropped, mapped to %d", netMap[0])
-	}
-	if coarse.NumNets() != 2 {
-		t.Errorf("coarse nets = %d, want 2", coarse.NumNets())
+	// {0,1,2} both become {c0,c1} and merge into one net.
+	if coarse.NumNets() != 1 {
+		t.Errorf("coarse nets = %d, want 1", coarse.NumNets())
 	}
 	if coarse.Weight(0) != 3 || coarse.Weight(1) != 3 {
 		t.Errorf("cluster weights = %d,%d want 3,3", coarse.Weight(0), coarse.Weight(1))
@@ -256,8 +253,7 @@ func TestContractBasic(t *testing.T) {
 
 func TestContractMergeParallelNets(t *testing.T) {
 	h := buildTriangle(t)
-	coarse, netMap, err := hypergraph.Contract(h, []int32{0, 0, 1}, 2,
-		hypergraph.ContractOptions{MergeParallelNets: true})
+	coarse, err := hypergraph.Contract(h, []int32{0, 0, 1}, 2)
 	if err != nil {
 		t.Fatalf("Contract: %v", err)
 	}
@@ -267,20 +263,17 @@ func TestContractMergeParallelNets(t *testing.T) {
 	if coarse.NetWeight(0) != 2 {
 		t.Errorf("merged net weight = %d, want 2", coarse.NetWeight(0))
 	}
-	if netMap[1] != netMap[2] || netMap[1] != 0 {
-		t.Errorf("net map = %v, want nets 1,2 -> 0", netMap)
-	}
 }
 
 func TestContractErrors(t *testing.T) {
 	h := buildTriangle(t)
-	if _, _, err := hypergraph.Contract(h, []int32{0, 0}, 1, hypergraph.ContractOptions{}); err == nil {
+	if _, err := hypergraph.Contract(h, []int32{0, 0}, 1); err == nil {
 		t.Error("want error for short clusterOf")
 	}
-	if _, _, err := hypergraph.Contract(h, []int32{0, 0, 5}, 2, hypergraph.ContractOptions{}); err == nil {
+	if _, err := hypergraph.Contract(h, []int32{0, 0, 5}, 2); err == nil {
 		t.Error("want error for out-of-range cluster")
 	}
-	if _, _, err := hypergraph.Contract(h, []int32{0, 0, 0}, 2, hypergraph.ContractOptions{}); err == nil {
+	if _, err := hypergraph.Contract(h, []int32{0, 0, 0}, 2); err == nil {
 		t.Error("want error for empty cluster")
 	}
 }
@@ -298,7 +291,7 @@ func TestContractPreservesWeightProperty(t *testing.T) {
 		for i := nc; i < h.NumVertices(); i++ {
 			clusterOf[i] = int32(rng.IntN(nc))
 		}
-		coarse, _, err := hypergraph.Contract(h, clusterOf, nc, hypergraph.ContractOptions{})
+		coarse, err := hypergraph.Contract(h, clusterOf, nc)
 		if err != nil {
 			return false
 		}
@@ -407,8 +400,7 @@ func TestNames(t *testing.T) {
 	b := hypergraph.NewBuilder(1)
 	v := b.AddCell("alu7", 1)
 	w := b.AddVertex(1)
-	e := b.AddNet(v, w)
-	b.NameNet(e, "clk")
+	b.AddNet(v, w)
 	h := b.MustBuild()
 	if h.VertexName(v) != "alu7" {
 		t.Errorf("VertexName = %q", h.VertexName(v))
@@ -416,17 +408,14 @@ func TestNames(t *testing.T) {
 	if h.VertexName(w) != "v1" {
 		t.Errorf("default VertexName = %q", h.VertexName(w))
 	}
-	if h.NetName(e) != "clk" {
-		t.Errorf("NetName = %q", h.NetName(e))
-	}
 	// Unnamed hypergraphs generate names.
 	b2 := hypergraph.NewBuilder(1)
 	a := b2.AddVertex(1)
 	c := b2.AddVertex(1)
-	n := b2.AddNet(a, c)
+	b2.AddNet(a, c)
 	h2 := b2.MustBuild()
-	if h2.NetName(n) != "n0" || h2.VertexName(a) != "v0" {
-		t.Errorf("generated names: %q %q", h2.NetName(n), h2.VertexName(a))
+	if h2.VertexName(a) != "v0" {
+		t.Errorf("generated name: %q", h2.VertexName(a))
 	}
 }
 
@@ -439,7 +428,7 @@ func TestContractKeepsPads(t *testing.T) {
 	b.AddNet(c, p2)
 	h := b.MustBuild()
 	// Merge the two pads; keep the cell separate.
-	coarse, _, err := hypergraph.Contract(h, []int32{0, 1, 1}, 2, hypergraph.ContractOptions{})
+	coarse, err := hypergraph.Contract(h, []int32{0, 1, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +439,7 @@ func TestContractKeepsPads(t *testing.T) {
 		t.Error("all-pad cluster lost pad flag")
 	}
 	// Mixed cluster is not a pad.
-	coarse2, _, err := hypergraph.Contract(h, []int32{0, 0, 1}, 2, hypergraph.ContractOptions{})
+	coarse2, err := hypergraph.Contract(h, []int32{0, 0, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

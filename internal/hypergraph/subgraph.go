@@ -21,7 +21,7 @@ type InducedResult struct {
 
 // InducedSubgraph extracts the sub-hypergraph induced by keep[v] == true.
 // Nets are restricted to kept pins; restricted nets with fewer than two pins
-// are dropped. Weights, pad flags and names carry over.
+// are dropped. Weights, pad flags and vertex names carry over.
 func InducedSubgraph(h *Hypergraph, keep []bool) (*InducedResult, error) {
 	if len(keep) != h.numVerts {
 		return nil, fmt.Errorf("hypergraph: keep has %d entries for %d vertices", len(keep), h.numVerts)
@@ -66,10 +66,7 @@ func InducedSubgraph(h *Hypergraph, keep []bool) (*InducedResult, error) {
 		if len(pins) < 2 {
 			continue
 		}
-		id := b.AddWeightedNet(h.netWeights[e], pins...)
-		if h.netNames != nil {
-			b.NameNet(id, h.netNames[e])
-		}
+		b.AddWeightedNet(h.netWeights[e], pins...)
 		res.NetOf = append(res.NetOf, int32(e))
 	}
 	sub, err := b.Build()

@@ -329,7 +329,7 @@ func matchLevel(p *partition.Problem, maxClusterWeight int64, workers int, rng *
 			id++
 		}
 	})
-	return contractProblem(p, clusterOf, int(next), workers)
+	return contractProblem(p, clusterOf, int(next))
 }
 
 // growI32 returns a length-n slice reusing s's backing array when large
@@ -350,8 +350,8 @@ func growI64(s []int64, n int) []int64 {
 
 // contractProblem builds the coarse problem from a cluster map, carrying
 // intersected masks.
-func contractProblem(p *partition.Problem, clusterOf []int32, numClusters, workers int) (*partition.Problem, []int32, bool) {
-	coarseH, _, err := hypergraph.ContractParallel(p.H, clusterOf, numClusters, hypergraph.ContractOptions{MergeParallelNets: true}, workers)
+func contractProblem(p *partition.Problem, clusterOf []int32, numClusters int) (*partition.Problem, []int32, bool) {
+	coarseH, err := hypergraph.Contract(p.H, clusterOf, numClusters)
 	if err != nil {
 		// Contract only fails on malformed inputs, which the matcher never
 		// produces; treat as "cannot coarsen further".

@@ -57,12 +57,12 @@ type Config struct {
 	// goroutine). It never affects results: output is bit-identical for
 	// every worker count.
 	Workers int
-	// CoarsenWorkers parallelizes the inside of each coarsening descent:
-	// heavy-edge matching and contraction split their scans over this many
+	// CoarsenWorkers parallelizes the heavy-edge matching inside each
+	// coarsening descent: its propose and resolve scans split over this many
 	// goroutines (default/<= 0 means 1, fully serial on the calling
-	// goroutine). Like Workers it never affects results — matching is
-	// propose/resolve with deterministic conflict resolution and contraction
-	// merges shards in net order, so hierarchies, cuts and fingerprints are
+	// goroutine). Contraction is always serial. Like Workers it never
+	// affects results — matching is propose/resolve with deterministic
+	// conflict resolution, so hierarchies, cuts and fingerprints are
 	// bit-identical for every value.
 	CoarsenWorkers int
 	// RefineWorkers enables the deterministic synchronous-round parallel
@@ -113,7 +113,7 @@ func (c Config) effective() Config {
 
 // validate rejects config values no descent can honour, naming the field.
 func (c Config) validate() error {
-	if c.MaxPassFraction < 0 || c.MaxPassFraction > 1 {
+	if !(c.MaxPassFraction >= 0 && c.MaxPassFraction <= 1) { // NaN fails too
 		return fmt.Errorf("multilevel: MaxPassFraction %v outside [0,1]", c.MaxPassFraction)
 	}
 	if c.RefineMaxPasses < 0 {

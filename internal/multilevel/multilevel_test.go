@@ -2,6 +2,7 @@ package multilevel_test
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -210,6 +211,7 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"MaxPassFraction", multilevel.Config{MaxPassFraction: -0.5}},
 		{"MaxPassFraction", multilevel.Config{MaxPassFraction: 1.5}},
+		{"MaxPassFraction", multilevel.Config{MaxPassFraction: math.NaN()}},
 		{"RefineMaxPasses", multilevel.Config{RefineMaxPasses: -1}},
 	}
 	for _, e := range entries {

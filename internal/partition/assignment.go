@@ -10,9 +10,6 @@ import (
 // int8 because MaxParts is 64.
 type Assignment []int8
 
-// NewAssignment returns an all-zero assignment for n vertices.
-func NewAssignment(n int) Assignment { return make(Assignment, n) }
-
 // Clone returns a copy of a.
 func (a Assignment) Clone() Assignment { return append(Assignment(nil), a...) }
 
@@ -105,14 +102,4 @@ func SOED(h *hypergraph.Hypergraph, a Assignment) int64 {
 		}
 	}
 	return total
-}
-
-// NetSpan returns, for net e under assignment a, the set of parts the net
-// touches.
-func NetSpan(h *hypergraph.Hypergraph, a Assignment, e int) Mask {
-	var seen Mask
-	for _, v := range h.Pins(e) {
-		seen |= Single(int(a[v]))
-	}
-	return seen
 }

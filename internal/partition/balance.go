@@ -59,30 +59,6 @@ func NewUniform(h *hypergraph.Hypergraph, k int, tol float64) Balance {
 	return b
 }
 
-// NewCapacities returns a balance from explicit per-part, per-resource
-// capacities with a relative tolerance: part p must hold within
-// caps[p][r]*(1±tol). This models the absolute-capacity semantics of the
-// proposed benchmark format.
-func NewCapacities(caps [][]int64, tol float64) Balance {
-	k := len(caps)
-	b := Balance{Min: make([][]int64, k), Max: make([][]int64, k)}
-	for p := 0; p < k; p++ {
-		r := len(caps[p])
-		b.Min[p] = make([]int64, r)
-		b.Max[p] = make([]int64, r)
-		for i := 0; i < r; i++ {
-			c := float64(caps[p][i])
-			b.Max[p][i] = ceilLoose(c * (1 + tol))
-			mn := floorLoose(c * (1 - tol))
-			if mn < 0 {
-				mn = 0
-			}
-			b.Min[p][i] = mn
-		}
-	}
-	return b
-}
-
 // ceilLoose and floorLoose round with a small tolerance so that values that
 // are integers up to float64 rounding error (e.g. 100*1.1) land on the
 // intended integer.

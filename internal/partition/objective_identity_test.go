@@ -34,7 +34,7 @@ func TestSOEDIdentity(t *testing.T) {
 			return true
 		}
 		k := 2 + rng.IntN(7)
-		a := partition.NewAssignment(nv)
+		a := make(partition.Assignment, nv)
 		for v := range a {
 			a[v] = int8(rng.IntN(k))
 		}

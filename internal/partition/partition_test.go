@@ -72,13 +72,6 @@ func TestBalanceBisection(t *testing.T) {
 	}
 }
 
-func TestBalanceCapacities(t *testing.T) {
-	b := partition.NewCapacities([][]int64{{100, 10}, {50, 5}}, 0.1)
-	if b.Max[0][0] != 110 || b.Min[1][1] != 4 {
-		t.Errorf("bounds: max00=%d min11=%d", b.Max[0][0], b.Min[1][1])
-	}
-}
-
 func TestBalanceValidateErrors(t *testing.T) {
 	h := grid(5)
 	bad := partition.Balance{Min: [][]int64{{5}}, Max: [][]int64{{4}}}
@@ -185,10 +178,6 @@ func TestCutObjectives(t *testing.T) {
 	if got := partition.KMinus1(h, a); got != 4 {
 		t.Errorf("KMinus1 = %d, want 4", got)
 	}
-	span := partition.NetSpan(h, a, 6) // first rung net
-	if span.Count() != 2 {
-		t.Errorf("rung net should span 2 parts, got %d", span.Count())
-	}
 	w := partition.PartWeights(h, a, 2)
 	if w[0][0] != 4 || w[1][0] != 4 {
 		t.Errorf("PartWeights = %v", w)
@@ -254,14 +243,14 @@ func TestRandomFeasibleOverconstrained(t *testing.T) {
 }
 
 func TestAssignmentHelpers(t *testing.T) {
-	a := partition.NewAssignment(4)
+	a := make(partition.Assignment, 4)
 	a[2] = 3
 	b := a.Clone()
 	b[0] = 1
 	if a[0] != 0 || b[2] != 3 {
 		t.Error("Clone not independent copy")
 	}
-	c := partition.NewAssignment(4)
+	c := make(partition.Assignment, 4)
 	c.CopyFrom(b)
 	if c[0] != 1 {
 		t.Error("CopyFrom failed")
@@ -307,6 +296,11 @@ func TestClusterTerminals(t *testing.T) {
 	// Merged terminal weight = sum of members.
 	if w := res.Problem.H.Weight(int(res.TerminalOf[0])); w != 3 {
 		t.Errorf("terminal weight = %d, want 3", w)
+	}
+	// The reduced hypergraph itself, pinned: net order, pin order, weights
+	// and pad flags.
+	if got, want := res.Problem.H.Fingerprint(), uint64(0x926a4935ee9836dc); got != want {
+		t.Errorf("reduced hypergraph fingerprint = %#x, want %#x", got, want)
 	}
 }
 

@@ -22,8 +22,13 @@ type ClusterTerminalsResult struct {
 // clustering all vertices fixed in a given part into a single terminal.
 // Free and OR-region vertices are left as singletons.
 //
-// The reduced problem has the same balance bounds; cut values of
-// corresponding assignments are identical (see the property test).
+// A cluster weighs the sum of its members in every resource and is a pad
+// only when every member is. Each net keeps its weight, with its pins mapped
+// through ClusterOf (duplicates collapsed in first-occurrence order); a net
+// left spanning fewer than two clusters is dropped. Unlike the coarsening
+// contraction, parallel nets are not merged, so every surviving net keeps
+// its original order. The reduced problem has the same balance bounds; cut
+// values of corresponding assignments are identical (see the property test).
 func ClusterTerminals(p *Problem) (*ClusterTerminalsResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -54,7 +59,7 @@ func ClusterTerminals(p *Problem) (*ClusterTerminalsResult, error) {
 			next++
 		}
 	}
-	coarse, _, err := hypergraph.Contract(p.H, clusterOf, int(next), hypergraph.ContractOptions{})
+	coarse, err := clusterHypergraph(p.H, clusterOf, int(next))
 	if err != nil {
 		return nil, fmt.Errorf("partition: clustering terminals: %w", err)
 	}
@@ -67,6 +72,37 @@ func ClusterTerminals(p *Problem) (*ClusterTerminalsResult, error) {
 		return nil, fmt.Errorf("partition: reduced problem invalid: %w", err)
 	}
 	return &ClusterTerminalsResult{Problem: reduced, ClusterOf: clusterOf, TerminalOf: terminalOf}, nil
+}
+
+// clusterHypergraph merges h's vertices by clusterOf, every cluster id in
+// [0, numClusters) having a member; see ClusterTerminals.
+func clusterHypergraph(h *hypergraph.Hypergraph, clusterOf []int32, numClusters int) (*hypergraph.Hypergraph, error) {
+	r := h.NumResources()
+	weights := make([]int64, numClusters*r) // cluster c's weights at [c*r, c*r+r)
+	allPads := make([]bool, numClusters)
+	for c := range allPads {
+		allPads[c] = true
+	}
+	for v, c := range clusterOf {
+		for i := 0; i < r; i++ {
+			weights[int(c)*r+i] += h.WeightIn(v, i)
+		}
+		allPads[c] = allPads[c] && h.IsPad(v)
+	}
+	b := hypergraph.NewBuilder(r)
+	b.DedupPins, b.DropSingletons = true, true
+	for c := range allPads {
+		b.SetPad(b.AddVertex(weights[c*r:(c+1)*r]...), allPads[c])
+	}
+	var pins []int
+	for e := 0; e < h.NumNets(); e++ {
+		pins = pins[:0]
+		for _, v := range h.Pins(e) {
+			pins = append(pins, int(clusterOf[v]))
+		}
+		b.AddWeightedNet(h.NetWeight(e), pins...)
+	}
+	return b.Build()
 }
 
 // Project maps an assignment of the reduced problem back to the original

@@ -37,7 +37,7 @@ type Config struct {
 	// "workers").
 	RunWorkers int
 	// CoarsenWorkers is the default intra-descent coarsening parallelism
-	// (matching + contraction goroutines per descent; default 1, serial).
+	// (heavy-edge matching goroutines per descent; default 1, serial).
 	// Requests may override with "coarsen_workers"; either way the value is
 	// clamped to GOMAXPROCS and never changes results.
 	CoarsenWorkers int
