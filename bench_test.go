@@ -312,8 +312,7 @@ func BenchmarkPolicyAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clipCut, lifoCut = 0, 0
 		rng := rand.New(rand.NewPCG(12, 12))
-		var lifo multilevel.Config
-		lifo.SetPolicy(fm.LIFO)
+		lifo := multilevel.Config{Policy: fm.LIFO}
 		for r := 0; r < runs; r++ {
 			res, err := multilevel.Partition(p, multilevel.Config{}, rng)
 			if err != nil {

@@ -212,7 +212,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	if o.fixFraction < 0 || o.fixFraction > 1 {
+	if !(o.fixFraction >= 0 && o.fixFraction <= 1) { // NaN fails too
 		return fmt.Errorf("-fix-fraction %v outside [0, 1]", o.fixFraction)
 	}
 	if o.fixFraction > 0 {
@@ -288,7 +288,7 @@ func run(o options) error {
 				if err != nil {
 					return err
 				}
-				ref, err := fm.KWayPartition(p, res.Assignment, fm.Config{Policy: fm.CLIP, Objective: obj, MaxPassFraction: passFraction(o.cutoff), Stats: flatStats(o.stats, &flatKernel)})
+				ref, err := fm.Refine(p, res.Assignment, fm.Config{Objective: obj, MaxPassFraction: passFraction(o.cutoff), Stats: flatStats(o.stats, &flatKernel)})
 				if err != nil {
 					return err
 				}
@@ -306,27 +306,12 @@ func run(o options) error {
 		}
 		cfg := fm.Config{Policy: policy, Objective: obj, MaxPassFraction: passFraction(o.cutoff), Stats: flatStats(o.stats, &flatKernel)}
 		for s := 0; s < o.starts; s++ {
-			var a partition.Assignment
-			var c int64
-			if p.K == 2 {
-				res, err := fm.RunFromRandom(p, cfg, rng)
-				if err != nil {
-					return err
-				}
-				a, c = res.Assignment, res.Score
-			} else {
-				initial, err := partition.RandomFeasible(p, rng)
-				if err != nil {
-					return err
-				}
-				res, err := fm.KWayPartition(p, initial, cfg)
-				if err != nil {
-					return err
-				}
-				a, c = res.Assignment, res.Score
+			res, err := fm.RunFromRandom(p, cfg, rng)
+			if err != nil {
+				return err
 			}
-			if best == nil || c < score {
-				best, score = a, c
+			if best == nil || res.Score < score {
+				best, score = res.Assignment, res.Score
 			}
 		}
 	default:

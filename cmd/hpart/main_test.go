@@ -201,11 +201,43 @@ func TestCutoffNaN(t *testing.T) {
 			t.Errorf("engine %s, cutoff NaN: %v, want a MaxPassFraction error", engine, err)
 		}
 	}
+	wantExit1(t, "-dir "+dir+" -base tiny -cutoff NaN")
+}
+
+// wantExit1 runs hpart's main on args through the real flag parser, in a
+// child test process that takes the HPART_TEST_ARGS branch of TestCutoffNaN,
+// and fails t unless it exits with status 1.
+func wantExit1(t *testing.T, args string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestCutoffNaN$")
-	cmd.Env = append(os.Environ(), "HPART_TEST_ARGS=-dir "+dir+" -base tiny -cutoff NaN")
+	cmd.Env = append(os.Environ(), "HPART_TEST_ARGS="+args)
 	var exit *exec.ExitError
 	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Errorf("hpart -cutoff NaN: %v, want exit status 1", err)
+		t.Errorf("hpart %s: %v, want exit status 1", args, err)
+	}
+}
+
+// TestNaNFixFractionAndTolerance: a NaN -fix-fraction, and a NaN or
+// negative -tol, are rejected through the real flag parser (exit 1) instead
+// of fixing nothing or failing with a bound that names neither flag.
+func TestNaNFixFractionAndTolerance(t *testing.T) {
+	dir := t.TempDir()
+	writeHGRSuite(t, dir, 0.1)
+	hgrPath := filepath.Join(dir, "circuit.hgr")
+	o := testOpts("", "")
+	o.hgrPath, o.tol, o.fixFraction = hgrPath, 0.1, math.NaN()
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "-fix-fraction") {
+		t.Errorf("fix-fraction NaN: %v, want a -fix-fraction error", err)
+	}
+	for _, tol := range []float64{math.NaN(), -0.5} {
+		o := testOpts("", "")
+		o.hgrPath, o.tol = hgrPath, tol
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "tolerance") {
+			t.Errorf("tol %v: %v, want a tolerance error", tol, err)
+		}
+	}
+	for _, args := range []string{"-tol 0.1 -fix-fraction NaN", "-tol NaN", "-tol -0.5"} {
+		wantExit1(t, "-hgr "+hgrPath+" -k 2 "+args)
 	}
 }
 

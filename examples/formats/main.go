@@ -75,11 +75,7 @@ func main() {
 
 	// Solve with a feasible random start + direct k-way FM.
 	rng := rand.New(rand.NewPCG(5, 5))
-	initial, err := partition.RandomFeasible(back, rng)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := fm.KWayPartition(back, initial, fm.Config{})
+	res, err := fm.RunFromRandom(back, fm.Config{Policy: fm.LIFO}, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref, err := fm.KWayPartition(inst.Problem, rb.Assignment, fm.Config{Policy: fm.CLIP})
+	ref, err := fm.Refine(inst.Problem, rb.Assignment, fm.Config{Policy: fm.CLIP})
 	if err != nil {
 		log.Fatal(err)
 	}

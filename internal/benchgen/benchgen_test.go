@@ -259,9 +259,9 @@ func TestDeriveQuad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RandomFeasible: %v", err)
 	}
-	res, err := fm.KWayPartition(inst.Problem, initial, fm.Config{Policy: fm.CLIP})
+	res, err := fm.Refine(inst.Problem, initial, fm.Config{Policy: fm.CLIP})
 	if err != nil {
-		t.Fatalf("KWayPartition: %v", err)
+		t.Fatalf("Refine: %v", err)
 	}
 	if err := inst.Problem.Feasible(res.Assignment); err != nil {
 		t.Fatalf("infeasible: %v", err)

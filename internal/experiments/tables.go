@@ -213,7 +213,7 @@ func MultiwaySweep(name string, h *hypergraph.Hypergraph, k int, cfg SweepConfig
 		if err != nil {
 			return nil, 0, err
 		}
-		ref, err := fm.KWayPartition(prob, r.Assignment, fm.Config{Policy: fm.CLIP})
+		ref, err := fm.Refine(prob, r.Assignment, fm.Config{Policy: fm.CLIP})
 		if err != nil {
 			return nil, 0, err
 		}

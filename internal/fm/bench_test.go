@@ -57,7 +57,7 @@ func BenchmarkKWayFM4(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := fm.KWayPartition(p, initial, fm.Config{Policy: fm.LIFO}); err != nil {
+		if _, err := fm.Refine(p, initial, fm.Config{Policy: fm.LIFO}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func BenchmarkKWayFM4(b *testing.B) {
 
 // Scratch-reuse benchmarks: the same pass over the same initial solution,
 // once allocating fresh per-run state each iteration and once reusing a
-// single Scratch. The allocs/op gap is the cost the sync.Pool in Bipartition
+// single Scratch. The allocs/op gap is the cost the sync.Pool in Refine
 // removes from multistart loops.
 
 func benchInitial(b *testing.B, p *partition.Problem) partition.Assignment {
@@ -83,7 +83,7 @@ func BenchmarkBipartitionFreshScratch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fm.BipartitionWith(p, initial, fm.Config{Policy: fm.CLIP}, &fm.Scratch{}); err != nil {
+		if _, err := refineWith(p, initial, fm.Config{Policy: fm.CLIP}, &fm.Scratch{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func BenchmarkBipartitionReusedScratch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fm.BipartitionWith(p, initial, fm.Config{Policy: fm.CLIP}, sc); err != nil {
+		if _, err := refineWith(p, initial, fm.Config{Policy: fm.CLIP}, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkBipartitionPooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fm.Bipartition(p, initial, fm.Config{Policy: fm.CLIP}); err != nil {
+		if _, err := fm.Refine(p, initial, fm.Config{Policy: fm.CLIP}); err != nil {
 			b.Fatal(err)
 		}
 	}

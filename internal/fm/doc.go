@@ -2,8 +2,8 @@
 // for any number of parts: a part-count-generic move kernel (LIFO and CLIP
 // vertex-selection policies, per-part gain buckets, hard pass-length cutoffs
 // — the paper's Section III heuristic — and per-pass statistics, Table II).
-// Bipartition is the k = 2 instantiation of the kernel; KWayPartition drives
-// the same kernel for any k up to partition.MaxParts.
+// Refine drives the kernel for any k up to partition.MaxParts; at k = 2 it is
+// classic FM bipartitioning.
 //
 // Gain updates are net-state aware: locked nets are short-circuited, 2- and
 // 3-pin nets take closed-form fast paths, and bucket repositionings are
@@ -35,8 +35,7 @@
 // The gain table passes from the rounds to localized FM to the kernel's
 // first pass while it is exact. Pairwise re-derives each part pair's
 // movability and lock seeds from Φ and restores the level's afterwards.
-// LocalizedRefine, KWayPartitionWith and BipartitionWith are each NewLevel
-// plus one stage.
+// LocalizedRefine and Refine are each NewLevel plus one stage.
 //
 // # Localized FM
 //
@@ -71,7 +70,7 @@
 //
 // # Concurrency
 //
-// A kernel instance (Bipartition, KWayPartition, a Level, a Scratch, and
+// A kernel instance (a Refine run, a Level, a Scratch, and
 // the gain buckets inside them) is single-goroutine: it may not be shared
 // or called concurrently; the parallel stages fan out internally. Parallel
 // callers run one kernel (and one Scratch) per

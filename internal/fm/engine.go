@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 
 	"repro/internal/partition"
@@ -13,14 +14,15 @@ import (
 type Policy int
 
 const (
-	// LIFO is classic FM with last-in-first-out tie-breaking within a gain
-	// bucket.
-	LIFO Policy = iota
 	// CLIP is the cluster-oriented iterative-improvement policy of Dutt and
 	// Deng: bucket keys start at zero for every vertex at the beginning of a
 	// pass and track only gain *updates*, so selection clusters around
-	// recently moved vertices.
-	CLIP
+	// recently moved vertices. It is the paper's engine default and the zero
+	// Policy.
+	CLIP Policy = iota
+	// LIFO is classic FM with last-in-first-out tie-breaking within a gain
+	// bucket.
+	LIFO
 )
 
 // String returns the policy name.
@@ -37,7 +39,8 @@ func (p Policy) String() string {
 
 // Config controls a flat FM run.
 type Config struct {
-	// Policy is the vertex-selection discipline (LIFO or CLIP).
+	// Policy is the vertex-selection discipline (CLIP, the zero value, or
+	// LIFO).
 	Policy Policy
 	// Objective selects the metric the run reports as Score (and is
 	// selected by upstream). Every objective walks the same (λ-1) move
@@ -83,23 +86,26 @@ type PassStats struct {
 	Gain  int64 // objective reduction achieved by the pass (>= 0)
 }
 
-// Result is the outcome of a flat FM bipartitioning run.
+// Result is the outcome of a flat FM run.
 type Result struct {
 	// Assignment is the best solution found (feasible by construction).
 	Assignment partition.Assignment
-	// Cut is the weighted cut of Assignment.
+	// Cut is the weighted net cut of Assignment (nets spanning > 1 part).
 	Cut int64
-	// Score is Assignment evaluated under the run's Objective. It is the
-	// running objective the kernel keeps from its pass gains (FuzzFMKernel
-	// cross-checks it against a from-scratch recount); at k = 2 every
-	// objective in the family coincides with the cut, so Score == Cut.
+	// KMinus1 is the (λ-1) connectivity of Assignment, the ledger the
+	// kernel's passes track (== Cut at k = 2).
+	KMinus1 int64
+	// Score is Assignment evaluated under the run's Objective (== Cut for
+	// ObjectiveCut, == KMinus1 for ObjectiveKM1), the number multistart
+	// drivers select by. It is read off the kernel's running state
+	// (FuzzFMKernel cross-checks it against a from-scratch recount).
 	Score int64
 	// Objective is the metric the run optimized (Config.Objective).
 	Objective Objective
 	// Passes holds one entry per executed pass, including the final
 	// zero-gain pass that triggered termination.
 	Passes []PassStats
-	// Movable is the number of vertices free to move between the two parts.
+	// Movable is the number of vertices with at least two allowed parts.
 	Movable int
 }
 
@@ -168,34 +174,46 @@ type kernel struct {
 	bucketUpdatesSaved int64
 }
 
-// Bipartition refines the feasible initial assignment with flat FM passes
-// and returns the best solution found. The initial assignment is not
-// modified. Vertices whose allowed mask excludes one of the two parts are
-// treated as fixed terminals. Working state comes from an internal
-// sync.Pool; use BipartitionWith to manage the Scratch explicitly.
-func Bipartition(p *partition.Problem, initial partition.Assignment, cfg Config) (*Result, error) {
+// Refine refines the feasible initial assignment with flat FM passes for any
+// part count and returns the best solution found. Every (vertex, target
+// part) move has its own gain bucket entry, gains measure the (λ-1)
+// connectivity delta (the classic cut gain at k = 2), passes lock each vertex
+// after its first move and roll back to the best prefix, and the Config's
+// policy and pass cutoff apply. Fixed vertices and OR-region masks are
+// honoured. The initial assignment is not modified and the result never
+// aliases scratch memory; working state comes from an internal sync.Pool.
+// It is NewLevel followed by Polish.
+func Refine(p *partition.Problem, initial partition.Assignment, cfg Config) (*Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	sc := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(sc)
-	return BipartitionWith(p, initial, cfg, sc)
-}
-
-// BipartitionWith is Bipartition running on a caller-provided Scratch, for
-// callers that make many runs and want to keep one warm Scratch instead of
-// going through the pool. The result never aliases scratch memory. It is
-// NewLevel followed by Polish.
-func BipartitionWith(p *partition.Problem, initial partition.Assignment, cfg Config, sc *Scratch) (*Result, error) {
-	if p.K != 2 {
-		return nil, fmt.Errorf("fm: Bipartition requires k=2, got k=%d", p.K)
-	}
 	l, err := NewLevel(p, initial, cfg, sc)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
+	passes := l.Polish(cfg)
+	return &Result{
+		Assignment: l.Assignment(),
+		Cut:        l.Cut(),
+		KMinus1:    l.km1,
+		Score:      l.Score(),
+		Objective:  cfg.Objective,
+		Passes:     passes,
+		Movable:    l.m.nMovable,
+	}, nil
+}
+
+// RunFromRandom draws a random feasible starting assignment and refines it
+// with flat FM. This is the paper's "single FM start" building block (the
+// first pass traditionally begins from a random partitioning).
+func RunFromRandom(p *partition.Problem, cfg Config, rng *rand.Rand) (*Result, error) {
+	initial, err := partition.RandomFeasible(p, rng)
+	if err != nil {
 		return nil, err
 	}
-	passes := l.Polish(cfg)
-	return &Result{Assignment: l.Assignment(), Cut: l.km1, Score: l.km1, Objective: cfg.Objective, Passes: passes, Movable: l.m.nMovable}, nil
+	return Refine(p, initial, cfg)
 }
 
 // Polish runs the serial FM kernel on the level under cfg's policy, pass

@@ -84,7 +84,7 @@ func TestKernelMatchesReference(t *testing.T) {
 		trials++
 		cfg := diffConfig(rng)
 		name := fmt.Sprintf("trial %d (k=%d %s)", trials, p.K, cfg.Policy)
-		got, err := fm.KWayPartition(p, initial, cfg)
+		got, err := fm.Refine(p, initial, cfg)
 		if err != nil {
 			t.Fatalf("%s: optimized: %v", name, err)
 		}
@@ -108,7 +108,7 @@ func TestKernelMatchesReference(t *testing.T) {
 }
 
 // TestBipartitionMatchesReference repeats the differential test through the
-// k=2 entry points, which the multilevel drivers use.
+// frozen k = 2 entry point on bipartitioning instances.
 func TestBipartitionMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xd1ff, 2))
 	trials := 0
@@ -134,7 +134,7 @@ func TestBipartitionMatchesReference(t *testing.T) {
 		}
 		trials++
 		cfg := diffConfig(rng)
-		got, err := fm.Bipartition(p, initial, cfg)
+		got, err := fm.Refine(p, initial, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: optimized: %v", trials, err)
 		}
@@ -183,7 +183,7 @@ func TestKernelPinScanReduction(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := fm.Bipartition(p, initial, fm.Config{Policy: policy, Stats: &total})
+				got, err := fm.Refine(p, initial, fm.Config{Policy: policy, Stats: &total})
 				if err != nil {
 					t.Fatal(err)
 				}

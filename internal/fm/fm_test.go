@@ -92,7 +92,7 @@ func TestBipartitionNeverWorseThanInitial(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := fm.Bipartition(p, initial, fm.Config{Policy: fm.LIFO})
+		res, err := fm.Refine(p, initial, fm.Config{Policy: fm.LIFO})
 		if err != nil {
 			return false
 		}
@@ -221,9 +221,9 @@ func TestNoMovableVertices(t *testing.T) {
 	for v := range initial {
 		initial[v] = int8(v / 4)
 	}
-	res, err := fm.Bipartition(p, initial, fm.Config{})
+	res, err := fm.Refine(p, initial, fm.Config{Policy: fm.LIFO})
 	if err != nil {
-		t.Fatalf("Bipartition: %v", err)
+		t.Fatalf("Refine: %v", err)
 	}
 	if res.Movable != 0 || len(res.Passes) != 0 {
 		t.Errorf("movable=%d passes=%d, want 0/0", res.Movable, len(res.Passes))
@@ -239,23 +239,17 @@ func TestBipartitionErrors(t *testing.T) {
 	for v := 4; v < 8; v++ {
 		initial[v] = 1
 	}
-	t.Run("k!=2", func(t *testing.T) {
-		p := partition.NewFree(h, 4, 0.1)
-		if _, err := fm.Bipartition(p, initial, fm.Config{}); err == nil {
-			t.Error("want error")
-		}
-	})
 	t.Run("infeasible initial", func(t *testing.T) {
 		p := partition.NewBipartition(h, 0.02)
 		bad := make(partition.Assignment, h.NumVertices()) // everything in part 0
-		if _, err := fm.Bipartition(p, bad, fm.Config{}); err == nil {
+		if _, err := fm.Refine(p, bad, fm.Config{}); err == nil {
 			t.Error("want error")
 		}
 	})
 	t.Run("bad fraction", func(t *testing.T) {
 		p := partition.NewBipartition(h, 0.1)
 		for _, f := range []float64{1.5, -0.5, math.NaN()} {
-			if _, err := fm.Bipartition(p, initial, fm.Config{MaxPassFraction: f}); err == nil {
+			if _, err := fm.Refine(p, initial, fm.Config{MaxPassFraction: f}); err == nil {
 				t.Errorf("MaxPassFraction %v: want error", f)
 			}
 		}
@@ -268,7 +262,7 @@ func TestORRegionVertexMovableInBipartition(t *testing.T) {
 	// An OR-region over both parts is equivalent to free in bipartitioning.
 	p.Restrict(0, partition.Single(0).With(1))
 	rng := rand.New(rand.NewPCG(9, 9))
-	res, err := fm.RunFromRandom(p, fm.Config{}, rng)
+	res, err := fm.RunFromRandom(p, fm.Config{Policy: fm.LIFO}, rng)
 	if err != nil {
 		t.Fatalf("RunFromRandom: %v", err)
 	}
@@ -352,11 +346,11 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	for _, policy := range []fm.Policy{fm.LIFO, fm.CLIP} {
 		for i, p := range probs {
 			cfg := fm.Config{Policy: policy}
-			fresh, err := fm.BipartitionWith(p, inits[i], cfg, &fm.Scratch{})
+			fresh, err := refineWith(p, inits[i], cfg, &fm.Scratch{})
 			if err != nil {
 				t.Fatalf("fresh run %d: %v", i, err)
 			}
-			reused, err := fm.BipartitionWith(p, inits[i], cfg, sc)
+			reused, err := refineWith(p, inits[i], cfg, sc)
 			if err != nil {
 				t.Fatalf("reused run %d: %v", i, err)
 			}

@@ -124,7 +124,7 @@ func FuzzFMKernel(f *testing.F) {
 			cfg.Objective = fm.ObjectiveKM1
 		}
 
-		got, err := fm.KWayPartition(p, initial, cfg)
+		got, err := fm.Refine(p, initial, cfg)
 		if err != nil {
 			t.Fatalf("optimized: %v", err)
 		}

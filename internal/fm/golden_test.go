@@ -22,7 +22,7 @@ type goldenRun struct {
 	wantHash uint64
 }
 
-// bipartitionGoldens pins the exact output of fm.Bipartition on the
+// bipartitionGoldens pins the exact output of fm.Refine at k = 2 on the
 // IBM01S–IBM05S presets. The values were recorded from the dedicated 2-way
 // engine before it was generalized into the k-way kernel; the k = 2
 // instantiation of the kernel must reproduce every run byte-for-byte
@@ -106,7 +106,7 @@ func TestBipartitionGoldenPresets(t *testing.T) {
 				for _, frac := range []float64{0, 0.25} {
 					g := goldenRun{preset: preset, policy: policy, fixFrac: frac}
 					p, initial := goldenProblem(t, g)
-					res, err := fm.Bipartition(p, initial, fm.Config{Policy: policy})
+					res, err := fm.Refine(p, initial, fm.Config{Policy: policy})
 					if err != nil {
 						t.Fatalf("%s %v: %v", preset, policy, err)
 					}
@@ -120,9 +120,9 @@ func TestBipartitionGoldenPresets(t *testing.T) {
 		name := fmt.Sprintf("%s/%v/fix%.0f%%", g.preset, g.policy, 100*g.fixFrac)
 		t.Run(name, func(t *testing.T) {
 			p, initial := goldenProblem(t, g)
-			res, err := fm.Bipartition(p, initial, fm.Config{Policy: g.policy})
+			res, err := fm.Refine(p, initial, fm.Config{Policy: g.policy})
 			if err != nil {
-				t.Fatalf("Bipartition: %v", err)
+				t.Fatalf("Refine: %v", err)
 			}
 			if res.Cut != g.wantCut {
 				t.Errorf("cut = %d, want %d", res.Cut, g.wantCut)

@@ -20,6 +20,16 @@ func parallelRefine(p *partition.Problem, initial partition.Assignment, cfg fm.C
 	return &res, lv.Assignment(), nil
 }
 
+// refineWith is fm.Refine on a caller-provided scratch: NewLevel plus Polish.
+func refineWith(p *partition.Problem, initial partition.Assignment, cfg fm.Config, sc *fm.Scratch) (*fm.Result, error) {
+	lv, err := fm.NewLevel(p, initial, cfg, sc)
+	if err != nil {
+		return nil, err
+	}
+	passes := lv.Polish(cfg)
+	return &fm.Result{Assignment: lv.Assignment(), Cut: lv.Cut(), KMinus1: lv.KMinus1(), Score: lv.Score(), Objective: cfg.Objective, Passes: passes}, nil
+}
+
 // localizedRefine is parallelRefine for the localized FM stage.
 func localizedRefine(p *partition.Problem, initial partition.Assignment, cfg fm.Config, workers int, salt uint64, sc *fm.Scratch) (*fm.LocalizedResult, error) {
 	lv, err := fm.NewLevel(p, initial, cfg, sc)
@@ -105,7 +115,7 @@ func TestLevelChainMatchesFreshStages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r3, err := fm.KWayPartitionWith(p, r2.Assignment, cfg, sc)
+			r3, err := refineWith(p, r2.Assignment, cfg, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +125,7 @@ func TestLevelChainMatchesFreshStages(t *testing.T) {
 			}
 			fresh.Pairwise(cfg, 2)
 			r4 := fresh.Assignment()
-			r5, err := fm.KWayPartitionWith(p, r4, cfg, sc)
+			r5, err := refineWith(p, r4, cfg, sc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -144,7 +144,7 @@ func TestLocalizedRefineThenPolish(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: localized: %v", trials, err)
 		}
-		polished, err := fm.KWayPartitionWith(p, loc.Assignment, fm.Config{Policy: fm.CLIP, MaxPasses: 1}, sc)
+		polished, err := refineWith(p, loc.Assignment, fm.Config{Policy: fm.CLIP, MaxPasses: 1}, sc)
 		if err != nil {
 			t.Fatalf("trial %d: tail: %v", trials, err)
 		}

@@ -55,11 +55,11 @@ func TestKWayObjectiveTrajectoryIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RandomFeasible k=%d: %v", k, err)
 			}
-			cut, err := fm.KWayPartition(p, initial, fm.Config{Policy: policy})
+			cut, err := fm.Refine(p, initial, fm.Config{Policy: policy})
 			if err != nil {
 				t.Fatalf("cut run k=%d: %v", k, err)
 			}
-			km1, err := fm.KWayPartition(p, initial, fm.Config{Policy: policy, Objective: fm.ObjectiveKM1})
+			km1, err := fm.Refine(p, initial, fm.Config{Policy: policy, Objective: fm.ObjectiveKM1})
 			if err != nil {
 				t.Fatalf("km1 run k=%d: %v", k, err)
 			}
@@ -119,7 +119,7 @@ func TestKWayKM1ScoreProperty(t *testing.T) {
 		if err != nil {
 			return true // rare overconstrained draw
 		}
-		res, err := fm.KWayPartition(p, initial, fm.Config{Policy: fm.CLIP, Objective: fm.ObjectiveKM1})
+		res, err := fm.Refine(p, initial, fm.Config{Policy: fm.CLIP, Objective: fm.ObjectiveKM1})
 		if err != nil {
 			return false
 		}

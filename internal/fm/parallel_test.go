@@ -141,7 +141,7 @@ func TestParallelRefineThenPolish(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: rounds: %v", trials, err)
 		}
-		polished, err := fm.KWayPartitionWith(p, rounds, fm.Config{Policy: fm.CLIP}, sc)
+		polished, err := refineWith(p, rounds, fm.Config{Policy: fm.CLIP}, sc)
 		if err != nil {
 			t.Fatalf("trial %d: polish: %v", trials, err)
 		}

@@ -212,8 +212,8 @@ type refKernel struct {
 	partOrder []int32
 }
 
-// kernelResult is the frozen kernel's raw outcome, wrapped into Result or
-// KWayResult by the frozen entry points.
+// kernelResult is the frozen kernel's raw outcome, wrapped into Result by
+// the frozen entry points.
 type kernelResult struct {
 	a       partition.Assignment
 	obj     int64 // final (λ-1) connectivity; equals the cut when k = 2
@@ -243,7 +243,7 @@ func bipartitionReference(p *partition.Problem, initial partition.Assignment, cf
 }
 
 // kwayPartitionReference is the frozen pre-rewrite KWayPartition.
-func kwayPartitionReference(p *partition.Problem, initial partition.Assignment, cfg Config) (*KWayResult, error) {
+func kwayPartitionReference(p *partition.Problem, initial partition.Assignment, cfg Config) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -257,7 +257,7 @@ func kwayPartitionReference(p *partition.Problem, initial partition.Assignment, 
 	defer refScratchPool.Put(sc)
 	e := newRefKernel(p, initial, cfg, sc)
 	r := e.run()
-	return &KWayResult{
+	return &Result{
 		Assignment: r.a,
 		Cut:        partition.Cut(p.H, r.a),
 		KMinus1:    r.obj,

@@ -54,16 +54,16 @@ type Scratch struct {
 	round roundState
 }
 
-// scratchPool caches Scratch values for callers of the non-With entry points
-// (Bipartition, KWayPartition, RunFromRandom). With a bounded worker pool
+// scratchPool caches Scratch values for the entry points that take none
+// (Refine, RunFromRandom, LocalizedRefine). With a bounded worker pool
 // upstream, each worker effectively keeps one warm Scratch, so repeated
 // starts on the same problem allocate almost nothing.
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
 
 // GetScratch leases a Scratch from the shared pool. Callers running many FM
 // runs back to back (e.g. one multilevel descent: coarsest-level tries plus a
-// refinement per level) hold one scratch across all of them via the *With
-// entry points, then return it with PutScratch.
+// refinement per level) hold one scratch across all of them by building each
+// Level on it, then return it with PutScratch.
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // PutScratch returns a leased Scratch to the shared pool. The scratch must

@@ -48,12 +48,6 @@ type Layout struct {
 	Parts []Rect
 }
 
-// Quadrisection returns the 4-part layout of the w x h region in the order
-// bottom-left, bottom-right, top-left, top-right.
-func Quadrisection(w, h float64) Layout {
-	return QuadrisectionOf(Rect{0, 0, w, h})
-}
-
 // QuadrisectionOf splits an arbitrary block rectangle into its quadrants
 // (bottom-left, bottom-right, top-left, top-right).
 func QuadrisectionOf(r Rect) Layout {

@@ -58,7 +58,7 @@ func TestRectIntersects(t *testing.T) {
 }
 
 func TestLayouts(t *testing.T) {
-	quad := geometry.Quadrisection(10, 8)
+	quad := geometry.QuadrisectionOf(geometry.Rect{X1: 10, Y1: 8})
 	if err := quad.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestLayouts(t *testing.T) {
 }
 
 func TestMaskForRegion(t *testing.T) {
-	quad := geometry.Quadrisection(10, 10)
+	quad := geometry.QuadrisectionOf(geometry.Rect{X1: 10, Y1: 10})
 	// Interior point: one quadrant.
 	m, err := quad.MaskForRegion(geometry.Point(2, 2))
 	if err != nil || m != partition.Single(0) {
@@ -130,7 +130,7 @@ func TestPropagationRegion(t *testing.T) {
 	if r != want {
 		t.Fatalf("strip -> %+v, want %+v", r, want)
 	}
-	quad := geometry.Quadrisection(10, 10)
+	quad := geometry.QuadrisectionOf(geometry.Rect{X1: 10, Y1: 10})
 	m, err := quad.MaskForRegion(r)
 	if err != nil || m != partition.Single(0).With(2) {
 		t.Errorf("propagated strip mask = %b (%v), want both left quadrants", m, err)

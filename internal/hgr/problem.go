@@ -3,6 +3,7 @@ package hgr
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/partition"
 )
@@ -16,8 +17,9 @@ func ReadProblem(hgrR, fixR io.Reader, k int, tol float64) (*partition.Problem, 
 
 // ReadProblemLimits assembles a partitioning instance from the exchange
 // formats: the hypergraph from hgrR, constraints from fixR (nil for a free
-// instance), k parts, uniform balance tolerance tol. The result has passed
-// both Problem.Validate and CheckFeasible — structurally impossible inputs
+// instance), k parts, uniform balance tolerance tol (finite and non-negative;
+// anything else is rejected before parsing). The result has passed both
+// Problem.Validate and CheckFeasible — structurally impossible inputs
 // (a vertex heavier than every part it may occupy, fixed vertices that
 // overfill a part) are rejected here, at ingestion, rather than surfacing as
 // an unexplained mid-solve failure.
@@ -26,6 +28,9 @@ func ReadProblem(hgrR, fixR io.Reader, k int, tol float64) (*partition.Problem, 
 // Problem.Fingerprint) as no fix file at all, so constraint-free instances
 // are identical however they were posed.
 func ReadProblemLimits(hgrR, fixR io.Reader, k int, tol float64, lim Limits) (*partition.Problem, error) {
+	if math.IsNaN(tol) || math.IsInf(tol, 0) || tol < 0 {
+		return nil, fmt.Errorf("hgr: balance tolerance %v must be a finite non-negative number", tol)
+	}
 	h, err := ReadHGRLimits(hgrR, lim)
 	if err != nil {
 		return nil, err

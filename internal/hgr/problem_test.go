@@ -1,6 +1,7 @@
 package hgr
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -41,6 +42,17 @@ func TestReadProblem(t *testing.T) {
 	}
 	if !p.IsFree(0) || !p.IsFree(2) {
 		t.Fatal("vertices 0 and 2 should be free")
+	}
+}
+
+// A tolerance the balance bounds cannot be built from is rejected with an
+// error naming it, not a min > max complaint about part 0.
+func TestReadProblemBadTolerance(t *testing.T) {
+	for _, tol := range []float64{math.NaN(), -0.5, math.Inf(1)} {
+		_, err := ReadProblem(strings.NewReader(hgrFmt11), nil, 2, tol)
+		if err == nil || !strings.Contains(err.Error(), "tolerance") {
+			t.Errorf("tol %v: %v, want a tolerance error", tol, err)
+		}
 	}
 }
 

@@ -23,23 +23,6 @@ func kwayMaxCluster(p *partition.Problem) int64 {
 	return maxCluster
 }
 
-// PartitionKWay runs one start of the direct k-way multilevel partitioner:
-// the full k-way problem is coarsened once (masks intersect downward, so
-// fixed vertices and OR-regions are honoured at every level), partitioned at
-// the coarsest level, and refined with direct k-way FM at every level on the
-// way back up — in contrast to RecursiveBisect, which decomposes the problem
-// into a tree of independent 2-way cuts and cannot recover from early
-// bisection mistakes.
-//
-// The coarsest-level initial partition is the best of four attempts, each a
-// recursive bisection of the (small) coarsest problem refined by k-way FM;
-// attempts fall back to a random feasible assignment when bisection cannot
-// satisfy the masks, and the driver backs off toward finer levels when heavy
-// clusters leave no feasible start at the coarsest one. Works for any 2 <= k <= partition.MaxParts, power of two or not.
-func PartitionKWay(p *partition.Problem, cfg Config, rng *rand.Rand) (*Result, error) {
-	return partitionOne(p, cfg, true, rng)
-}
-
 // kwayInitial produces one feasible k-way seed assignment for the (small)
 // coarsest problem: recursive bisection when it can satisfy the masks and
 // balance, otherwise a random feasible draw. The bisection's own phases run

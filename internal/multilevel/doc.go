@@ -1,14 +1,15 @@
 // Package multilevel implements the multilevel FM hypergraph partitioner the
 // paper uses as its testbed engine: heavy-edge-matching coarsening that
 // respects fixed vertices, random feasible initial solutions at the coarsest
-// level, and FM refinement during uncoarsening (CLIP by default, no
-// V-cycling), plus recursive bisection and a direct k-way driver for k > 2.
+// level, and FM refinement during uncoarsening (CLIP, the zero fm.Policy, by
+// default; no V-cycling), plus recursive bisection and a direct k-way driver
+// for k > 2.
 // The coarsening parameters are the paper's, fixed as package constants.
 //
 // Solve is the one multistart entry point. Its Spec selects the number of
 // starts, 2-way or direct k-way descents, shared coarsening hierarchies with
-// cheap "follower" descents, and adaptive patience. Partition,
-// PartitionKWay and RecursiveBisect run single starts; BuildHierarchies and
+// cheap "follower" descents, and adaptive patience. Partition and
+// RecursiveBisect run single starts; BuildHierarchies and
 // MultistartOnHierarchies split coarsening from refinement for the hpartd
 // hierarchy cache. Every descent — 2-way and k-way — refines each level
 // with the same step: synchronous rounds, localized FM at the finest level,

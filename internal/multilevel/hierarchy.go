@@ -14,16 +14,16 @@ import (
 
 // Hierarchy is the product of one coarsening descent: the stack of
 // progressively coarser problems plus the cluster maps between them, and the
-// algorithm its descents run — 2-way (Partition) or direct k-way
-// (PartitionKWay). It is immutable once built, so many refinement-only
-// descents — serial or concurrent — can share it; that is what Solve's
+// algorithm its descents run — 2-way or direct k-way FM. It is immutable
+// once built, so many refinement-only descents — serial or concurrent — can
+// share it; that is what Solve's
 // shared-hierarchy mode exploits to amortise coarsening (and its contraction
 // cost) over many starts. A Hierarchy is only sound to share between starts
 // of the same problem.
 type Hierarchy struct {
 	levels []level
-	cfg    Config // effective config the hierarchy was built with
-	kway   bool   // descend with direct k-way FM (PartitionKWay) instead of 2-way FM
+	cfg    Config // config the hierarchy was built with
+	kway   bool   // descend with direct k-way FM instead of 2-way FM
 }
 
 // Root returns the original (finest) problem.
@@ -42,9 +42,8 @@ func bipartitionMaxCluster(p *partition.Problem) int64 {
 	return maxCluster
 }
 
-// coarsen builds the hierarchy one start of Partition (kway false) or
-// PartitionKWay (kway true) descends, on an already-validated problem and
-// effective config.
+// coarsen builds the hierarchy one 2-way (kway false) or direct k-way (kway
+// true) start descends, on an already-validated problem and config.
 func coarsen(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) *Hierarchy {
 	maxCluster := bipartitionMaxCluster(p)
 	if kway {
@@ -70,7 +69,7 @@ func coarsen(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) *Hiera
 // caller-provided FM scratch (scratch contents never influence results, so
 // the multistart scheduler pins one per worker). Owner descents
 // (follower=false) refine with the full configured FM discipline and replay
-// Partition's and PartitionKWay's phases bit-identically; follower descents
+// a single start's phases bit-identically; follower descents
 // — extra starts resampling a hierarchy another start owns — apply
 // followerPassFraction as a pass cutoff during uncoarsening refinement,
 // trading a sliver of per-start quality for a large reduction in per-start
@@ -123,37 +122,40 @@ func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (
 }
 
 // initial returns the best of initialTries refined starts on the level
-// problem lp, or nil when it admits none. 2-way tries are random feasible
-// starts refined by 2-way FM and ranked by Score (at k = 2 every objective
-// coincides with the cut); k-way tries are recursive-bisection seeds
-// (kwayInitial) refined by k-way FM and ranked by connectivity — exact for
-// km1 and a historical, bit-identity-preserving tiebreak for cut, where the
-// multistart scheduler re-ranks completed starts by their own Score.
+// problem lp, or nil when it admits none. Each try is a seed — a random
+// feasible draw for 2-way descents, a recursive-bisection seed (kwayInitial)
+// for k-way ones — polished by the FM kernel on sc and ranked by its running
+// connectivity: at k = 2 that is the cut every objective coincides with;
+// at k > 2 it is exact for km1 and a historical, bit-identity-preserving
+// tiebreak for cut, where the multistart scheduler re-ranks completed starts
+// by their own Score. A 2-way draw that fails ends the tries; a k-way seed
+// that fails skips to the next.
 func (h *Hierarchy) initial(lp *partition.Problem, initCfg fm.Config, rng *rand.Rand, sc *fm.Scratch) partition.Assignment {
 	var best partition.Assignment
 	var bestScore int64
 	for try := 0; try < initialTries; try++ {
-		var a partition.Assignment
-		var score int64
+		var seed partition.Assignment
 		if h.kway {
-			seed, ok := kwayInitial(lp, h.cfg, rng)
-			if !ok {
+			var ok bool
+			if seed, ok = kwayInitial(lp, h.cfg, rng); !ok {
 				continue
 			}
-			res, err := fm.KWayPartitionWith(lp, seed, initCfg, sc)
-			if err != nil {
-				continue
-			}
-			a, score = res.Assignment, res.KMinus1
 		} else {
-			res, err := fm.RunFromRandomWith(lp, initCfg, rng, sc)
-			if err != nil {
+			var err error
+			if seed, err = partition.RandomFeasible(lp, rng); err != nil {
 				break
 			}
-			a, score = res.Assignment, res.Score
 		}
-		if best == nil || score < bestScore {
-			best, bestScore = a, score
+		lv, err := fm.NewLevel(lp, seed, initCfg, sc)
+		if err != nil {
+			if h.kway {
+				continue
+			}
+			break
+		}
+		lv.Polish(initCfg)
+		if best == nil || lv.KMinus1() < bestScore {
+			best, bestScore = lv.Assignment(), lv.KMinus1()
 		}
 	}
 	return best

@@ -30,12 +30,10 @@ const (
 // paper's engine configuration: CLIP refinement over the fixed heavy-edge
 // coarsening above, with no V-cycling.
 type Config struct {
-	// Policy is the FM refinement discipline. Because the zero Policy value
-	// is LIFO while the paper's engine default is CLIP, set it through
-	// SetPolicy; an untouched Config refines with CLIP. (The paper notes
-	// LIFO gives very similar results.)
-	Policy    fm.Policy
-	policySet bool
+	// Policy is the FM refinement discipline; the zero value is the paper's
+	// engine default, CLIP. (The paper notes LIFO gives very similar
+	// results.)
+	Policy fm.Policy
 	// Objective selects the metric the FM kernels score by and every driver
 	// selects on (multistart best-of, adaptive patience).
 	// The zero value, fm.ObjectiveCut, reproduces the historical engine bit
@@ -96,19 +94,6 @@ type Config struct {
 	// config, on the 2-way and the direct k-way path alike. Counters are
 	// updated atomically, so concurrent runs may share one PhaseStats.
 	Stats *PhaseStats
-}
-
-// SetPolicy selects the refinement policy explicitly.
-func (c *Config) SetPolicy(p fm.Policy) {
-	c.Policy = p
-	c.policySet = true
-}
-
-func (c Config) effective() Config {
-	if !c.policySet {
-		c.Policy = fm.CLIP
-	}
-	return c
 }
 
 // validate rejects config values no descent can honour, naming the field.
@@ -186,8 +171,8 @@ func Partition(p *partition.Problem, cfg Config, rng *rand.Rand) (*Result, error
 	return partitionOne(p, cfg, false, rng)
 }
 
-// partitionOne validates p and cfg, then coarsens and descends once on rng:
-// Partition (kway false) or PartitionKWay (kway true).
+// partitionOne validates p and cfg, then coarsens and descends once on rng
+// with 2-way (kway false) or direct k-way (kway true) FM.
 func partitionOne(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -197,7 +182,7 @@ func partitionOne(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) (
 	}
 	sc := fm.GetScratch()
 	defer fm.PutScratch(sc)
-	return coarsen(p, cfg.effective(), kway, rng).descendWith(rng, false, sc)
+	return coarsen(p, cfg, kway, rng).descendWith(rng, false, sc)
 }
 
 func project(coarse partition.Assignment, clusterOf []int32) partition.Assignment {

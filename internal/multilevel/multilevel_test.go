@@ -130,8 +130,7 @@ func TestMultistartNeverWorseThanSingle(t *testing.T) {
 func TestPartitionLIFOPolicy(t *testing.T) {
 	h := clusters(2, 200, 5)
 	p := partition.NewBipartition(h, 0.02)
-	var cfg multilevel.Config
-	cfg.SetPolicy(fm.LIFO)
+	cfg := multilevel.Config{Policy: fm.LIFO}
 	res, err := multilevel.Partition(p, cfg, rand.New(rand.NewPCG(4, 4)))
 	if err != nil {
 		t.Fatalf("Partition: %v", err)

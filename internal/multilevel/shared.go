@@ -34,7 +34,6 @@ func BuildHierarchies(ctx context.Context, p *partition.Problem, cfg Config, n i
 	if n < 1 {
 		n = 1
 	}
-	eff := cfg.effective()
 	hiers := make([]*Hierarchy, 0, n)
 	for j := 0; j < n; j++ {
 		if ctx != nil {
@@ -42,7 +41,7 @@ func BuildHierarchies(ctx context.Context, p *partition.Problem, cfg Config, n i
 				return nil, err
 			}
 		}
-		hiers = append(hiers, coarsen(p, eff, false, startRNG(seed, j)))
+		hiers = append(hiers, coarsen(p, cfg, false, startRNG(seed, j)))
 	}
 	return hiers, nil
 }
@@ -52,7 +51,7 @@ func BuildHierarchies(ctx context.Context, p *partition.Problem, cfg Config, n i
 // pass cutoffs, worker counts and the stats sink. Coarsening reads no Config
 // field that changes its result, so a cached hierarchy serves any request.
 func (h *Hierarchy) withRefinement(cfg Config) *Hierarchy {
-	return &Hierarchy{levels: h.levels, cfg: cfg.effective(), kway: h.kway}
+	return &Hierarchy{levels: h.levels, cfg: cfg, kway: h.kway}
 }
 
 // CoarseningFingerprint returns a stable hash of the constants that shape

@@ -16,7 +16,7 @@ type Spec struct {
 	// result under the config's Objective wins, ties toward the lowest start
 	// index. With Patience set it is the cap on starts.
 	Starts int
-	// KWay runs direct k-way starts (PartitionKWay) instead of 2-way ones
+	// KWay runs direct k-way starts instead of 2-way ones
 	// (Partition); it is required for k > 2.
 	KWay bool
 	// Hierarchies, when in [1, Starts), shares coarsening: starts
@@ -59,7 +59,6 @@ func Solve(ctx context.Context, p *partition.Problem, cfg Config, spec Spec, rng
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	eff := cfg.effective()
 	baseSeed := rng.Uint64()
 	s := newScheduler(ctx, cfg.Workers, spec.Patience, spec.Starts)
 	defer s.release()
@@ -72,10 +71,10 @@ func Solve(ctx context.Context, p *partition.Problem, cfg Config, spec Spec, rng
 		hiers = make([]*Hierarchy, owners)
 	}
 	// Owner start j builds hierarchy j and descends on the same RNG: the
-	// exact Partition (or PartitionKWay) sequence.
+	// exact single-start sequence (Partition, or its direct k-way twin).
 	s.run(owners, func(j int, sc *fm.Scratch) (*Result, error) {
 		r := startRNG(baseSeed, j)
-		h := coarsen(p, eff, spec.KWay, r)
+		h := coarsen(p, cfg, spec.KWay, r)
 		if hiers != nil {
 			hiers[j] = h
 		}

@@ -1,10 +1,6 @@
 package partition
 
-import (
-	"fmt"
-
-	"repro/internal/hypergraph"
-)
+import "repro/internal/hypergraph"
 
 // Assignment maps each vertex to its part (0..k-1). Part indices fit in an
 // int8 because MaxParts is 64.
@@ -12,14 +8,6 @@ type Assignment []int8
 
 // Clone returns a copy of a.
 func (a Assignment) Clone() Assignment { return append(Assignment(nil), a...) }
-
-// CopyFrom overwrites a with src (lengths must match).
-func (a Assignment) CopyFrom(src Assignment) {
-	if len(a) != len(src) {
-		panic(fmt.Sprintf("partition: CopyFrom length mismatch %d != %d", len(a), len(src)))
-	}
-	copy(a, src)
-}
 
 // PartWeights returns the total primary-resource-first weight matrix
 // w[part][resource] for assignment a over h.

@@ -250,17 +250,6 @@ func TestAssignmentHelpers(t *testing.T) {
 	if a[0] != 0 || b[2] != 3 {
 		t.Error("Clone not independent copy")
 	}
-	c := make(partition.Assignment, 4)
-	c.CopyFrom(b)
-	if c[0] != 1 {
-		t.Error("CopyFrom failed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("CopyFrom with mismatched length should panic")
-		}
-	}()
-	c.CopyFrom(a[:2])
 }
 
 func TestClusterTerminals(t *testing.T) {

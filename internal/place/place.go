@@ -20,29 +20,24 @@ import (
 	"repro/internal/partition"
 )
 
+// The placer's fixed settings: every bisection balances to within
+// tolerance of exact halves (looser than the paper's 2% partitioning
+// experiments because placement splits must track region capacity, not
+// exact bisection), an infeasible one retries at doubled tolerances up to
+// maxTolerance, and recursion stops once a region holds at most
+// minBlockCells cells.
+const (
+	tolerance     = 0.1
+	maxTolerance  = 0.5
+	minBlockCells = 8
+)
+
 // Config controls the placer.
 type Config struct {
-	// ML configures the multilevel partitioner used for each bisection,
-	// including ML.Objective: fm.ObjectiveKM1 makes every split minimize
-	// connectivity instead of cut, which penalizes nets straddling many
-	// regions — the partitioning-level proxy for wirelength-aware placement
-	// (bisections are k = 2 where the objectives coincide, so the choice
-	// matters on Quadrisection's 4-way splits).
+	// ML configures the multilevel partitioner used for each bisection.
+	// Bisections are k = 2, where every objective coincides with the cut,
+	// so ML.Objective does not change the placement.
 	ML multilevel.Config
-	// Tolerance is the per-bisection balance tolerance (default 0.1; looser
-	// than the paper's 2% partitioning experiments because placement splits
-	// must track region capacity, not exact bisection).
-	Tolerance float64
-	// MinBlockCells stops recursion when a region holds at most this many
-	// cells (default 8).
-	MinBlockCells int
-	// Quadrisection, when set, splits squarish regions with enough cells
-	// into their four quadrants with one direct 4-way partition instead of
-	// two successive bisections, so the partitioner sees the full 2x2
-	// decision at once. Terminal propagation then votes per axis; a net
-	// whose external pins tie on an axis gets an OR-region mask spanning
-	// both quadrants on that axis. Elongated or small regions still bisect.
-	Quadrisection bool
 	// FixedX/FixedY pin vertices (typically pads) to chip coordinates; use
 	// NaN entries (or nil slices) for movable vertices.
 	FixedX, FixedY []float64
@@ -92,12 +87,6 @@ func (r region) cy() float64     { return (r.y0 + r.y1) / 2 }
 
 // Place computes a top-down min-cut placement of h.
 func Place(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*Placement, error) {
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 0.1
-	}
-	if cfg.MinBlockCells <= 0 {
-		cfg.MinBlockCells = 8
-	}
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		side := math.Sqrt(float64(h.TotalWeight()))
 		if side <= 0 {
@@ -138,7 +127,7 @@ func Place(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*Placement, er
 	for len(level) > 0 {
 		var work []region
 		for _, r := range level {
-			if len(r.cells) <= cfg.MinBlockCells {
+			if len(r.cells) <= minBlockCells {
 				spreadCells(pl, r)
 			} else {
 				work = append(work, r)
@@ -155,24 +144,12 @@ func Place(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*Placement, er
 		splits := make([]split, len(work))
 		par.ForEach(len(work), cfg.Workers, func(i int) {
 			rrng := rand.New(rand.NewPCG(seeds[i], 0))
-			if cfg.Quadrisection && quadWorthy(work[i], cfg) {
-				if children, err := quadrisectRegion(pl, work[i], cfg, rrng); err == nil {
-					splits[i] = split{children, true}
-					return
-				}
-				// An infeasible quadrisection (macro-dominated quadrant,
-				// overconstrained terminals) falls back to bisection below.
-			}
-			left, right, err := bisectRegion(pl, work[i], cfg, rrng)
-			if err != nil {
-				// A macro-dominated region can make the bisection infeasible
-				// at the configured tolerance; loosen progressively, and as a
-				// last resort leave the region terminal.
-				loose := cfg
-				for tol := cfg.Tolerance * 2; err != nil && tol <= 0.5; tol *= 2 {
-					loose.Tolerance = tol
-					left, right, err = bisectRegion(pl, work[i], loose, rrng)
-				}
+			// A macro-dominated region can make the bisection infeasible at
+			// the base tolerance; loosen progressively, and as a last resort
+			// leave the region terminal.
+			left, right, err := bisectRegion(pl, work[i], cfg.ML, tolerance, rrng)
+			for tol := tolerance * 2; err != nil && tol <= maxTolerance; tol *= 2 {
+				left, right, err = bisectRegion(pl, work[i], cfg.ML, tol, rrng)
 			}
 			if err == nil {
 				splits[i] = split{[]region{left, right}, true}
@@ -196,122 +173,9 @@ func Place(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*Placement, er
 	return pl, nil
 }
 
-// quadWorthy reports whether a region should be quadrisected: enough cells
-// that every quadrant stays above the recursion floor, and squarish enough
-// that a 2x2 grid of children makes geometric sense.
-func quadWorthy(r region, cfg Config) bool {
-	if len(r.cells) <= 4*cfg.MinBlockCells {
-		return false
-	}
-	ar := r.width() / r.height()
-	return ar >= 0.5 && ar <= 2
-}
-
-// quadrisectRegion splits r into its four quadrants with one direct 4-way
-// min-cut partition. Quadrant q covers the (xbit, ybit) = (q&1, q>>1) corner
-// — bottom-left, bottom-right, top-left, top-right — matching
-// geometry.Quadrisection order. External nets are propagated as zero-area
-// terminals with per-axis votes: a decisive axis fixes that coordinate bit,
-// a tied axis leaves it free, so the terminal's allowed mask is the
-// OR-region of the consistent quadrants (a net tied on both axes floats
-// freely among all four).
-func quadrisectRegion(pl *Placement, r region, cfg Config, rng *rand.Rand) ([]region, error) {
-	cx, cy := r.cx(), r.cy()
-	children := []region{
-		{r.x0, r.y0, cx, cy, nil},
-		{cx, r.y0, r.x1, cy, nil},
-		{r.x0, cy, cx, r.y1, nil},
-		{cx, cy, r.x1, r.y1, nil},
-	}
-
-	h := pl.H
-	inRegion := make(map[int32]int32, len(r.cells))
-	b := hypergraph.NewBuilder(1)
-	b.DropSingletons = true
-	b.DedupPins = true
-	for i, v := range r.cells {
-		b.AddVertex(h.Weight(int(v)))
-		inRegion[v] = int32(i)
-	}
-	masks := make([]partition.Mask, len(r.cells))
-	free := partition.AllParts(4)
-	for i := range masks {
-		masks[i] = free
-	}
-
-	seen := make(map[int32]bool)
-	var pins []int
-	for _, v := range r.cells {
-		for _, en := range h.NetsOf(int(v)) {
-			if seen[en] {
-				continue
-			}
-			seen[en] = true
-			pins = pins[:0]
-			votesX, votesY := 0, 0 // >0 favour right / top
-			external := 0
-			for _, u := range h.Pins(int(en)) {
-				if su, ok := inRegion[u]; ok {
-					pins = append(pins, int(su))
-					continue
-				}
-				external++
-				if clamp(pl.X[u], r.x0, r.x1) >= cx {
-					votesX++
-				} else {
-					votesX--
-				}
-				if clamp(pl.Y[u], r.y0, r.y1) >= cy {
-					votesY++
-				} else {
-					votesY--
-				}
-			}
-			if external > 0 {
-				var m partition.Mask
-				for q := 0; q < 4; q++ {
-					xbit, ybit := q&1, q>>1
-					if (votesX > 0 && xbit == 0) || (votesX < 0 && xbit == 1) {
-						continue
-					}
-					if (votesY > 0 && ybit == 0) || (votesY < 0 && ybit == 1) {
-						continue
-					}
-					m = m.With(q)
-				}
-				t := b.AddVertex(0)
-				masks = append(masks, m)
-				pins = append(pins, t)
-			}
-			if len(pins) >= 2 {
-				b.AddNet(pins...)
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("place: building quadrant subproblem: %w", err)
-	}
-	prob := &partition.Problem{
-		H:       sub,
-		K:       4,
-		Balance: partition.NewUniform(sub, 4, cfg.Tolerance),
-		Allowed: masks,
-	}
-	res, err := multilevel.PartitionKWay(prob, cfg.ML, rng)
-	if err != nil {
-		return nil, fmt.Errorf("place: quadrisecting region: %w", err)
-	}
-	for i, v := range r.cells {
-		q := res.Assignment[i]
-		children[q].cells = append(children[q].cells, v)
-	}
-	return children, nil
-}
-
 // bisectRegion splits r perpendicular to its longer side using min-cut
-// bipartitioning with propagated terminals.
-func bisectRegion(pl *Placement, r region, cfg Config, rng *rand.Rand) (left, right region, err error) {
+// bipartitioning under balance tolerance tol with propagated terminals.
+func bisectRegion(pl *Placement, r region, ml multilevel.Config, tol float64, rng *rand.Rand) (left, right region, err error) {
 	vertical := r.width() >= r.height() // vertical cutline splits left/right
 	if vertical {
 		mid := r.cx()
@@ -387,10 +251,10 @@ func bisectRegion(pl *Placement, r region, cfg Config, rng *rand.Rand) (left, ri
 	prob := &partition.Problem{
 		H:       sub,
 		K:       2,
-		Balance: partition.NewBisection(sub, cfg.Tolerance),
+		Balance: partition.NewBisection(sub, tol),
 		Allowed: masks,
 	}
-	res, err := multilevel.Partition(prob, cfg.ML, rng)
+	res, err := multilevel.Partition(prob, ml, rng)
 	if err != nil {
 		return region{}, region{}, fmt.Errorf("place: bisecting region: %w", err)
 	}

@@ -5,10 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/fm"
 	"repro/internal/gen"
 	"repro/internal/hypergraph"
-	"repro/internal/multilevel"
 	"repro/internal/place"
 )
 
@@ -202,110 +200,6 @@ func TestPlaceWorkersDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d: vertex %d at (%v,%v), want (%v,%v)",
 					workers, v, pl.X[v], pl.Y[v], ref.X[v], ref.Y[v])
 			}
-		}
-	}
-}
-
-// TestPlaceQuadrisection runs the placer in quadrisection mode and checks the
-// result is in-bounds, keeps pads pinned, and is competitive with bisection
-// on wirelength.
-func TestPlaceQuadrisection(t *testing.T) {
-	nl := testNetlist(t, 400, 7)
-	fx, fy := padCoords(nl, 100, 100)
-	base := place.Config{Width: 100, Height: 100, FixedX: fx, FixedY: fy}
-	quadCfg := base
-	quadCfg.Quadrisection = true
-	quad, err := place.Place(nl.H, quadCfg, rand.New(rand.NewPCG(7, 7)))
-	if err != nil {
-		t.Fatalf("Place quadrisection: %v", err)
-	}
-	for v := 0; v < nl.H.NumVertices(); v++ {
-		if quad.X[v] < 0 || quad.X[v] > 100 || quad.Y[v] < 0 || quad.Y[v] > 100 {
-			t.Fatalf("vertex %d at (%.1f,%.1f) outside chip", v, quad.X[v], quad.Y[v])
-		}
-		if nl.H.IsPad(v) && (quad.X[v] != fx[v] || quad.Y[v] != fy[v]) {
-			t.Errorf("pad %d moved", v)
-		}
-	}
-	bis, err := place.Place(nl.H, base, rand.New(rand.NewPCG(7, 7)))
-	if err != nil {
-		t.Fatalf("Place bisection: %v", err)
-	}
-	qh, bh := quad.HPWL(), bis.HPWL()
-	t.Logf("HPWL: quadrisection %.0f, bisection %.0f", qh, bh)
-	if qh > 1.5*bh {
-		t.Errorf("quadrisection HPWL %.0f more than 1.5x bisection's %.0f", qh, bh)
-	}
-}
-
-// TestPlaceQuadrisectionDeterministic verifies quadrisection mode keeps the
-// worker-count determinism contract.
-func TestPlaceQuadrisectionDeterministic(t *testing.T) {
-	nl := testNetlist(t, 250, 8)
-	fx, fy := padCoords(nl, 64, 64)
-	var ref *place.Placement
-	for _, workers := range []int{1, 4} {
-		pl, err := place.Place(nl.H, place.Config{
-			Width: 64, Height: 64, FixedX: fx, FixedY: fy,
-			Workers: workers, Quadrisection: true,
-		}, rand.New(rand.NewPCG(10, 10)))
-		if err != nil {
-			t.Fatalf("Place workers=%d: %v", workers, err)
-		}
-		if ref == nil {
-			ref = pl
-			continue
-		}
-		for v := 0; v < nl.H.NumVertices(); v++ {
-			if pl.X[v] != ref.X[v] || pl.Y[v] != ref.Y[v] {
-				t.Fatalf("workers=4: vertex %d diverges from workers=1", v)
-			}
-		}
-	}
-}
-
-// TestPlaceObjectiveKM1 runs the placer with the connectivity objective on
-// its 4-way quadrisection splits (where cut and km1 genuinely differ) and
-// checks the placement is valid, sane on wirelength, and deterministic
-// against itself.
-func TestPlaceObjectiveKM1(t *testing.T) {
-	nl := testNetlist(t, 400, 7)
-	fx, fy := padCoords(nl, 100, 100)
-	cfg := place.Config{
-		Width: 100, Height: 100, FixedX: fx, FixedY: fy,
-		Quadrisection: true,
-		ML:            multilevel.Config{Objective: fm.ObjectiveKM1},
-	}
-	km1, err := place.Place(nl.H, cfg, rand.New(rand.NewPCG(7, 7)))
-	if err != nil {
-		t.Fatalf("Place km1: %v", err)
-	}
-	for v := 0; v < nl.H.NumVertices(); v++ {
-		if km1.X[v] < 0 || km1.X[v] > 100 || km1.Y[v] < 0 || km1.Y[v] > 100 {
-			t.Fatalf("vertex %d at (%.1f,%.1f) outside chip", v, km1.X[v], km1.Y[v])
-		}
-		if nl.H.IsPad(v) && (km1.X[v] != fx[v] || km1.Y[v] != fy[v]) {
-			t.Errorf("pad %d moved", v)
-		}
-	}
-	cutCfg := cfg
-	cutCfg.ML.Objective = fm.ObjectiveCut
-	cut, err := place.Place(nl.H, cutCfg, rand.New(rand.NewPCG(7, 7)))
-	if err != nil {
-		t.Fatalf("Place cut: %v", err)
-	}
-	kh, ch := km1.HPWL(), cut.HPWL()
-	t.Logf("HPWL: km1-objective %.0f, cut-objective %.0f", kh, ch)
-	if kh > 1.5*ch {
-		t.Errorf("km1-objective HPWL %.0f more than 1.5x cut-objective's %.0f", kh, ch)
-	}
-	again, err := place.Place(nl.H, cfg, rand.New(rand.NewPCG(7, 7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < nl.H.NumVertices(); v++ {
-		if km1.X[v] != again.X[v] || km1.Y[v] != again.Y[v] {
-			t.Fatalf("km1 placement not reproducible at vertex %d", v)
 		}
 	}
 }

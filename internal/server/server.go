@@ -357,9 +357,7 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, int, string) 
 	}
 	mlCfg.LocalizedFMWorkers = req.LocalizedFMWorkers
 	if req.Policy == "lifo" {
-		mlCfg.SetPolicy(fm.LIFO)
-	} else {
-		mlCfg.SetPolicy(fm.CLIP)
+		mlCfg.Policy = fm.LIFO
 	}
 
 	var (
