@@ -25,15 +25,19 @@
 // results are identical for every worker count.
 //
 // -refine-workers > 0 enables the deterministic synchronous-round parallel
-// refinement stage inside every multilevel run of the sweeps (counts >= 1
-// are bit-identical to each other). The default 0 keeps the serial-only
-// refinement the published study numbers were produced with — turning the
-// stage on changes the exact cuts, not just wall-clock.
+// refinement stage inside every multilevel run of the multistart studies and
+// of the pass-profile reference solve (counts >= 1 are bit-identical to each
+// other). The default 0 keeps the serial-only refinement the published study
+// numbers were produced with — turning the stage on changes the exact cuts,
+// not just wall-clock.
 //
 // -localized-fm-workers > 0 likewise enables the deterministic localized FM
-// stage at the finest level of every multilevel run (counts >= 1 are
+// stage at the finest level of those same runs (counts >= 1 are
 // bit-identical to each other); the default 0 keeps the full serial polish
 // the published study numbers were produced with.
+//
+// -stats prints the summed wall time of all five multilevel phases and the FM
+// kernel work counters after the run.
 //
 // -cpuprofile/-memprofile write pprof profiles of the whole run; multilevel
 // phases carry pprof labels
@@ -78,16 +82,14 @@ func main() {
 	flag.Parse()
 	csvPath = *csvOut
 	cellWorkers = *workers
-	refineWorkers = *refineW
-	localizedFMWorkers = *localizedW
-	var err error
-	mlObjective, err = fm.ParseObjective(*objective)
+	obj, err := fm.ParseObjective(*objective)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
+	mlConfig = multilevel.Config{Objective: obj, RefineWorkers: *refineW, LocalizedFMWorkers: *localizedW}
 	if *stats {
-		mlStats = &multilevel.PhaseStats{}
+		mlConfig.Stats = &multilevel.PhaseStats{}
 	}
 	stop, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -100,10 +102,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	if mlStats != nil {
-		k := mlStats.Kernel.Snapshot()
-		fmt.Printf("\nmultilevel phases: coarsen %.1f ms, init %.1f ms, refine %.1f ms\n",
-			float64(mlStats.CoarsenNS)/1e6, float64(mlStats.InitNS)/1e6, float64(mlStats.RefineNS)/1e6)
+	if st := mlConfig.Stats; st != nil {
+		k := st.Kernel.Snapshot()
+		fmt.Printf("\nphases: coarsen %.1f ms, init %.1f ms, refine-parallel %.1f ms, refine-localized %.1f ms, refine %.1f ms\n",
+			float64(st.CoarsenNS)/1e6, float64(st.InitNS)/1e6,
+			float64(st.RefineParallelNS)/1e6, float64(st.RefineLocalizedNS)/1e6, float64(st.RefineNS)/1e6)
 		red := "-"
 		if k.PinsScanned > 0 {
 			red = fmt.Sprintf("%.2fx", float64(k.PinsScanned+k.PinScansAvoided)/float64(k.PinsScanned))
@@ -161,28 +164,19 @@ var csvPath string
 // cellWorkers bounds the goroutines running independent experiment cells.
 var cellWorkers int
 
-// refineWorkers is the -refine-workers override threaded into every
-// SweepConfig (0 = serial-only refinement, the study default).
-var refineWorkers int
-
-// localizedFMWorkers is the -localized-fm-workers override threaded into
-// every SweepConfig (0 = full serial polish, the study default).
-var localizedFMWorkers int
-
-// mlStats, when -stats is set, accumulates phase timings and FM kernel work
-// counters across every multilevel run of the experiments (updated
-// atomically, so concurrent cells are safe; the per-phase wall-clock numbers
-// overlap under -workers > 1 and are only attributable serially).
-var mlStats *multilevel.PhaseStats
-
-// mlObjective is the metric every multilevel run optimizes (-objective).
-var mlObjective fm.Objective
-
 // mlConfig is the multilevel engine config the experiment sweeps run with:
-// defaults, plus the -objective choice and the shared stats sink when -stats
-// is set.
-func mlConfig() multilevel.Config {
-	return multilevel.Config{Objective: mlObjective, Stats: mlStats}
+// defaults, plus the -objective choice, the -refine-workers and
+// -localized-fm-workers stages, and, with -stats, one PhaseStats sink that
+// accumulates phase timings and FM kernel work counters across every
+// multilevel run (updated atomically, so concurrent cells are safe; the
+// per-phase wall-clock numbers overlap under -workers > 1 and are only
+// attributable serially).
+var mlConfig multilevel.Config
+
+// sweepConfig is the SweepConfig of every multistart study: fracs (nil for
+// the paper's schedule), trials and seed, on -workers cells with mlConfig.
+func sweepConfig(fracs []float64, trials int, seed uint64) experiments.SweepConfig {
+	return experiments.SweepConfig{Fractions: fracs, Trials: trials, Seed: seed, Workers: cellWorkers, ML: mlConfig}
 }
 
 func figure(name string, scale float64, trials int, seed uint64) error {
@@ -190,14 +184,7 @@ func figure(name string, scale float64, trials int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	res, err := experiments.RunSweep(name, nl.H, experiments.SweepConfig{
-		Trials:             trials,
-		Seed:               seed,
-		Workers:            cellWorkers,
-		RefineWorkers:      refineWorkers,
-		LocalizedFMWorkers: localizedFMWorkers,
-		ML:                 mlConfig(),
-	})
+	res, err := experiments.RunSweep(name, nl.H, sweepConfig(nil, trials, seed))
 	if err != nil {
 		return err
 	}
@@ -230,7 +217,7 @@ func table2(scale float64, trials int, seed uint64) error {
 		}
 		r, err := experiments.TableII(name, nl.H, experiments.FlatConfig{
 			Fractions: []float64{0, 0.05, 0.10, 0.20, 0.30, 0.50},
-			Runs:      maxInt(trials, 10),
+			Runs:      max(trials, 10),
 			Seed:      seed,
 		})
 		if err != nil {
@@ -251,7 +238,7 @@ func table3(scale float64, trials int, seed uint64) error {
 		}
 		r, err := experiments.TableIII(name, nl.H, cutoffs, experiments.FlatConfig{
 			Fractions: []float64{0, 0.10, 0.30, 0.50},
-			Runs:      maxInt(trials, 10),
+			Runs:      max(trials, 10),
 			Seed:      seed,
 		})
 		if err != nil {
@@ -289,15 +276,7 @@ func multiway(scale float64, trials int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	rows, err := experiments.MultiwaySweep("IBM01S", nl.H, 4, experiments.SweepConfig{
-		Fractions:          []float64{0, 0.05, 0.10, 0.20, 0.30, 0.50},
-		Trials:             trials,
-		Seed:               seed,
-		Workers:            cellWorkers,
-		RefineWorkers:      refineWorkers,
-		LocalizedFMWorkers: localizedFMWorkers,
-		ML:                 mlConfig(),
-	})
+	rows, err := experiments.MultiwaySweep("IBM01S", nl.H, 4, sweepConfig([]float64{0, 0.05, 0.10, 0.20, 0.30, 0.50}, trials, seed))
 	if err != nil {
 		return err
 	}
@@ -309,15 +288,7 @@ func constraint(scale float64, trials int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	rows, err := experiments.ConstraintStudy("IBM01S", nl.H, experiments.SweepConfig{
-		Fractions:          []float64{0, 0.05, 0.10, 0.20, 0.30, 0.50},
-		Trials:             trials,
-		Seed:               seed,
-		Workers:            cellWorkers,
-		RefineWorkers:      refineWorkers,
-		LocalizedFMWorkers: localizedFMWorkers,
-		ML:                 mlConfig(),
-	})
+	rows, err := experiments.ConstraintStudy("IBM01S", nl.H, sweepConfig([]float64{0, 0.05, 0.10, 0.20, 0.30, 0.50}, trials, seed))
 	if err != nil {
 		return err
 	}
@@ -331,9 +302,9 @@ func profile(scale float64, trials int, seed uint64) error {
 	}
 	rows, err := experiments.PassProfile("IBM01S", nl.H, experiments.FlatConfig{
 		Fractions: []float64{0, 0.10, 0.30, 0.50},
-		Runs:      maxInt(trials, 10),
+		Runs:      max(trials, 10),
 		Seed:      seed,
-		ML:        mlConfig(),
+		ML:        mlConfig,
 	})
 	if err != nil {
 		return err
@@ -346,15 +317,7 @@ func starts(scale float64, trials int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	rows, err := experiments.StartsRequired("IBM01S", nl.H, experiments.SweepConfig{
-		Fractions:          []float64{0, 0.05, 0.10, 0.20, 0.30, 0.50},
-		Trials:             trials,
-		Seed:               seed,
-		Workers:            cellWorkers,
-		RefineWorkers:      refineWorkers,
-		LocalizedFMWorkers: localizedFMWorkers,
-		ML:                 mlConfig(),
-	})
+	rows, err := experiments.StartsRequired("IBM01S", nl.H, sweepConfig([]float64{0, 0.05, 0.10, 0.20, 0.30, 0.50}, trials, seed))
 	if err != nil {
 		return err
 	}
@@ -366,15 +329,7 @@ func objectiveStudy(scale float64, trials int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	rows, err := experiments.ObjectiveStudy("IBM01S", nl.H, []int{2, 4, 8}, experiments.SweepConfig{
-		Fractions:          []float64{0, 0.10, 0.30, 0.50},
-		Trials:             trials,
-		Seed:               seed,
-		Workers:            cellWorkers,
-		RefineWorkers:      refineWorkers,
-		LocalizedFMWorkers: localizedFMWorkers,
-		ML:                 mlConfig(),
-	})
+	rows, err := experiments.ObjectiveStudy("IBM01S", nl.H, []int{2, 4, 8}, sweepConfig([]float64{0, 0.10, 0.30, 0.50}, trials, seed))
 	if err != nil {
 		return err
 	}
@@ -397,11 +352,4 @@ func placeNetlist(nl *gen.Netlist, seed uint64) (*place.Placement, error) {
 		Width: float64(nl.GridSide), Height: float64(nl.GridSide),
 		FixedX: fx, FixedY: fy, Workers: cellWorkers,
 	}, rand.New(rand.NewPCG(seed, 0x9ace)))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -134,7 +134,7 @@ func main() {
 	flag.StringVar(&o.kway, "kway", "direct", "k>2 strategy for the ml engine: direct (direct k-way multilevel) or rb (recursive bisection)")
 	flag.StringVar(&o.objective, "objective", "cut", "metric to optimize and select by: cut or km1")
 	flag.IntVar(&o.starts, "starts", 1, "independent starts; the best result is kept")
-	flag.Float64Var(&o.cutoff, "cutoff", 1, "pass cutoff fraction after the first pass (1 = none)")
+	flag.Float64Var(&o.cutoff, "cutoff", 1, "pass cutoff fraction after the first pass, in [0,1] (0 or 1 = none)")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.IntVar(&o.workers, "workers", 0, "goroutines for parallel multistart (0 = GOMAXPROCS)")
 	flag.IntVar(&o.coarsenWorkers, "coarsen-workers", 1, "heavy-edge matching goroutines inside each coarsening descent (0 = GOMAXPROCS; never changes results)")
@@ -265,7 +265,7 @@ func run(o options) error {
 		if max := runtime.GOMAXPROCS(0); localizedWorkers > max {
 			localizedWorkers = max
 		}
-		cfg := multilevel.Config{Objective: obj, MaxPassFraction: passFraction(o.cutoff), Workers: o.workers, CoarsenWorkers: coarsenWorkers, RefineWorkers: refineWorkers, LocalizedFMWorkers: localizedWorkers, Stats: phases}
+		cfg := multilevel.Config{Objective: obj, MaxPassFraction: o.cutoff, Workers: o.workers, CoarsenWorkers: coarsenWorkers, RefineWorkers: refineWorkers, LocalizedFMWorkers: localizedWorkers, Stats: phases}
 		switch {
 		case p.K == 2 || o.kway == "direct":
 			spec := multilevel.Spec{Starts: o.starts, KWay: p.K > 2}
@@ -288,7 +288,7 @@ func run(o options) error {
 				if err != nil {
 					return err
 				}
-				ref, err := fm.Refine(p, res.Assignment, fm.Config{Objective: obj, MaxPassFraction: passFraction(o.cutoff), Stats: flatStats(o.stats, &flatKernel)})
+				ref, err := fm.Refine(p, res.Assignment, fm.Config{Objective: obj, MaxPassFraction: o.cutoff, Stats: flatStats(o.stats, &flatKernel)})
 				if err != nil {
 					return err
 				}
@@ -304,7 +304,7 @@ func run(o options) error {
 		if o.engine == "clip" {
 			policy = fm.CLIP
 		}
-		cfg := fm.Config{Policy: policy, Objective: obj, MaxPassFraction: passFraction(o.cutoff), Stats: flatStats(o.stats, &flatKernel)}
+		cfg := fm.Config{Policy: policy, Objective: obj, MaxPassFraction: o.cutoff, Stats: flatStats(o.stats, &flatKernel)}
 		for s := 0; s < o.starts; s++ {
 			res, err := fm.RunFromRandom(p, cfg, rng)
 			if err != nil {
@@ -392,11 +392,4 @@ func scanReduction(k fm.KernelStats) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.2fx", float64(k.PinsScanned+k.PinScansAvoided)/float64(k.PinsScanned))
-}
-
-func passFraction(cutoff float64) float64 {
-	if cutoff >= 1 || cutoff <= 0 {
-		return 0
-	}
-	return cutoff
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -184,8 +185,9 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestCutoffNaN: a NaN -cutoff is an error on every engine, and through the
-// real flag parser hpart exits 1, rather than solving with no cutoff.
+// TestCutoffNaN: a NaN or out-of-range -cutoff is an error on every engine,
+// and through the real flag parser hpart exits 1, rather than solving with
+// no cutoff.
 func TestCutoffNaN(t *testing.T) {
 	if args := os.Getenv("HPART_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"hpart"}, strings.Fields(args)...)
@@ -194,14 +196,16 @@ func TestCutoffNaN(t *testing.T) {
 	}
 	dir := t.TempDir()
 	writeBundle(t, dir, "tiny")
-	for _, engine := range []string{"ml", "clip"} {
-		o := testOpts(dir, "tiny")
-		o.engine, o.cutoff = engine, math.NaN()
-		if err := run(o); err == nil || !strings.Contains(err.Error(), "MaxPassFraction") {
-			t.Errorf("engine %s, cutoff NaN: %v, want a MaxPassFraction error", engine, err)
+	for _, cutoff := range []float64{math.NaN(), 2, -0.5} {
+		for _, engine := range []string{"ml", "clip"} {
+			o := testOpts(dir, "tiny")
+			o.engine, o.cutoff = engine, cutoff
+			if err := run(o); err == nil || !strings.Contains(err.Error(), "MaxPassFraction") {
+				t.Errorf("engine %s, cutoff %v: %v, want a MaxPassFraction error", engine, cutoff, err)
+			}
 		}
+		wantExit1(t, fmt.Sprintf("-dir %s -base tiny -cutoff %v", dir, cutoff))
 	}
-	wantExit1(t, "-dir "+dir+" -base tiny -cutoff NaN")
 }
 
 // wantExit1 runs hpart's main on args through the real flag parser, in a
@@ -238,12 +242,6 @@ func TestNaNFixFractionAndTolerance(t *testing.T) {
 	}
 	for _, args := range []string{"-tol 0.1 -fix-fraction NaN", "-tol NaN", "-tol -0.5"} {
 		wantExit1(t, "-hgr "+hgrPath+" -k 2 "+args)
-	}
-}
-
-func TestPassFraction(t *testing.T) {
-	if passFraction(1) != 0 || passFraction(0) != 0 || passFraction(0.25) != 0.25 {
-		t.Error("passFraction mapping wrong")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/hypergraph"
 	"repro/internal/multilevel"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/stats"
 )
@@ -30,77 +29,51 @@ type ConstraintRow struct {
 }
 
 // ConstraintStudy measures constraint strength and easiness across fixing
-// levels for both regimes. Independent (regime, fraction, trial) cells run
-// on cfg.Workers goroutines with index-derived RNGs, so the study is
-// deterministic for every worker count.
+// levels for both regimes. Its (regime, fraction, trial) cells run on
+// cfg.Workers goroutines through runCells, so the study is deterministic for
+// every worker count.
 func ConstraintStudy(name string, h *hypergraph.Hypergraph, cfg SweepConfig) ([]ConstraintRow, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xc057))
-	base := partition.NewBipartition(h, cfg.Tolerance)
-	bestRes, err := solve(base, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
+	fx, err := newFixture(h, 2, cfg.Tolerance, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: constraint study on %s: %w", name, err)
 	}
-	sched, err := NewFixSchedule(h, 2, bestRes.Assignment, rng)
-	if err != nil {
-		return nil, err
-	}
-	type job struct {
-		prob       *partition.Problem
-		one, eight int64
-		err        error
-	}
-	cellSeed := rng.Uint64()
-	var jobs []job
-	for _, regime := range []Regime{Good, Rand} {
-		for _, frac := range cfg.Fractions {
-			prob := sched.Apply(base, frac, regime)
-			for trial := 0; trial < cfg.Trials; trial++ {
-				jobs = append(jobs, job{prob: prob})
-			}
-		}
-	}
-	par.ForEach(len(jobs), cfg.Workers, func(i int) {
-		jrng := rand.New(rand.NewPCG(cellSeed, uint64(i)))
-		r1, err := multilevel.Partition(jobs[i].prob, cfg.ML, jrng)
+	gs := fx.groups(cfg.Fractions, Good, Rand)
+	// Each cell returns its 1-start and 8-start cuts, drawn from one stream.
+	cells, err := runCells(gs, cfg.Trials, rng.Uint64(), cfg.Workers, func(g group, _ int, rng func() *rand.Rand) ([2]int64, error) {
+		jrng := rng()
+		r1, err := multilevel.Partition(g.prob, cfg.ML, jrng)
 		if err != nil {
-			jobs[i].err = err
-			return
+			return [2]int64{}, err
 		}
-		jobs[i].one = r1.Cut
-		r8, err := solve(jobs[i].prob, cfg.ML, 1, multilevel.Spec{Starts: 8}, jrng)
+		r8, err := solve(g.prob, cfg.ML, 1, multilevel.Spec{Starts: 8}, jrng)
 		if err != nil {
-			jobs[i].err = err
-			return
+			return [2]int64{}, err
 		}
-		jobs[i].eight = r8.Cut
+		return [2]int64{r1.Cut, r8.Cut}, nil
 	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: constraint study on %s: %w", name, err)
+	}
 	var rows []ConstraintRow
-	j := 0
-	for _, regime := range []Regime{Good, Rand} {
-		for _, frac := range cfg.Fractions {
-			prob := jobs[j].prob
-			var one, eight float64
-			for trial := 0; trial < cfg.Trials; trial++ {
-				if jobs[j].err != nil {
-					return nil, fmt.Errorf("experiments: constraint study %v %.1f%%: %w", regime, 100*frac, jobs[j].err)
-				}
-				one += float64(jobs[j].one)
-				eight += float64(jobs[j].eight)
-				j++
-			}
-			row := ConstraintRow{
-				Instance: name,
-				Regime:   regime,
-				Fraction: frac,
-				Report:   partition.Constrainedness(prob),
-				AvgCut:   one / float64(cfg.Trials),
-			}
-			if eight > 0 {
-				row.StartsBenefit = one / eight
-			}
-			rows = append(rows, row)
+	for gi, g := range gs {
+		var one, eight float64
+		for _, c := range cells[gi*cfg.Trials : (gi+1)*cfg.Trials] {
+			one += float64(c[0])
+			eight += float64(c[1])
 		}
+		row := ConstraintRow{
+			Instance: name,
+			Regime:   g.regime,
+			Fraction: g.frac,
+			Report:   partition.Constrainedness(g.prob),
+			AvgCut:   one / float64(cfg.Trials),
+		}
+		if eight > 0 {
+			row.StartsBenefit = one / eight
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -8,12 +8,16 @@
 //
 // # Concurrency and determinism
 //
-// Sweeps fan their independent cells (one per fixed-fraction × trial ×
-// start-count point) onto a bounded worker pool via internal/par. Each cell
-// derives its RNG from the experiment seed and its own indices, never from
-// shared state, and writes into a slot addressed by those indices, so every
-// table and figure is bit-identical for every worker count. The nested
-// fixing schedule is monotone by construction: the vertices fixed at
-// fraction f are a subset of those fixed at any f' > f within one trial,
-// matching the paper's protocol.
+// Every study starts from one fixture: the best-known solution of the free
+// instance and a nested fixing schedule drawn for it. The multistart studies
+// (RunSweep, ConstraintStudy, StartsRequired, ObjectiveStudy) then hand their
+// (regime, fraction) groups to one cell runner, which runs cell j < per of
+// group g on a bounded worker pool via internal/par. Cell i = g*per + j draws
+// from its own stream rand.NewPCG(seed, i), never from shared state, and
+// writes into slot i, so every table and figure is bit-identical for every
+// worker count; each study only reduces the cells of a group into its row.
+// The flat-FM tables (II, III, pass profile) and MultiwaySweep run serially
+// on one shared RNG. The nested fixing schedule is monotone by construction:
+// the vertices fixed at fraction f are a subset of those fixed at any f' > f
+// within one trial, matching the paper's protocol.
 package experiments

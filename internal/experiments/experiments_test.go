@@ -160,32 +160,6 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
-// TestRunSweepSharedHierarchies runs the sweep through the shared-hierarchy
-// multistart path and checks the dataset has the same shape and sane values.
-func TestRunSweepSharedHierarchies(t *testing.T) {
-	h := testNetlist(t, 500, 4)
-	res, err := experiments.RunSweep("T500", h, experiments.SweepConfig{
-		Fractions:         []float64{0, 0.30},
-		Starts:            []int{1, 4},
-		Trials:            2,
-		Tolerance:         0.05,
-		GoodStarts:        4,
-		Seed:              4,
-		SharedHierarchies: 2,
-	})
-	if err != nil {
-		t.Fatalf("RunSweep shared: %v", err)
-	}
-	if len(res.Points) != 2*2*2 { // regimes * fractions * starts
-		t.Fatalf("points = %d, want 8", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.AvgBestCut < 0 || p.Normalized <= 0 || p.AvgCPU <= 0 {
-			t.Errorf("bad shared point %+v", p)
-		}
-	}
-}
-
 func TestSweepPointLookup(t *testing.T) {
 	res := sweepFixture(t)
 	if res.Point(experiments.Good, 0.05, 2) == nil {

@@ -8,8 +8,6 @@ import (
 	"repro/internal/fm"
 	"repro/internal/hypergraph"
 	"repro/internal/multilevel"
-	"repro/internal/par"
-	"repro/internal/partition"
 	"repro/internal/stats"
 )
 
@@ -39,83 +37,60 @@ const objectiveStarts = 4
 // objectives coincide (every net spans at most two parts), so those rows are
 // a built-in control: the columns must agree. Fixed vertices follow the Good
 // regime of a reference k-way solution so the fixing is satisfiable at every
-// fraction. Cells run on cfg.Workers goroutines with per-cell RNGs derived
-// from the seed and cell index, so results are identical for every worker
-// count.
+// fraction. Cells run on cfg.Workers goroutines through runCells, so results
+// are identical for every worker count.
 func ObjectiveStudy(name string, h *hypergraph.Hypergraph, ks []int, cfg SweepConfig) ([]ObjectiveRow, error) {
 	cfg = cfg.withDefaults()
 	if len(ks) == 0 {
 		ks = []int{2, 4, 8}
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x0b7ec))
-	type cell struct {
-		k    int
-		frac float64
-		prob *partition.Problem
-		cut  *multilevel.Result // cut-optimized winner
-		km1  *multilevel.Result // km1-optimized winner
-		err  error
-	}
-	var cells []cell
+	var gs []group
 	for _, k := range ks {
-		base := partition.NewFree(h, k, cfg.Tolerance)
-		ref, err := solve(base, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts, KWay: true}, rng)
+		fx, err := newFixture(h, k, cfg.Tolerance, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts, KWay: true}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: objective study reference (k=%d): %w", k, err)
 		}
-		sched, err := NewFixSchedule(h, k, ref.Assignment, rng)
-		if err != nil {
-			return nil, err
-		}
-		for _, frac := range cfg.Fractions {
-			prob := sched.Apply(base, frac, Good)
-			for trial := 0; trial < cfg.Trials; trial++ {
-				cells = append(cells, cell{k: k, frac: frac, prob: prob})
-			}
-		}
+		gs = append(gs, fx.groups(cfg.Fractions, Good)...)
 	}
-	cellSeed := rng.Uint64()
-	par.ForEach(len(cells), cfg.Workers, func(i int) {
-		c := &cells[i]
-		// Both optimizers run on a fresh RNG with the same derivation, so
-		// they evaluate the identical candidate starts and differ only in
-		// which one they keep.
-		cutCfg, km1Cfg := cfg.ML, cfg.ML
-		cutCfg.Objective = fm.ObjectiveCut
-		km1Cfg.Objective = fm.ObjectiveKM1
-		c.cut, c.err = solve(c.prob, cutCfg, 1, multilevel.Spec{Starts: objectiveStarts, KWay: true}, rand.New(rand.NewPCG(cellSeed, uint64(i))))
-		if c.err != nil {
-			return
+	// Each cell returns its cut-optimized and km1-optimized winners. Both
+	// optimizers run on a fresh generator of the cell's stream, so they
+	// evaluate the identical candidate starts and differ only in which one
+	// they keep.
+	cutCfg, km1Cfg := cfg.ML, cfg.ML
+	cutCfg.Objective = fm.ObjectiveCut
+	km1Cfg.Objective = fm.ObjectiveKM1
+	spec := multilevel.Spec{Starts: objectiveStarts, KWay: true}
+	cells, err := runCells(gs, cfg.Trials, rng.Uint64(), cfg.Workers, func(g group, _ int, rng func() *rand.Rand) ([2]*multilevel.Result, error) {
+		cut, err := solve(g.prob, cutCfg, 1, spec, rng())
+		if err != nil {
+			return [2]*multilevel.Result{}, err
 		}
-		c.km1, c.err = solve(c.prob, km1Cfg, 1, multilevel.Spec{Starts: objectiveStarts, KWay: true}, rand.New(rand.NewPCG(cellSeed, uint64(i))))
+		km1, err := solve(g.prob, km1Cfg, 1, spec, rng())
+		return [2]*multilevel.Result{cut, km1}, err
 	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: objective study on %s: %w", name, err)
+	}
 	var rows []ObjectiveRow
-	i := 0
-	for _, k := range ks {
-		for _, frac := range cfg.Fractions {
-			row := ObjectiveRow{Instance: name, K: k, Fraction: frac}
-			for trial := 0; trial < cfg.Trials; trial++ {
-				c := &cells[i]
-				if c.err != nil {
-					return nil, fmt.Errorf("experiments: objective cell k=%d %.1f%%: %w", k, 100*frac, c.err)
-				}
-				row.CutOptCut += float64(c.cut.Cut)
-				row.CutOptKM1 += float64(c.cut.KMinus1)
-				row.CutOptSOED += float64(c.cut.SOED)
-				row.KM1OptCut += float64(c.km1.Cut)
-				row.KM1OptKM1 += float64(c.km1.KMinus1)
-				row.KM1OptSOED += float64(c.km1.SOED)
-				i++
-			}
-			n := float64(cfg.Trials)
-			row.CutOptCut /= n
-			row.CutOptKM1 /= n
-			row.CutOptSOED /= n
-			row.KM1OptCut /= n
-			row.KM1OptKM1 /= n
-			row.KM1OptSOED /= n
-			rows = append(rows, row)
+	n := float64(cfg.Trials)
+	for gi, g := range gs {
+		row := ObjectiveRow{Instance: name, K: g.prob.K, Fraction: g.frac}
+		for _, c := range cells[gi*cfg.Trials : (gi+1)*cfg.Trials] {
+			row.CutOptCut += float64(c[0].Cut)
+			row.CutOptKM1 += float64(c[0].KMinus1)
+			row.CutOptSOED += float64(c[0].SOED)
+			row.KM1OptCut += float64(c[1].Cut)
+			row.KM1OptKM1 += float64(c[1].KMinus1)
+			row.KM1OptSOED += float64(c[1].SOED)
 		}
+		row.CutOptCut /= n
+		row.CutOptKM1 /= n
+		row.CutOptSOED /= n
+		row.KM1OptCut /= n
+		row.KM1OptKM1 /= n
+		row.KM1OptSOED /= n
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

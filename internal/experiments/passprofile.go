@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fm"
 	"repro/internal/hypergraph"
-	"repro/internal/partition"
 	"repro/internal/stats"
 )
 
@@ -33,14 +32,13 @@ type PassProfileRow struct {
 func PassProfile(name string, h *hypergraph.Hypergraph, cfg FlatConfig) ([]PassProfileRow, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x9a55))
-	base := partition.NewBipartition(h, cfg.Tolerance)
-	sched, err := goodSchedule(base, cfg, rng)
+	fx, err := cfg.fixture(h, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: pass profile on %s: %w", name, err)
 	}
 	var rows []PassProfileRow
 	for _, frac := range cfg.Fractions {
-		prob := sched.Apply(base, frac, Good)
+		prob := fx.sched.Apply(fx.base, frac, Good)
 		row := PassProfileRow{Instance: name, Fraction: frac}
 		var peakSum float64
 		for run := 0; run < cfg.Runs; run++ {

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/hypergraph"
 	"repro/internal/multilevel"
-	"repro/internal/par"
-	"repro/internal/partition"
 	"repro/internal/stats"
 )
 
@@ -29,68 +27,36 @@ type StartsRow struct {
 }
 
 // StartsRequired measures adaptive multistart effort across fixing levels,
-// running its independent (regime, fraction, trial) cells on cfg.Workers
-// goroutines. Per-cell RNGs derive from the seed and cell index, so the
-// study is deterministic for every worker count.
+// running its (regime, fraction, trial) cells on cfg.Workers goroutines
+// through runCells, so the study is deterministic for every worker count.
 func StartsRequired(name string, h *hypergraph.Hypergraph, cfg SweepConfig) ([]StartsRow, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x57a7))
-	base := partition.NewBipartition(h, cfg.Tolerance)
-	best, err := solve(base, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
+	fx, err := newFixture(h, 2, cfg.Tolerance, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: starts study on %s: %w", name, err)
 	}
-	sched, err := NewFixSchedule(h, 2, best.Assignment, rng)
-	if err != nil {
-		return nil, err
-	}
-	type job struct {
-		prob   *partition.Problem
-		starts int
-		cut    int64
-		err    error
-	}
-	cellSeed := rng.Uint64()
-	var jobs []job
-	for _, regime := range []Regime{Good, Rand} {
-		for _, frac := range cfg.Fractions {
-			prob := sched.Apply(base, frac, regime)
-			for trial := 0; trial < cfg.Trials; trial++ {
-				jobs = append(jobs, job{prob: prob})
-			}
-		}
-	}
-	par.ForEach(len(jobs), cfg.Workers, func(i int) {
-		jrng := rand.New(rand.NewPCG(cellSeed, uint64(i)))
-		res, err := solve(jobs[i].prob, cfg.ML, 1, multilevel.Spec{Starts: 16, Patience: 2}, jrng)
-		if err != nil {
-			jobs[i].err = err
-			return
-		}
-		jobs[i].starts = res.Starts
-		jobs[i].cut = res.Cut
+	gs := fx.groups(cfg.Fractions, Good, Rand)
+	cells, err := runCells(gs, cfg.Trials, rng.Uint64(), cfg.Workers, func(g group, _ int, rng func() *rand.Rand) (*multilevel.Result, error) {
+		return solve(g.prob, cfg.ML, 1, multilevel.Spec{Starts: 16, Patience: 2}, rng())
 	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: starts study on %s: %w", name, err)
+	}
 	var rows []StartsRow
-	j := 0
-	for _, regime := range []Regime{Good, Rand} {
-		for _, frac := range cfg.Fractions {
-			var starts, cut float64
-			for trial := 0; trial < cfg.Trials; trial++ {
-				if jobs[j].err != nil {
-					return nil, fmt.Errorf("experiments: starts study %v %.1f%%: %w", regime, 100*frac, jobs[j].err)
-				}
-				starts += float64(jobs[j].starts)
-				cut += float64(jobs[j].cut)
-				j++
-			}
-			rows = append(rows, StartsRow{
-				Instance:  name,
-				Regime:    regime,
-				Fraction:  frac,
-				AvgStarts: starts / float64(cfg.Trials),
-				AvgCut:    cut / float64(cfg.Trials),
-			})
+	for gi, g := range gs {
+		var starts, cut float64
+		for _, r := range cells[gi*cfg.Trials : (gi+1)*cfg.Trials] {
+			starts += float64(r.Starts)
+			cut += float64(r.Cut)
 		}
+		rows = append(rows, StartsRow{
+			Instance:  name,
+			Regime:    g.regime,
+			Fraction:  g.frac,
+			AvgStarts: starts / float64(cfg.Trials),
+			AvgCut:    cut / float64(cfg.Trials),
+		})
 	}
 	return rows, nil
 }

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 	"time"
 
 	"repro/internal/hypergraph"
 	"repro/internal/multilevel"
-	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -36,23 +34,6 @@ type SweepConfig struct {
 	// Seed and the cell index, so results are identical for every worker
 	// count — only wall-clock changes.
 	Workers int
-	// RefineWorkers, when nonzero, overrides ML.RefineWorkers for every
-	// multilevel run of the protocol: positive values enable the
-	// synchronous-round parallel refinement stage at that worker count
-	// (every count >= 1 is bit-identical), negative values force the stage
-	// off even if ML asked for it. Zero leaves ML.RefineWorkers as given.
-	RefineWorkers int
-	// LocalizedFMWorkers, when nonzero, overrides ML.LocalizedFMWorkers the
-	// same way: positive values enable the localized FM stage at the finest
-	// level at that worker count (every count >= 1 is bit-identical),
-	// negative values force the stage off even if ML asked for it. Zero
-	// leaves ML.LocalizedFMWorkers as given.
-	LocalizedFMWorkers int
-	// SharedHierarchies, when positive, runs each multistart cell over that
-	// many shared coarsening hierarchies (multilevel.Spec.Hierarchies):
-	// cheaper sweeps at a small cut penalty from follower descents. Zero
-	// keeps the paper's protocol of fully independent starts.
-	SharedHierarchies int
 }
 
 func (c SweepConfig) withDefaults() SweepConfig {
@@ -70,16 +51,6 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	}
 	if c.GoodStarts <= 0 {
 		c.GoodStarts = 10
-	}
-	if c.RefineWorkers > 0 {
-		c.ML.RefineWorkers = c.RefineWorkers
-	} else if c.RefineWorkers < 0 {
-		c.ML.RefineWorkers = 0
-	}
-	if c.LocalizedFMWorkers > 0 {
-		c.ML.LocalizedFMWorkers = c.LocalizedFMWorkers
-	} else if c.LocalizedFMWorkers < 0 {
-		c.ML.LocalizedFMWorkers = 0
 	}
 	return c
 }
@@ -111,140 +82,79 @@ type SweepResult struct {
 	RandBest map[float64]int64
 }
 
-// sweepJob is one independent unit of the sweep protocol: a (regime,
-// fraction, trial, starts) cell. Jobs run concurrently on a bounded worker
-// pool; each derives its RNG from the sweep seed and its own index, so the
-// dataset is identical for every worker count.
-type sweepJob struct {
-	prob   *partition.Problem
-	starts int
-	cut    int64
-	cpu    time.Duration
-	err    error
-}
-
 // RunSweep executes the paper's Figure 1/2 protocol on h, running its
-// independent (regime, fraction, trial) cells on cfg.Workers goroutines.
+// independent (regime, fraction, trial, starts) cells on cfg.Workers
+// goroutines.
 func RunSweep(name string, h *hypergraph.Hypergraph, cfg SweepConfig) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xf19a7e))
-	base := partition.NewBipartition(h, cfg.Tolerance)
-
 	// Best-known solution of the unconstrained instance ("good" reference).
-	best, err := solve(base, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
+	fx, err := newFixture(h, 2, cfg.Tolerance, cfg.ML, cfg.Workers, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: finding good solution for %s: %w", name, err)
-	}
-	sched, err := NewFixSchedule(h, 2, best.Assignment, rng)
-	if err != nil {
-		return nil, err
 	}
 	res := &SweepResult{
 		Instance:     name,
 		Vertices:     h.NumVertices(),
-		BestFreeCut:  best.Cut,
-		GoodSolution: best.Assignment,
+		BestFreeCut:  fx.best.Cut,
+		GoodSolution: fx.best.Assignment,
 		RandBest:     map[float64]int64{},
 	}
 
-	// Flatten the protocol into independent jobs, one per (regime, fraction,
-	// trial, starts) cell; all trials of a (regime, fraction) pair share one
-	// problem (read-only during solving).
-	cellSeed := rng.Uint64()
-	var jobs []sweepJob
-	for _, regime := range []Regime{Good, Rand} {
-		for _, frac := range cfg.Fractions {
-			prob := sched.Apply(base, frac, regime)
-			for trial := 0; trial < cfg.Trials; trial++ {
-				for _, starts := range cfg.Starts {
-					jobs = append(jobs, sweepJob{prob: prob, starts: starts})
-				}
-			}
-		}
+	// Cell j of a (regime, fraction) group is trial j/len(Starts) at
+	// Starts[j%len(Starts)]; all trials of a group share its problem.
+	type cell struct {
+		cut int64
+		cpu time.Duration
 	}
-	runCells(jobs, cellSeed, cfg.Workers, cfg.ML, cfg.SharedHierarchies)
+	gs := fx.groups(cfg.Fractions, Good, Rand)
+	nS := len(cfg.Starts)
+	per := cfg.Trials * nS
+	cells, err := runCells(gs, per, rng.Uint64(), cfg.Workers, func(g group, j int, rng func() *rand.Rand) (cell, error) {
+		t0 := time.Now()
+		r, err := solve(g.prob, cfg.ML, 1, multilevel.Spec{Starts: cfg.Starts[j%nS]}, rng())
+		if err != nil {
+			return cell{}, err
+		}
+		return cell{r.Cut, time.Since(t0)}, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", name, err)
+	}
 
-	// Aggregate in deterministic job order.
-	j := 0
-	for _, regime := range []Regime{Good, Rand} {
-		for _, frac := range cfg.Fractions {
-			type cell struct {
-				sumCut float64
-				sumCPU time.Duration
-			}
-			cells := make([]cell, len(cfg.Starts))
-			instBest := int64(1) << 62
+	for gi, g := range gs {
+		cs := cells[gi*per : (gi+1)*per]
+		instBest := int64(1) << 62
+		for _, c := range cs {
+			instBest = min(instBest, c.cut)
+		}
+		ref := float64(fx.best.Cut)
+		if g.regime == Rand {
+			res.RandBest[g.frac] = instBest
+			ref = float64(instBest)
+		}
+		for si, starts := range cfg.Starts {
+			var sumCut float64
+			var sumCPU time.Duration
 			for trial := 0; trial < cfg.Trials; trial++ {
-				for si := range cfg.Starts {
-					job := &jobs[j]
-					j++
-					if job.err != nil {
-						return nil, fmt.Errorf("experiments: %s %v %.1f%% starts=%d: %w",
-							name, regime, 100*frac, job.starts, job.err)
-					}
-					cells[si].sumCut += float64(job.cut)
-					cells[si].sumCPU += job.cpu
-					if job.cut < instBest {
-						instBest = job.cut
-					}
-				}
+				sumCut += float64(cs[trial*nS+si].cut)
+				sumCPU += cs[trial*nS+si].cpu
 			}
-			if regime == Rand {
-				res.RandBest[frac] = instBest
+			pt := SweepPoint{
+				Regime:     g.regime,
+				Fraction:   g.frac,
+				Starts:     starts,
+				AvgBestCut: sumCut / float64(cfg.Trials),
+				AvgCPU:     sumCPU / time.Duration(cfg.Trials),
+				Normalized: 1,
 			}
-			for si, starts := range cfg.Starts {
-				pt := SweepPoint{
-					Regime:     regime,
-					Fraction:   frac,
-					Starts:     starts,
-					AvgBestCut: cells[si].sumCut / float64(cfg.Trials),
-					AvgCPU:     cells[si].sumCPU / time.Duration(cfg.Trials),
-				}
-				ref := float64(best.Cut)
-				if regime == Rand {
-					ref = float64(instBest)
-				}
-				if ref > 0 {
-					pt.Normalized = pt.AvgBestCut / ref
-				} else {
-					pt.Normalized = 1
-				}
-				res.Points = append(res.Points, pt)
+			if ref > 0 {
+				pt.Normalized = pt.AvgBestCut / ref
 			}
+			res.Points = append(res.Points, pt)
 		}
 	}
 	return res, nil
-}
-
-// runCells executes the jobs concurrently. Job i's RNG derives from
-// (cellSeed, i), so the outcome of every cell is independent of scheduling.
-// With sharedHierarchies > 0, multistart cells amortise coarsening through
-// shared hierarchies (single-start cells gain nothing from sharing and
-// keep the plain path).
-func runCells(jobs []sweepJob, cellSeed uint64, workers int, ml multilevel.Config, sharedHierarchies int) {
-	par.ForEach(len(jobs), workers, func(i int) {
-		job := &jobs[i]
-		rng := rand.New(rand.NewPCG(cellSeed, uint64(i)))
-		t0 := time.Now()
-		r, err := solve(job.prob, ml, 1, multilevel.Spec{Starts: job.starts, Hierarchies: sharedHierarchies}, rng)
-		job.cpu = time.Since(t0)
-		if err != nil {
-			job.err = err
-			return
-		}
-		job.cut = r.Cut
-	})
-}
-
-// withWorkers returns ml with its worker bound overridden by the sweep-level
-// setting, for the protocol phases that parallelize inside one multistart
-// (reference-solution search) rather than across cells.
-// solve runs multilevel.Solve without cancellation on a pool of `workers`
-// start goroutines. Study cells already run inside par.ForEach, so they pass
-// 1 and stay serial.
-func solve(p *partition.Problem, ml multilevel.Config, workers int, spec multilevel.Spec, rng *rand.Rand) (*multilevel.Result, error) {
-	ml.Workers = workers
-	return multilevel.Solve(context.Background(), p, ml, spec, rng)
 }
 
 // Point returns the sweep point for (regime, fraction, starts), or nil.

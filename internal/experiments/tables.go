@@ -44,6 +44,12 @@ func (c FlatConfig) withDefaults() FlatConfig {
 	return c
 }
 
+// fixture finds the best-known solution of the free bisection of h and draws
+// a nested fix schedule for it, serially, from rng.
+func (c FlatConfig) fixture(h *hypergraph.Hypergraph, rng *rand.Rand) (*fixture, error) {
+	return newFixture(h, 2, c.Tolerance, c.ML, 1, multilevel.Spec{Starts: c.GoodStarts}, rng)
+}
+
 // TableIIRow reports LIFO-FM pass statistics at one fixing level: the
 // average number of passes per run and the average percentage of movable
 // vertices whose moves were retained per pass, excluding the first pass
@@ -60,14 +66,13 @@ type TableIIRow struct {
 func TableII(name string, h *hypergraph.Hypergraph, cfg FlatConfig) ([]TableIIRow, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x7ab1e2))
-	base := partition.NewBipartition(h, cfg.Tolerance)
-	sched, err := goodSchedule(base, cfg, rng)
+	fx, err := cfg.fixture(h, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table II on %s: %w", name, err)
 	}
 	var rows []TableIIRow
 	for _, frac := range cfg.Fractions {
-		prob := sched.Apply(base, frac, Good)
+		prob := fx.sched.Apply(fx.base, frac, Good)
 		var passes, pctSum float64
 		var pctN int
 		for run := 0; run < cfg.Runs; run++ {
@@ -115,19 +120,15 @@ func TableIII(name string, h *hypergraph.Hypergraph, cutoffs []float64, cfg Flat
 		cutoffs = DefaultCutoffs()
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x7ab1e3))
-	base := partition.NewBipartition(h, cfg.Tolerance)
-	sched, err := goodSchedule(base, cfg, rng)
+	fx, err := cfg.fixture(h, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table III on %s: %w", name, err)
 	}
 	var rows []TableIIIRow
 	for _, frac := range cfg.Fractions {
-		prob := sched.Apply(base, frac, Good)
+		prob := fx.sched.Apply(fx.base, frac, Good)
 		for _, cutoff := range cutoffs {
-			fmCfg := fm.Config{Policy: fm.LIFO}
-			if cutoff < 1 {
-				fmCfg.MaxPassFraction = cutoff
-			}
+			fmCfg := fm.Config{Policy: fm.LIFO, MaxPassFraction: cutoff}
 			var cutSum float64
 			var cpu time.Duration
 			for run := 0; run < cfg.Runs; run++ {
@@ -149,15 +150,6 @@ func TableIII(name string, h *hypergraph.Hypergraph, cutoffs []float64, cfg Flat
 		}
 	}
 	return rows, nil
-}
-
-// goodSchedule finds a best-known solution and draws a nested fix schedule.
-func goodSchedule(base *partition.Problem, cfg FlatConfig, rng *rand.Rand) (*FixSchedule, error) {
-	best, err := solve(base, cfg.ML, 1, multilevel.Spec{Starts: cfg.GoodStarts}, rng)
-	if err != nil {
-		return nil, err
-	}
-	return NewFixSchedule(base.H, 2, best.Assignment, rng)
 }
 
 // TableIVRow is one line of the paper's Table IV: parameters of a derived

@@ -156,7 +156,7 @@ func matchLevel(p *partition.Problem, maxClusterWeight int64, workers int, rng *
 		// Propose: every live vertex picks its best eligible neighbour from
 		// the state frozen at the end of the previous round. Also clears the
 		// vertex's winner slot for the resolve pass below.
-		par.ForEachWorkerCtx(nil, P, W, func(w, c int) {
+		par.ForEachWorker(P, W, func(w, c int) {
 			sh := shards[w]
 			lo, hi := matchChunk(nv, P, c)
 			for v := lo; v < hi; v++ {

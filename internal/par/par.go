@@ -38,29 +38,8 @@ func ForEach(n, workers int, fn func(i int)) {
 // unchanged: the worker index must only select *storage*, never influence the
 // meaning or result of index i, or bit-identical-across-worker-counts breaks.
 func ForEachWorker(n, workers int, fn func(worker, i int)) {
-	workers = EffectiveWorkers(n, workers)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := range idx {
-				fn(w, i)
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	var never context.Context // nil: ForEachWorkerCtx never cancels
+	ForEachWorkerCtx(never, n, workers, fn)
 }
 
 // ForEachWorkerCtx is ForEachWorker with cooperative cancellation: once ctx
@@ -74,16 +53,13 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 // timing and worker count. Callers keep the per-index determinism contract
 // (index i's result never changes), but the length of the completed prefix —
 // and therefore any "best of completed" reduction — is only reproducible
-// when ctx never fires. A nil ctx means no cancellation.
+// when ctx never fires. A nil ctx means no cancellation, and dispatch then
+// costs one channel send per index, with no select.
 func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) int {
-	if ctx == nil {
-		ForEachWorker(n, workers, fn)
-		return n
-	}
 	workers = EffectiveWorkers(n, workers)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
+			if ctx != nil && ctx.Err() != nil {
 				return i
 			}
 			fn(0, i)
@@ -102,18 +78,24 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 		}(w)
 	}
 	dispatched := 0
-feed:
-	for i := 0; i < n; i++ {
-		// select picks at random among ready cases, so a done context must
-		// be checked first or an idle worker could still take the index.
-		if ctx.Err() != nil {
-			break
+	if ctx == nil {
+		for ; dispatched < n; dispatched++ {
+			idx <- dispatched
 		}
-		select {
-		case idx <- i:
-			dispatched++
-		case <-ctx.Done():
-			break feed
+	} else {
+	feed:
+		for ; dispatched < n; dispatched++ {
+			// select picks at random among ready cases, so a done context
+			// must be checked first or an idle worker could still take the
+			// index.
+			if ctx.Err() != nil {
+				break
+			}
+			select {
+			case idx <- dispatched:
+			case <-ctx.Done():
+				break feed
+			}
 		}
 	}
 	close(idx)

@@ -3,10 +3,10 @@ package partition
 // ConstraintReport quantifies how constrained a fixed-terminals instance is.
 // The paper's conclusion asks for a measure that is *invariant* in the right
 // way: an instance with any number of fixed terminals is equivalent to one
-// with a single merged terminal per part (ClusterTerminals), so counting
-// fixed vertices cannot capture constraint strength. The report therefore
-// offers both the naive count and measures defined over nets, which survive
-// the terminal-clustering reduction unchanged (see the property test).
+// with a single merged terminal per part, so counting fixed vertices cannot
+// capture constraint strength. The report therefore offers both the naive
+// count and measures defined over nets, which survive the terminal-clustering
+// reduction unchanged (the property test checks them against it).
 type ConstraintReport struct {
 	// FixedVertexFraction is the naive measure: fixed vertices over all
 	// vertices. NOT invariant under terminal clustering.

@@ -348,7 +348,7 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, int, string) 
 	objective, _ := fm.ParseObjective(req.Objective) // validated on admission
 	mlCfg := multilevel.Config{
 		Objective:       objective,
-		MaxPassFraction: passFraction(req.Cutoff),
+		MaxPassFraction: req.Cutoff,
 		RefineMaxPasses: req.RefinePasses,
 		Workers:         req.Workers,
 		CoarsenWorkers:  req.CoarsenWorkers,
@@ -477,15 +477,6 @@ func hierarchySeed(key string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// passFraction maps the request's cutoff knob to Config.MaxPassFraction
-// (0 and 1 both mean "no cutoff").
-func passFraction(cutoff float64) float64 {
-	if cutoff >= 1 || cutoff <= 0 {
-		return 0
-	}
-	return cutoff
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
