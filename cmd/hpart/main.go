@@ -208,6 +208,9 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	if o.starts < 1 {
+		return fmt.Errorf("-starts %d: want at least 1", o.starts)
+	}
 	p, name, err := loadProblem(o)
 	if err != nil {
 		return err

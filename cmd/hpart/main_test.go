@@ -208,6 +208,33 @@ func TestCutoffNaN(t *testing.T) {
 	}
 }
 
+// TestStartsBelowOne: -starts below 1 is an error on every engine and
+// k-way mode, and through the real flag parser hpart exits 1; no engine
+// may run zero starts and report an empty best.
+func TestStartsBelowOne(t *testing.T) {
+	dir := t.TempDir()
+	writeBundle(t, dir, "tiny")
+	for _, starts := range []int{0, -2} {
+		for _, engine := range []string{"ml", "clip", "lifo"} {
+			o := testOpts(dir, "tiny")
+			o.engine, o.starts = engine, starts
+			if err := run(o); err == nil || !strings.Contains(err.Error(), "-starts") {
+				t.Errorf("engine %s, starts %d: %v, want a -starts error", engine, starts, err)
+			}
+		}
+	}
+	writeHGRSuite(t, dir, 0.1)
+	hgrPath := filepath.Join(dir, "circuit.hgr")
+	for _, args := range []string{
+		"-dir " + dir + " -base tiny -starts 0",
+		"-dir " + dir + " -base tiny -engine clip -starts 0",
+		"-dir " + dir + " -base tiny -engine lifo -starts -2",
+		"-hgr " + hgrPath + " -k 4 -kway rb -starts 0",
+	} {
+		wantExit1(t, args)
+	}
+}
+
 // wantExit1 runs hpart's main on args through the real flag parser, in a
 // child test process that takes the HPART_TEST_ARGS branch of TestCutoffNaN,
 // and fails t unless it exits with status 1.

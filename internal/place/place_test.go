@@ -1,6 +1,8 @@
 package place_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -200,6 +202,35 @@ func TestPlaceWorkersDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d: vertex %d at (%v,%v), want (%v,%v)",
 					workers, v, pl.X[v], pl.Y[v], ref.X[v], ref.Y[v])
 			}
+		}
+	}
+}
+
+// TestPlaceGolden pins the placer's output on one small generated netlist:
+// an FNV-1a hash of every coordinate's bits plus the HPWL, the same at
+// Workers 1 and 3. Any change to the region sub-problems, the bisection
+// settings or the RNG draws moves it.
+func TestPlaceGolden(t *testing.T) {
+	const wantHash, wantHPWL = 0x4382c0f10cd85dee, 11398.583333333348
+	nl := testNetlist(t, 400, 11)
+	fx, fy := padCoords(nl, 80, 80)
+	for _, workers := range []int{1, 3} {
+		pl, err := place.Place(nl.H, place.Config{
+			Width: 80, Height: 80, FixedX: fx, FixedY: fy, Workers: workers,
+		}, rand.New(rand.NewPCG(11, 11)))
+		if err != nil {
+			t.Fatalf("Place workers=%d: %v", workers, err)
+		}
+		f := fnv.New64a()
+		var buf [8]byte
+		for v := range pl.X {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(pl.X[v]))
+			f.Write(buf[:])
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(pl.Y[v]))
+			f.Write(buf[:])
+		}
+		if got, hpwl := f.Sum64(), pl.HPWL(); got != wantHash || hpwl != wantHPWL {
+			t.Errorf("workers=%d: hash %#x HPWL %v, want %#x HPWL %v", workers, got, hpwl, uint64(wantHash), wantHPWL)
 		}
 	}
 }
