@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 
@@ -20,7 +19,6 @@ import (
 	"repro/internal/bookshelf"
 	"repro/internal/experiments"
 	"repro/internal/gen"
-	"repro/internal/place"
 )
 
 func main() {
@@ -32,6 +30,10 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "random seed for placement")
 	)
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) { // NaN fails too
+		fmt.Fprintf(os.Stderr, "genbench: -scale %v: want a finite factor > 0\n", *scale)
+		os.Exit(2)
+	}
 	var presets []gen.Preset
 	switch {
 	case *preset != "":
@@ -58,27 +60,17 @@ func run(out string, presets []gen.Preset, scale float64, seed uint64) error {
 	}
 	var instances []*benchgen.Instance
 	for _, pr := range presets {
-		params := pr.Params.Scaled(scale)
-		nl, err := gen.Generate(params)
+		pl, insts, err := benchgen.Suite(pr, scale, seed, 0)
 		if err != nil {
-			return fmt.Errorf("generating %s: %w", pr.Name, err)
+			return err
 		}
-		fmt.Printf("%s: %v\n", pr.Name, nl.H)
-		pl, err := placeNetlist(nl, seed)
-		if err != nil {
-			return fmt.Errorf("placing %s: %w", pr.Name, err)
-		}
-		fmt.Printf("%s: placed, HPWL = %.0f\n", pr.Name, pl.HPWL())
-		for _, spec := range benchgen.StandardSpecs(pl, pr.Name) {
-			inst, err := benchgen.Derive(pl, spec, 0.02)
-			if err != nil {
-				return fmt.Errorf("deriving %s: %w", spec.Name, err)
-			}
-			instances = append(instances, inst)
+		fmt.Printf("%s: %v placed, HPWL = %.0f\n", pr.Name, pl.H, pl.HPWL())
+		for _, inst := range insts {
 			if err := bookshelf.WriteProblem(out, inst.Name, inst.Problem); err != nil {
 				return fmt.Errorf("writing %s: %w", inst.Name, err)
 			}
 		}
+		instances = append(instances, insts...)
 	}
 	if err := experiments.RenderTableIV(os.Stdout, experiments.TableIV(instances)); err != nil {
 		return err
@@ -90,25 +82,4 @@ func run(out string, presets []gen.Preset, scale float64, seed uint64) error {
 	defer summary.Close()
 	fmt.Printf("wrote %d bundles to %s\n", len(instances), out)
 	return experiments.RenderTableIV(summary, experiments.TableIV(instances))
-}
-
-// placeNetlist runs the top-down placer with pads pinned to the generator's
-// periphery positions.
-func placeNetlist(nl *gen.Netlist, seed uint64) (*place.Placement, error) {
-	nv := nl.H.NumVertices()
-	side := float64(nl.GridSide)
-	fx := make([]float64, nv)
-	fy := make([]float64, nv)
-	for v := 0; v < nv; v++ {
-		if nl.H.IsPad(v) {
-			fx[v] = float64(nl.CellX[v])
-			fy[v] = float64(nl.CellY[v])
-		} else {
-			fx[v], fy[v] = math.NaN(), math.NaN()
-		}
-	}
-	return place.Place(nl.H, place.Config{
-		Width: side, Height: side,
-		FixedX: fx, FixedY: fy,
-	}, rand.New(rand.NewPCG(seed, 0x9ace)))
 }

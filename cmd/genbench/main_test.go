@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bookshelf"
@@ -33,5 +36,26 @@ func TestRunWritesSuite(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "TABLE_IV.txt")); err != nil {
 		t.Errorf("TABLE_IV.txt missing: %v", err)
+	}
+}
+
+// TestBadScaleExit2: through the real flag parser, a -scale that is NaN,
+// infinite or not positive stops genbench with exit status 2 and a message
+// naming the flag.
+func TestBadScaleExit2(t *testing.T) {
+	if args := os.Getenv("GENBENCH_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"genbench"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	out := t.TempDir()
+	for _, scale := range []string{"NaN", "Inf", "-Inf", "0", "-0.5"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadScaleExit2$")
+		cmd.Env = append(os.Environ(), "GENBENCH_TEST_ARGS=-out "+out+" -scale "+scale)
+		msg, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), "genbench: -scale") {
+			t.Errorf("genbench -scale %s: %v, %q; want exit status 2 naming -scale", scale, err, msg)
+		}
 	}
 }

@@ -31,6 +31,10 @@ func main() {
 		gsrc   = flag.String("gsrc", "", "also write a GSRC bookshelf .nodes/.nets/.pl trio with this base path (e.g. out/ibm01s)")
 	)
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) { // NaN fails too
+		fmt.Fprintf(os.Stderr, "placer: -scale %v: want a finite factor > 0\n", *scale)
+		os.Exit(2)
+	}
 	if err := run(*preset, *scale, *seed, *out, *gsrc); err != nil {
 		fmt.Fprintln(os.Stderr, "placer:", err)
 		os.Exit(1)
@@ -47,16 +51,7 @@ func run(preset string, scale float64, seed uint64, out, gsrc string) error {
 		return err
 	}
 	nv := nl.H.NumVertices()
-	fx := make([]float64, nv)
-	fy := make([]float64, nv)
-	for v := 0; v < nv; v++ {
-		if nl.H.IsPad(v) {
-			fx[v] = float64(nl.CellX[v])
-			fy[v] = float64(nl.CellY[v])
-		} else {
-			fx[v], fy[v] = math.NaN(), math.NaN()
-		}
-	}
+	fx, fy := nl.PadPositions()
 	t0 := time.Now()
 	pl, err := place.Place(nl.H, place.Config{
 		Width: float64(nl.GridSide), Height: float64(nl.GridSide),

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -61,5 +63,25 @@ func TestRunWritesGSRC(t *testing.T) {
 	}
 	if fixedPads == 0 {
 		t.Error("no fixed pads in .pl")
+	}
+}
+
+// TestBadScaleExit2: through the real flag parser, a -scale that is NaN,
+// infinite or not positive stops placer with exit status 2 and a message
+// naming the flag.
+func TestBadScaleExit2(t *testing.T) {
+	if args := os.Getenv("PLACER_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"placer"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, scale := range []string{"NaN", "Inf", "-Inf", "0", "-0.5"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadScaleExit2$")
+		cmd.Env = append(os.Environ(), "PLACER_TEST_ARGS=-scale "+scale)
+		msg, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), "placer: -scale") {
+			t.Errorf("placer -scale %s: %v, %q; want exit status 2 naming -scale", scale, err, msg)
+		}
 	}
 }

@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/benchgen"
@@ -28,16 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nv := nl.H.NumVertices()
-	fx := make([]float64, nv)
-	fy := make([]float64, nv)
-	for v := 0; v < nv; v++ {
-		if nl.H.IsPad(v) {
-			fx[v], fy[v] = float64(nl.CellX[v]), float64(nl.CellY[v])
-		} else {
-			fx[v], fy[v] = math.NaN(), math.NaN()
-		}
-	}
+	fx, fy := nl.PadPositions()
 	rng := rand.New(rand.NewPCG(42, 42))
 	side := float64(nl.GridSide)
 	pl, err := place.Place(nl.H, place.Config{Width: side, Height: side, FixedX: fx, FixedY: fy}, rng)

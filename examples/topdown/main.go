@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/benchgen"
@@ -33,16 +32,7 @@ func main() {
 	fmt.Printf("circuit: %v, %d pads\n", nl.H, nl.H.NumPads())
 
 	// 2. Top-down placement with pads pinned on the periphery.
-	nv := nl.H.NumVertices()
-	fx := make([]float64, nv)
-	fy := make([]float64, nv)
-	for v := 0; v < nv; v++ {
-		if nl.H.IsPad(v) {
-			fx[v], fy[v] = float64(nl.CellX[v]), float64(nl.CellY[v])
-		} else {
-			fx[v], fy[v] = math.NaN(), math.NaN()
-		}
-	}
+	fx, fy := nl.PadPositions()
 	rng := rand.New(rand.NewPCG(7, 7))
 	pl, err := place.Place(nl.H, place.Config{
 		Width: float64(nl.GridSide), Height: float64(nl.GridSide),

@@ -3,8 +3,9 @@
 // multistart sweeps behind Figures 1 and 2, the flat-FM pass-statistics
 // study of Table II, the pass-cutoff study of Table III, the
 // benchmark-parameter reporting of Tables I and IV, and the extension
-// studies (constraint strength, within-pass gain profiles, multistart
-// effort) exposed by cmd/experiments.
+// studies (multiway, constraint strength, within-pass gain profiles,
+// multistart effort, objective, CLIP-vs-LIFO refinement policy).
+// cmd/experiments is the one harness that runs and renders all of them.
 //
 // # Concurrency and determinism
 //
@@ -16,8 +17,8 @@
 // from its own stream rand.NewPCG(seed, i), never from shared state, and
 // writes into slot i, so every table and figure is bit-identical for every
 // worker count; each study only reduces the cells of a group into its row.
-// The flat-FM tables (II, III, pass profile) and MultiwaySweep run serially
-// on one shared RNG. The nested fixing schedule is monotone by construction:
+// The single-start studies (Tables II and III, the pass profile, the policy
+// study) and MultiwaySweep run serially on one shared RNG. The nested fixing schedule is monotone by construction:
 // the vertices fixed at fraction f are a subset of those fixed at any f' > f
 // within one trial, matching the paper's protocol.
 package experiments

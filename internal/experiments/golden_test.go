@@ -103,6 +103,10 @@ func TestStudyGoldens(t *testing.T) {
 			rows, err := experiments.PassProfile("T200", h, flat)
 			return rowsHash(rows), err
 		}},
+		{"policy", false, func(int) (string, error) {
+			rows, err := experiments.PolicyStudy("T200", h, flat)
+			return rowsHash(rows), err
+		}},
 	}
 	want := map[string]string{
 		"sweep":        "0873500a5826cc97",
@@ -114,6 +118,7 @@ func TestStudyGoldens(t *testing.T) {
 		"table2":       "a5e0701316af9f67",
 		"table3":       "c9ebf566804d7bd6",
 		"profile":      "eb43de3b70617ecf",
+		"policy":       "0126550a47930d90",
 	}
 	for _, s := range studies {
 		workerCounts := []int{1}

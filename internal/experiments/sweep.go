@@ -167,30 +167,3 @@ func (r *SweepResult) Point(regime Regime, fraction float64, starts int) *SweepP
 	}
 	return nil
 }
-
-// StartsBenefit returns, for the given regime and fraction, the relative
-// quality advantage of the largest multistart trace over the single-start
-// trace: (avg cut at 1 start) / (avg cut at max starts). Values near 1 mean
-// extra starts buy nothing — the paper's "instances with many fixed
-// terminals are easy" signal.
-func (r *SweepResult) StartsBenefit(regime Regime, fraction float64) float64 {
-	var one, most *SweepPoint
-	maxStarts := 0
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Regime != regime || p.Fraction != fraction {
-			continue
-		}
-		if p.Starts == 1 {
-			one = p
-		}
-		if p.Starts > maxStarts {
-			maxStarts = p.Starts
-			most = p
-		}
-	}
-	if one == nil || most == nil || most.AvgBestCut == 0 {
-		return 1
-	}
-	return one.AvgBestCut / most.AvgBestCut
-}

@@ -12,18 +12,21 @@ import (
 	"repro/internal/partition"
 )
 
-// FlatConfig parameterizes the flat LIFO-FM studies of Tables II and III.
+// FlatConfig parameterizes the single-start studies run serially on one
+// fixture: the flat LIFO-FM Tables II and III, the pass profile and the
+// refinement-policy study.
 type FlatConfig struct {
 	// Fractions of vertices to fix in the Good regime (terminals "fixed in
 	// a good location", as Section III specifies). Default DefaultFractions.
 	Fractions []float64
-	// Runs is the number of single FM starts averaged (the paper uses 50).
+	// Runs is the number of single starts averaged (the paper uses 50).
 	Runs int
 	// Tolerance is the balance tolerance (paper: 0.02).
 	Tolerance float64
 	// GoodStarts finds the reference solution (default 8).
 	GoodStarts int
-	// ML configures the engine used only to find the reference solution.
+	// ML configures the multilevel engine: the reference solve of every
+	// study, and both policies of PolicyStudy.
 	ML   multilevel.Config
 	Seed uint64
 }

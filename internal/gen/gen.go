@@ -104,6 +104,22 @@ type Netlist struct {
 	Params       Params
 }
 
+// PadPositions returns the fixed coordinates a placer pins the netlist with:
+// each pad at its grid position, each cell NaN (movable), the convention of
+// place.Config.FixedX/FixedY.
+func (nl *Netlist) PadPositions() (x, y []float64) {
+	nv := nl.H.NumVertices()
+	x, y = make([]float64, nv), make([]float64, nv)
+	for v := range x {
+		if nl.H.IsPad(v) {
+			x[v], y[v] = float64(nl.CellX[v]), float64(nl.CellY[v])
+		} else {
+			x[v], y[v] = math.NaN(), math.NaN()
+		}
+	}
+	return x, y
+}
+
 // Generate builds a synthetic netlist.
 func Generate(p Params) (*Netlist, error) {
 	if err := p.Validate(); err != nil {

@@ -117,6 +117,33 @@ func TestGridPositionsInRange(t *testing.T) {
 	}
 }
 
+func TestPadPositions(t *testing.T) {
+	nl, err := gen.Generate(smallParams(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := nl.PadPositions()
+	if len(x) != nl.H.NumVertices() || len(y) != len(x) {
+		t.Fatalf("len = %d, %d, want %d", len(x), len(y), nl.H.NumVertices())
+	}
+	pads := 0
+	for v := range x {
+		if !nl.H.IsPad(v) {
+			if !math.IsNaN(x[v]) || !math.IsNaN(y[v]) {
+				t.Fatalf("cell %d pinned at (%v,%v)", v, x[v], y[v])
+			}
+			continue
+		}
+		pads++
+		if x[v] != float64(nl.CellX[v]) || y[v] != float64(nl.CellY[v]) {
+			t.Fatalf("pad %d at (%v,%v), want (%d,%d)", v, x[v], y[v], nl.CellX[v], nl.CellY[v])
+		}
+	}
+	if pads == 0 {
+		t.Fatal("netlist has no pads")
+	}
+}
+
 // TestRentLocality verifies the generator's central property: geometric
 // blocks of the implicit grid expose terminal counts that fit a Rent
 // exponent in a plausible band around the target.

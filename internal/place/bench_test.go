@@ -1,7 +1,6 @@
 package place_test
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -18,17 +17,7 @@ func BenchmarkPlace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nv := nl.H.NumVertices()
-	fx := make([]float64, nv)
-	fy := make([]float64, nv)
-	for v := 0; v < nv; v++ {
-		if nl.H.IsPad(v) {
-			fx[v] = float64(nl.CellX[v])
-			fy[v] = float64(nl.CellY[v])
-		} else {
-			fx[v], fy[v] = math.NaN(), math.NaN()
-		}
-	}
+	fx, fy := nl.PadPositions()
 	rng := rand.New(rand.NewPCG(1, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
