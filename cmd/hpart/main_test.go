@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -425,14 +426,21 @@ func TestRunHGRMode(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatalf("run -hgr: %v", err)
 	}
-	f, err := os.Open(parts)
+	text, err := os.ReadFile(parts)
 	if err != nil {
 		t.Fatalf("partition file not written: %v", err)
 	}
-	defer f.Close()
-	a, err := hgr.ReadParts(f, p.H.NumVertices(), p.K)
-	if err != nil {
-		t.Fatalf("ReadParts: %v", err)
+	lines := strings.Fields(string(text))
+	if len(lines) != p.H.NumVertices() {
+		t.Fatalf("partition file lists %d parts for %d vertices", len(lines), p.H.NumVertices())
+	}
+	a := make(partition.Assignment, len(lines))
+	for v, line := range lines {
+		part, err := strconv.Atoi(line)
+		if err != nil || part < 0 || part >= p.K {
+			t.Fatalf("vertex %d: bad part %q", v, line)
+		}
+		a[v] = int8(part)
 	}
 	if err := p.Feasible(a); err != nil {
 		t.Errorf("written partition infeasible: %v", err)
@@ -465,11 +473,11 @@ func TestRunHGRFixFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hf.Close()
-	h, err := hgr.ReadHGR(hf)
+	hp, err := hgr.ReadProblem(hf, nil, 2, o.tol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks, err := hgr.ReadFix(f, h.NumVertices(), 2)
+	masks, err := hgr.ReadFix(f, hp.H.NumVertices(), 2)
 	if err != nil {
 		t.Fatalf("re-read written fix: %v", err)
 	}
@@ -479,7 +487,7 @@ func TestRunHGRFixFraction(t *testing.T) {
 			fixed++
 		}
 	}
-	if want := int(0.2 * float64(h.NumVertices())); fixed < want {
+	if want := int(0.2 * float64(hp.H.NumVertices())); fixed < want {
 		t.Errorf("written fix file fixes %d vertices, want at least %d", fixed, want)
 	}
 }

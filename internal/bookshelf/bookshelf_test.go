@@ -12,6 +12,15 @@ import (
 	"repro/internal/partition"
 )
 
+// mustBuild is b.Build for test inputs that are correct by construction.
+func mustBuild(b *hypergraph.Builder) *hypergraph.Hypergraph {
+	h, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 // sample builds a hypergraph with 4 cells then 2 pads (pads last, as the
 // writer requires).
 func sample(t *testing.T) *hypergraph.Hypergraph {
@@ -26,7 +35,7 @@ func sample(t *testing.T) *hypergraph.Hypergraph {
 	b.AddNet(2, 3)
 	b.AddNet(p1, 0)
 	b.AddNet(p2, 3, 1)
-	return b.MustBuild()
+	return mustBuild(b)
 }
 
 func roundTrip(t *testing.T, h *hypergraph.Hypergraph) *hypergraph.Hypergraph {
@@ -84,7 +93,7 @@ func TestNetAreMultiResource(t *testing.T) {
 	b.AddCell("", 5, 1, 9)
 	b.AddCell("", 7, 2, 0)
 	b.AddNet(0, 1)
-	h := b.MustBuild()
+	h := mustBuild(b)
 	got := roundTrip(t, h)
 	if got.NumResources() != 3 || got.WeightIn(0, 2) != 9 {
 		t.Errorf("multi-resource areas lost: resources=%d w=%d", got.NumResources(), got.WeightIn(0, 2))
@@ -96,7 +105,7 @@ func TestWriteNetAreRejectsInterleavedPads(t *testing.T) {
 	b.AddPad("")
 	b.AddCell("", 1)
 	b.AddNet(0, 1)
-	h := b.MustBuild()
+	h := mustBuild(b)
 	var n, a bytes.Buffer
 	if err := bookshelf.WriteNetAre(&n, &a, h); err == nil {
 		t.Error("want error for pad before cells")
@@ -316,7 +325,7 @@ func TestProblemBundleRoundTripProperty(t *testing.T) {
 			sz := 2 + rng.IntN(3)
 			b.AddNet(rng.Perm(nv)[:sz]...)
 		}
-		h := b.MustBuild()
+		h := mustBuild(b)
 		k := 2 + rng.IntN(3)
 		p := partition.NewFree(h, k, 0.5)
 		for v := 0; v < nv; v++ {

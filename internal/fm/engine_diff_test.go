@@ -35,7 +35,7 @@ func diffProblem(rng *rand.Rand) (*partition.Problem, partition.Assignment, bool
 		}
 		b.AddWeightedNet(int64(1+rng.IntN(3)), rng.Perm(nv)[:sz]...)
 	}
-	p := partition.NewFree(b.MustBuild(), k, 0.2+0.2*rng.Float64())
+	p := partition.NewFree(mustBuild(b), k, 0.2+0.2*rng.Float64())
 	for v := 0; v < nv; v++ {
 		switch rng.IntN(5) {
 		case 0: // fixed terminal
@@ -122,7 +122,7 @@ func TestBipartitionMatchesReference(t *testing.T) {
 			sz := 2 + rng.IntN(4)
 			b.AddNet(rng.Perm(nv)[:sz]...)
 		}
-		p := partition.NewBipartition(b.MustBuild(), 0.15)
+		p := partition.NewBipartition(mustBuild(b), 0.15)
 		for v := 0; v < nv; v++ {
 			if rng.IntN(4) == 0 {
 				p.Fix(v, rng.IntN(2))

@@ -9,6 +9,15 @@ import (
 	"repro/internal/partition"
 )
 
+// mustBuild is b.Build for test inputs that are correct by construction.
+func mustBuild(b *hypergraph.Builder) *hypergraph.Hypergraph {
+	h, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 // buildEngineProblem makes a random bipartition problem with a feasible
 // initial assignment.
 func buildEngineProblem(seed uint64, nv int) (*partition.Problem, partition.Assignment, bool) {
@@ -21,7 +30,7 @@ func buildEngineProblem(seed uint64, nv int) (*partition.Problem, partition.Assi
 		sz := 2 + rng.IntN(3)
 		b.AddNet(rng.Perm(nv)[:sz]...)
 	}
-	p := partition.NewBipartition(b.MustBuild(), 0.1)
+	p := partition.NewBipartition(mustBuild(b), 0.1)
 	for v := 0; v < nv; v++ {
 		if rng.IntN(5) == 0 {
 			p.Fix(v, rng.IntN(2))
@@ -148,7 +157,7 @@ func TestKWayKernelGainConsistency(t *testing.T) {
 		sz := 2 + rng.IntN(3)
 		b.AddNet(rng.Perm(nv)[:sz]...)
 	}
-	p := partition.NewFree(b.MustBuild(), 3, 0.2)
+	p := partition.NewFree(mustBuild(b), 3, 0.2)
 	initial, err := partition.RandomFeasible(p, rng)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,16 @@ func twoClusters(n, bridges int) *hypergraph.Hypergraph {
 	for i := 0; i < bridges; i++ {
 		b.AddNet(i%n, n+i%n)
 	}
-	return b.MustBuild()
+	return mustBuild(b)
+}
+
+// mustBuild is b.Build for test inputs that are correct by construction.
+func mustBuild(b *hypergraph.Builder) *hypergraph.Hypergraph {
+	h, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 func randomProblem(seed uint64, nVerts int) (*partition.Problem, *rand.Rand) {
@@ -45,7 +54,7 @@ func randomProblem(seed uint64, nVerts int) (*partition.Problem, *rand.Rand) {
 		sz := 2 + rng.IntN(3)
 		b.AddNet(rng.Perm(nVerts)[:sz]...)
 	}
-	h := b.MustBuild()
+	h := mustBuild(b)
 	return partition.NewBipartition(h, 0.1), rng
 }
 

@@ -30,7 +30,7 @@ func fourClusters(n, bridges int) *hypergraph.Hypergraph {
 			b.AddNet(g*n+i%n, (g+1)*n+i%n)
 		}
 	}
-	return b.MustBuild()
+	return mustBuild(b)
 }
 
 func TestKWayPartitionImproves(t *testing.T) {
@@ -73,7 +73,7 @@ func TestKWayPartitionConsistencyProperty(t *testing.T) {
 			sz := 2 + rng.IntN(3)
 			b.AddNet(rng.Perm(nv)[:sz]...)
 		}
-		h := b.MustBuild()
+		h := mustBuild(b)
 		k := 2 + rng.IntN(3)
 		p := partition.NewFree(h, k, 0.15)
 		initial, err := partition.RandomFeasible(p, rng)

@@ -105,7 +105,7 @@ func TestLocalizedRefineAllFixed(t *testing.T) {
 	for e := 0; e < 6; e++ {
 		b.AddNet(e, (e+1)%8, (e+3)%8)
 	}
-	p := partition.NewBipartition(b.MustBuild(), 0.5)
+	p := partition.NewBipartition(mustBuild(b), 0.5)
 	for v := 0; v < 8; v++ {
 		p.Fix(v, v%2)
 	}
@@ -210,7 +210,7 @@ func locDiffProblem(rng *rand.Rand) (*partition.Problem, partition.Assignment, b
 		sz := min(2+rng.IntN(7), nv)
 		b.AddWeightedNet(int64(1+rng.IntN(3)), rng.Perm(nv)[:sz]...)
 	}
-	p := partition.NewFree(b.MustBuild(), k, 0.05+0.35*rng.Float64())
+	p := partition.NewFree(mustBuild(b), k, 0.05+0.35*rng.Float64())
 	for v := 0; v < nv; v++ {
 		switch rng.IntN(6) {
 		case 0: // fixed terminal

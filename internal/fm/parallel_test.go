@@ -102,7 +102,7 @@ func TestParallelRefineAllFixed(t *testing.T) {
 	for e := 0; e < 6; e++ {
 		b.AddNet(e, (e+1)%8, (e+3)%8)
 	}
-	p := partition.NewBipartition(b.MustBuild(), 0.5)
+	p := partition.NewBipartition(mustBuild(b), 0.5)
 	for v := 0; v < 8; v++ {
 		p.Fix(v, v%2)
 	}
@@ -168,7 +168,7 @@ func BenchmarkParallelRefineRounds(b *testing.B) {
 		sz := 2 + rng.IntN(5)
 		hb.AddNet(rng.Perm(nv)[:sz]...)
 	}
-	p := partition.NewBipartition(hb.MustBuild(), 0.1)
+	p := partition.NewBipartition(mustBuild(hb), 0.1)
 	initial, err := partition.RandomFeasible(p, rng)
 	if err != nil {
 		b.Fatal(err)
@@ -238,7 +238,7 @@ func TestRoundStateChunkedRefresh(t *testing.T) {
 		for e := 0; e < 2*nv; e++ {
 			b.AddWeightedNet(int64(1+rng.IntN(3)), rng.Perm(nv)[:2+rng.IntN(5)]...)
 		}
-		p := partition.NewFree(b.MustBuild(), k, 0.1)
+		p := partition.NewFree(mustBuild(b), k, 0.1)
 		for v := 0; v < nv; v += 7 {
 			p.Fix(v, rng.IntN(k))
 		}

@@ -2,11 +2,11 @@
 // exchange formats: hMetis .hgr netlists (plain, edge-weighted,
 // vertex-weighted and both — fmt codes 0, 1, 10 and 11), KaHyPar-style
 // fixed-vertex .fix files (one line per vertex: -1 for free, a part id to
-// fix, several part ids as this repository's OR-region extension), and the
-// partition output file hMetis-family tools emit and placement flows such as
-// Coloquinte read back (one part id per line). Everything converts to and
-// from the repository's own types: hypergraph.Hypergraph, partition.Mask
-// slices and partition.Problem.
+// fix, several part ids as this repository's OR-region extension); it also
+// writes the partition output file hMetis-family tools emit and placement
+// flows such as Coloquinte read back (one part id per line). Everything
+// converts to and from the repository's own types: hypergraph.Hypergraph,
+// partition.Mask slices and partition.Problem.
 //
 // The readers are built for hostile input. They stream byte by byte —
 // memory is bounded by the configurable Limits, never by what the input

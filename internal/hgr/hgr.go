@@ -57,12 +57,6 @@ func limitErrf(format string, args ...any) error {
 	return &LimitError{msg: fmt.Sprintf(format, args...)}
 }
 
-// ReadHGR parses an hMetis .hgr hypergraph with the package-default Limits.
-// See ReadHGRLimits.
-func ReadHGR(r io.Reader) (*hypergraph.Hypergraph, error) {
-	return ReadHGRLimits(r, Limits{})
-}
-
 // ReadHGRLimits parses an hMetis .hgr hypergraph:
 //
 //	<numNets> <numVertices> [fmt]

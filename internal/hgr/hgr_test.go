@@ -3,8 +3,11 @@ package hgr
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/hypergraph"
 )
 
 // The same four-net, seven-vertex instance in all four fmt codes. Pins are
@@ -228,4 +231,9 @@ func TestWriteHGRUnrepresentable(t *testing.T) {
 	if err == nil || !strings.HasPrefix(err.Error(), "hgr: cannot write 2-resource hypergraph") {
 		t.Fatalf("WriteHGR(multi-resource) = %v, want cannot-write error", err)
 	}
+}
+
+// ReadHGR parses an hMetis .hgr hypergraph with the package-default Limits.
+func ReadHGR(r io.Reader) (*hypergraph.Hypergraph, error) {
+	return ReadHGRLimits(r, Limits{})
 }

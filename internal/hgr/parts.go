@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 
 	"repro/internal/partition"
 )
@@ -18,42 +17,4 @@ func WriteParts(w io.Writer, a partition.Assignment) error {
 		fmt.Fprintf(bw, "%d\n", part)
 	}
 	return bw.Flush()
-}
-
-// ReadParts parses a partition file back into an assignment over numVerts
-// vertices of a k-way problem. Conventionally one part id per line; any
-// whitespace separation is accepted, '%' comments and blank lines are
-// ignored, and the entry count must equal numVerts exactly.
-func ReadParts(r io.Reader, numVerts, k int) (partition.Assignment, error) {
-	if k < 2 || k > partition.MaxParts {
-		return nil, fmt.Errorf("parts: k = %d outside [2, %d]", k, partition.MaxParts)
-	}
-	lx := newLexer(r, "parts")
-	a := make(partition.Assignment, numVerts)
-	v := 0
-	for {
-		t, err := lx.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if v >= numVerts {
-			return nil, lx.errf(t.line, "more part entries than the %d vertices", numVerts)
-		}
-		p, perr := strconv.Atoi(t.text)
-		if perr != nil {
-			return nil, lx.errf(t.line, "bad part id %q", t.text)
-		}
-		if p < 0 || p >= k {
-			return nil, lx.errf(t.line, "part %d outside [0, %d)", p, k)
-		}
-		a[v] = int8(p)
-		v++
-	}
-	if v < numVerts {
-		return nil, fmt.Errorf("parts: file lists %d of %d part entries", v, numVerts)
-	}
-	return a, nil
 }

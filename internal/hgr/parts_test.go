@@ -2,6 +2,9 @@ package hgr
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -51,4 +54,42 @@ func TestReadPartsErrors(t *testing.T) {
 		!strings.HasPrefix(err.Error(), "parts: k = 65 outside [2, 64]") {
 		t.Fatalf("ReadParts(k=65) = %v, want k-range error", err)
 	}
+}
+
+// ReadParts parses a partition file back into an assignment over numVerts
+// vertices of a k-way problem. Conventionally one part id per line; any
+// whitespace separation is accepted, '%' comments and blank lines are
+// ignored, and the entry count must equal numVerts exactly.
+func ReadParts(r io.Reader, numVerts, k int) (partition.Assignment, error) {
+	if k < 2 || k > partition.MaxParts {
+		return nil, fmt.Errorf("parts: k = %d outside [2, %d]", k, partition.MaxParts)
+	}
+	lx := newLexer(r, "parts")
+	a := make(partition.Assignment, numVerts)
+	v := 0
+	for {
+		t, err := lx.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if v >= numVerts {
+			return nil, lx.errf(t.line, "more part entries than the %d vertices", numVerts)
+		}
+		p, perr := strconv.Atoi(t.text)
+		if perr != nil {
+			return nil, lx.errf(t.line, "bad part id %q", t.text)
+		}
+		if p < 0 || p >= k {
+			return nil, lx.errf(t.line, "part %d outside [0, %d)", p, k)
+		}
+		a[v] = int8(p)
+		v++
+	}
+	if v < numVerts {
+		return nil, fmt.Errorf("parts: file lists %d of %d part entries", v, numVerts)
+	}
+	return a, nil
 }

@@ -207,16 +207,6 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	return h, nil
 }
 
-// MustBuild is Build but panics on error; intended for tests and generators
-// whose inputs are correct by construction.
-func (b *Builder) MustBuild() *Hypergraph {
-	h, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // buildVertexCSR fills vertOffsets/vertNets from the net->pin CSR, using
 // cursor as the fill cursors; it returns the (possibly grown) cursor buffer
 // so a caller can keep it for the next build.

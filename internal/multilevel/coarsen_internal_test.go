@@ -20,7 +20,11 @@ func coarsenFixture(t *testing.T) *partition.Problem {
 		sz := 2 + rng.IntN(3)
 		b.AddNet(rng.Perm(nv)[:sz]...)
 	}
-	return partition.NewBipartition(b.MustBuild(), 0.1)
+	h, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return partition.NewBipartition(h, 0.1)
 }
 
 func TestMatchLevelRespectsMasksAndWeights(t *testing.T) {

@@ -82,7 +82,6 @@ func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (
 		r.polish.MaxPassFraction = followerCutoff(cfg)
 	}
 	initCfg := refineConfig(cfg)
-	initCfg.MaxPasses = 0
 
 	// Initial partitioning at the deepest level that admits a feasible
 	// start; heavy clusters can make the very coarsest level infeasible, in
@@ -164,7 +163,7 @@ func (h *Hierarchy) initial(lp *partition.Problem, initCfg fm.Config, rng *rand.
 // refineConfig is the serial FM configuration of the uncoarsening polish,
 // before polishConfig's per-level pass cap.
 func refineConfig(cfg Config) fm.Config {
-	return fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, MaxPasses: cfg.RefineMaxPasses, Stats: kernelStats(cfg.Stats)}
+	return fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, Stats: kernelStats(cfg.Stats)}
 }
 
 // refiner is the one per-level refinement step every descent runs, with

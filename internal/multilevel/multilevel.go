@@ -44,11 +44,6 @@ type Config struct {
 	// MaxPassFraction applies the paper's pass cutoff to every refinement FM
 	// run (0 or 1 disables; values outside [0,1] are rejected).
 	MaxPassFraction float64
-	// RefineMaxPasses bounds the FM passes per refinement run during
-	// uncoarsening (0 = run to convergence, the default; negative values
-	// are rejected). The coarsest-level initial partitioning always runs to
-	// convergence.
-	RefineMaxPasses int
 	// Workers bounds the pool of goroutines that Solve and
 	// MultistartOnHierarchies run independent starts on (<= 0 means
 	// runtime.GOMAXPROCS; 1 runs every start serially on the calling
@@ -100,9 +95,6 @@ type Config struct {
 func (c Config) validate() error {
 	if !(c.MaxPassFraction >= 0 && c.MaxPassFraction <= 1) { // NaN fails too
 		return fmt.Errorf("multilevel: MaxPassFraction %v outside [0,1]", c.MaxPassFraction)
-	}
-	if c.RefineMaxPasses < 0 {
-		return fmt.Errorf("multilevel: RefineMaxPasses must be non-negative, got %d", c.RefineMaxPasses)
 	}
 	return nil
 }

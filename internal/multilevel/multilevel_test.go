@@ -34,7 +34,7 @@ func clusters(g, n, bridges int) *hypergraph.Hypergraph {
 			b.AddNet(gi*n+i%n, (gi+1)*n+i%n)
 		}
 	}
-	return b.MustBuild()
+	return mustBuild(b)
 }
 
 func TestPartitionTwoClusters(t *testing.T) {
@@ -61,6 +61,15 @@ func TestPartitionTwoClusters(t *testing.T) {
 	}
 }
 
+// mustBuild is b.Build for test inputs that are correct by construction.
+func mustBuild(b *hypergraph.Builder) *hypergraph.Hypergraph {
+	h, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 func TestPartitionCutConsistency(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 5))
@@ -73,7 +82,7 @@ func TestPartitionCutConsistency(t *testing.T) {
 			sz := 2 + rng.IntN(3)
 			b.AddNet(rng.Perm(nv)[:sz]...)
 		}
-		p := partition.NewBipartition(b.MustBuild(), 0.1)
+		p := partition.NewBipartition(mustBuild(b), 0.1)
 		res, err := multilevel.Partition(p, multilevel.Config{}, rng)
 		if err != nil {
 			return false
@@ -211,7 +220,6 @@ func TestConfigValidation(t *testing.T) {
 		{"MaxPassFraction", multilevel.Config{MaxPassFraction: -0.5}},
 		{"MaxPassFraction", multilevel.Config{MaxPassFraction: 1.5}},
 		{"MaxPassFraction", multilevel.Config{MaxPassFraction: math.NaN()}},
-		{"RefineMaxPasses", multilevel.Config{RefineMaxPasses: -1}},
 	}
 	for _, e := range entries {
 		for _, b := range bad {
@@ -220,7 +228,7 @@ func TestConfigValidation(t *testing.T) {
 				t.Errorf("%s with %+v: error %v, want one naming %s", e.name, b.cfg, err, b.field)
 			}
 		}
-		for _, ok := range []multilevel.Config{{MaxPassFraction: 0}, {MaxPassFraction: 1}, {MaxPassFraction: 0.3, RefineMaxPasses: 2}} {
+		for _, ok := range []multilevel.Config{{MaxPassFraction: 0}, {MaxPassFraction: 1}, {MaxPassFraction: 0.3}} {
 			if err := e.run(ok); err != nil {
 				t.Errorf("%s with %+v: %v", e.name, ok, err)
 			}

@@ -48,7 +48,11 @@ func grid(n int) *hypergraph.Hypergraph {
 	for i := 0; i < n; i++ {
 		b.AddNet(i, n+i) // rungs
 	}
-	return b.MustBuild()
+	h, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 func TestBalanceBisection(t *testing.T) {

@@ -115,7 +115,10 @@ func TestPlaceTinyInstance(t *testing.T) {
 	}
 	b.AddNet(0, 1)
 	b.AddNet(2, 3, 4)
-	h := b.MustBuild()
+	h, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pl, err := place.Place(h, place.Config{}, rand.New(rand.NewPCG(4, 4)))
 	if err != nil {
 		t.Fatalf("Place: %v", err)
@@ -131,7 +134,10 @@ func TestHPWL(t *testing.T) {
 		b.AddVertex(1)
 	}
 	b.AddNet(0, 1, 2)
-	h := b.MustBuild()
+	h, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pl := &place.Placement{
 		H: h,
 		X: []float64{0, 4, 2},
@@ -149,7 +155,10 @@ func TestPlaceClampsOutOfRangeFixed(t *testing.T) {
 	p0 := b.AddPad("p0")
 	b.AddNet(c0, c1)
 	b.AddNet(c1, p0)
-	h := b.MustBuild()
+	h, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	fx := []float64{math.NaN(), math.NaN(), -50} // pad pinned far outside
 	fy := []float64{math.NaN(), math.NaN(), 500}
 	pl, err := place.Place(h, place.Config{Width: 10, Height: 10, FixedX: fx, FixedY: fy},
@@ -167,7 +176,10 @@ func TestPlaceShortFixedSlices(t *testing.T) {
 	c0 := b.AddCell("c0", 1)
 	c1 := b.AddCell("c1", 1)
 	b.AddNet(c0, c1)
-	h := b.MustBuild()
+	h, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// FixedX/FixedY shorter than the vertex count: extra vertices movable.
 	pl, err := place.Place(h, place.Config{Width: 4, Height: 4, FixedX: []float64{1}, FixedY: []float64{1}},
 		rand.New(rand.NewPCG(6, 6)))

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 
 	"repro/internal/fm"
@@ -19,7 +18,8 @@ import (
 // A request is a complete, self-contained description of a deterministic
 // computation: two identical bodies get identical responses (whether served
 // cold or from the hierarchy cache), unless a run is cut short — see
-// Response.Truncated.
+// Response.Truncated. A request describes the problem, not the machine:
+// every worker count and refinement stage comes from the server's Config.
 type Request struct {
 	// Preset names a built-in generator circuit (see GET /presets) at an
 	// optional scale factor.
@@ -66,46 +66,8 @@ type Request struct {
 	// Cutoff applies the paper's pass-length cutoff fraction to refinement
 	// (0 or 1 disables).
 	Cutoff float64 `json:"cutoff,omitempty"`
-	// RefinePasses caps FM passes per level (0 = run to convergence, the
-	// engine default). Low values trade cut quality for latency — the
-	// speed knob for interactive callers; like Cutoff it is a
-	// refinement-phase setting, so it never invalidates cached
-	// hierarchies.
-	RefinePasses int `json:"refine_passes,omitempty"`
 	// Seed makes the run deterministic (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers bounds the goroutines this run's starts fan out on (default:
-	// the server's per-run worker setting). It never changes results.
-	Workers int `json:"workers,omitempty"`
-	// CoarsenWorkers parallelizes the inside of each coarsening descent
-	// (matching + contraction; default: the server's -coarsen-workers flag,
-	// clamped to GOMAXPROCS). Like Workers it never changes results —
-	// hierarchies, cuts and fingerprints are bit-identical for every value —
-	// so it does not participate in the hierarchy-cache key.
-	CoarsenWorkers int `json:"coarsen_workers,omitempty"`
-	// RefineWorkers enables the deterministic synchronous-round parallel
-	// refinement stage inside each descent and sets its worker count
-	// (default: the server's -refine-workers flag; 0 defers to that
-	// default, negative is rejected, values above GOMAXPROCS are clamped).
-	// Every count >= 1 returns bit-identical results, so like
-	// coarsen_workers the field stays out of the hierarchy-cache key.
-	// Unlike coarsen_workers, switching the stage on at all (any count
-	// >= 1) selects a different — typically faster, comparably good — move
-	// sequence than the serial-only refinement a server whose default is 0
-	// runs; see multilevel.Config.RefineWorkers.
-	RefineWorkers int `json:"refine_workers,omitempty"`
-	// LocalizedFMWorkers enables the deterministic localized FM stage at the
-	// finest level of each descent and sets its worker count (default: the
-	// server's -localized-fm-workers flag; 0 defers to that default,
-	// negative is rejected, values above GOMAXPROCS are clamped). Every
-	// count >= 1 returns bit-identical results, so like the other worker
-	// knobs the field stays out of the hierarchy-cache key. Switching the
-	// stage on at all (any count >= 1) replaces most of the finest-level
-	// serial polish with bounded localized searches plus a one-pass tail —
-	// a different, typically faster, comparably good move sequence than a
-	// server whose default is 0 runs; see
-	// multilevel.Config.LocalizedFMWorkers.
-	LocalizedFMWorkers int `json:"localized_fm_workers,omitempty"`
 	// TimeoutMS bounds the run's wall clock; a run cut short returns the
 	// best completed result with "truncated": true (or 504 if nothing
 	// finished). 0 means the server default; values above the server
@@ -182,20 +144,9 @@ type Response struct {
 	Truncated       bool `json:"truncated"`
 	Levels          int  `json:"levels"`
 	// Cache is "hit", "miss" or "bypass" (k > 2 runs are uncached).
-	Cache string `json:"cache"`
-	// CoarsenWorkers is the effective intra-descent coarsening parallelism
-	// this run used, after defaulting and the GOMAXPROCS clamp.
-	CoarsenWorkers int `json:"coarsen_workers"`
-	// RefineWorkers is the effective parallel-refinement worker count after
-	// defaulting and the GOMAXPROCS clamp; 0 means the stage was off and
-	// refinement ran on the serial kernel alone.
-	RefineWorkers int `json:"refine_workers"`
-	// LocalizedFMWorkers is the effective localized-FM worker count after
-	// defaulting and the GOMAXPROCS clamp; 0 means the stage was off and the
-	// finest level ran the full serial polish.
-	LocalizedFMWorkers int       `json:"localized_fm_workers"`
-	ElapsedMS          float64   `json:"elapsed_ms"`
-	PartWeights        [][]int64 `json:"part_weights"`
+	Cache       string    `json:"cache"`
+	ElapsedMS   float64   `json:"elapsed_ms"`
+	PartWeights [][]int64 `json:"part_weights"`
 	// Phases carries the run's per-phase wall time and FM-kernel counters
 	// (zero coarsen time is the signature of a cache hit).
 	Phases *multilevel.PhaseStats `json:"phases,omitempty"`
@@ -208,9 +159,8 @@ type errorResponse struct {
 	RetryAfterSec int `json:"retry_after_sec,omitempty"`
 }
 
-// withDefaults resolves the request's defaulted fields against the server
-// configuration.
-func (r Request) withDefaults(cfg Config) Request {
+// withDefaults fills the request's defaulted fields.
+func (r Request) withDefaults() Request {
 	if r.K == 0 {
 		r.K = 2
 	}
@@ -243,32 +193,6 @@ func (r Request) withDefaults(cfg Config) Request {
 		p.Scale = 1
 		r.Preset = &p
 	}
-	if r.Workers == 0 {
-		r.Workers = cfg.RunWorkers
-	}
-	if r.CoarsenWorkers == 0 {
-		r.CoarsenWorkers = cfg.CoarsenWorkers
-	}
-	// More coarsen workers than schedulable CPUs only adds overhead (results
-	// are identical either way), so clamp rather than reject.
-	if max := runtime.GOMAXPROCS(0); r.CoarsenWorkers > max {
-		r.CoarsenWorkers = max
-	}
-	if r.RefineWorkers == 0 {
-		r.RefineWorkers = cfg.RefineWorkers
-	}
-	// Same clamp for refine workers: every count >= 1 is bit-identical, so
-	// oversubscribing only adds overhead.
-	if max := runtime.GOMAXPROCS(0); r.RefineWorkers > max {
-		r.RefineWorkers = max
-	}
-	if r.LocalizedFMWorkers == 0 {
-		r.LocalizedFMWorkers = cfg.LocalizedFMWorkers
-	}
-	// And for localized FM workers, for the same reason.
-	if max := runtime.GOMAXPROCS(0); r.LocalizedFMWorkers > max {
-		r.LocalizedFMWorkers = max
-	}
 	return r
 }
 
@@ -297,18 +221,6 @@ func (r Request) validate(cfg Config) error {
 	}
 	if r.FixFraction < 0 || r.FixFraction > 1 {
 		return fmt.Errorf("fix_fraction %v outside [0, 1]", r.FixFraction)
-	}
-	if r.RefinePasses < 0 {
-		return fmt.Errorf("refine_passes %d is negative", r.RefinePasses)
-	}
-	if r.CoarsenWorkers < 0 {
-		return fmt.Errorf("coarsen_workers %d is negative", r.CoarsenWorkers)
-	}
-	if r.RefineWorkers < 0 {
-		return fmt.Errorf("refine_workers %d is negative", r.RefineWorkers)
-	}
-	if r.LocalizedFMWorkers < 0 {
-		return fmt.Errorf("localized_fm_workers %d is negative", r.LocalizedFMWorkers)
 	}
 	if r.Starts > cfg.MaxStarts {
 		return fmt.Errorf("starts %d exceeds server limit %d", r.Starts, cfg.MaxStarts)
@@ -361,12 +273,10 @@ func (e errTooLarge) Error() string { return e.msg }
 // count. For preset instances the key is computable WITHOUT generating the
 // netlist, so warm requests skip generation entirely; prob may be nil in
 // that case. The per-key hierarchy build seed is derived from the key
-// itself, keeping hierarchy construction a pure function of the key.
-// coarsen_workers is deliberately absent: it never changes the hierarchies,
-// so entries built at any worker count serve every request. refine_workers
-// and localized_fm_workers are absent for the same reason — the round and
-// localized stages run strictly after coarsening, so cached hierarchies
-// serve every value, stage off included. The objective IS in the key,
+// itself, keeping hierarchy construction a pure function of the key. The
+// server's worker counts are absent: they never change the hierarchies, and
+// the round and localized stages run strictly after coarsening. The
+// objective IS in the key,
 // conservatively: coarsening never consults it, but separating cut and km1
 // entries keeps every cached answer trivially attributable to one
 // objective's request stream.

@@ -2,6 +2,8 @@ package server
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/multilevel"
@@ -14,7 +16,8 @@ import (
 //
 // Concurrent requests for the same missing key are collapsed: the first
 // caller builds, the rest block on the entry's ready channel and count as
-// hits. A failed build removes the entry so a later request can retry.
+// hits. A failed build removes the entry so a later request can retry; a
+// build cancelled by its caller's context hands the key to the waiters.
 // Eviction only drops the cache's reference — in-flight requests holding the
 // hierarchies keep using them; the garbage collector reclaims the memory
 // when the last user finishes.
@@ -52,14 +55,25 @@ func newHierCache(capacity int) *hierCache {
 // but still building", in which case the call blocks until the builder
 // finishes). The build runs outside the cache lock, so slow coarsening never
 // stalls lookups of other keys.
+//
+// A build runs under its caller's context. When it fails with a context
+// error, that says nothing about the waiters' own contexts, so each waiter
+// looks the key up again (counted as a new lookup) and builds with its own
+// build func if no other caller got there first.
 func (c *hierCache) getOrBuild(key string, build func() ([]*multilevel.Hierarchy, error)) (hiers []*multilevel.Hierarchy, hit bool, err error) {
-	c.mu.Lock()
-	if e, ok := c.byKey[key]; ok {
+	for {
+		c.mu.Lock()
+		e, ok := c.byKey[key]
+		if !ok {
+			break // a miss: build it, with c.mu still held
+		}
 		c.hits++
 		c.ll.MoveToFront(e.elem)
 		c.mu.Unlock()
 		<-e.ready
-		return e.hiers, true, e.err
+		if !errors.Is(e.err, context.Canceled) && !errors.Is(e.err, context.DeadlineExceeded) {
+			return e.hiers, true, e.err
+		}
 	}
 	e := &cacheEntry{key: key, ready: make(chan struct{})}
 	c.misses++
@@ -74,11 +88,10 @@ func (c *hierCache) getOrBuild(key string, build func() ([]*multilevel.Hierarchy
 	c.mu.Unlock()
 
 	e.hiers, e.err = build()
-	close(e.ready)
 	if e.err != nil {
-		// Drop failed builds so the next request retries instead of being
-		// served a cached error (the failure may be transient, e.g. a
-		// cancelled build context).
+		// Drop failed builds before waking the waiters, so the next request
+		// (or a waiter retrying after a cancelled build) builds afresh
+		// instead of being served a cached error.
 		c.mu.Lock()
 		if cur, ok := c.byKey[key]; ok && cur == e {
 			c.ll.Remove(e.elem)
@@ -86,6 +99,7 @@ func (c *hierCache) getOrBuild(key string, build func() ([]*multilevel.Hierarchy
 		}
 		c.mu.Unlock()
 	}
+	close(e.ready)
 	return e.hiers, false, e.err
 }
 

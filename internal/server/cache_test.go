@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -103,6 +104,50 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 	if st := c.stats(); st.Entries != 1 {
 		t.Errorf("entries = %d, want 1", st.Entries)
+	}
+}
+
+// TestCacheWaiterRetriesCancelledBuild: a build that fails with its own
+// caller's context error does not fail the callers waiting on it — the waiter
+// builds the key itself, with its own build func, and gets its hierarchies.
+func TestCacheWaiterRetriesCancelledBuild(t *testing.T) {
+	c := newHierCache(4)
+	started, release := make(chan struct{}), make(chan struct{})
+	builderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.getOrBuild("k", func() ([]*multilevel.Hierarchy, error) {
+			close(started)
+			<-release
+			return nil, fmt.Errorf("multilevel: %w", context.DeadlineExceeded)
+		})
+		builderErr <- err
+	}()
+	<-started
+	type result struct {
+		h   []*multilevel.Hierarchy
+		hit bool
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		h, hit, err := c.getOrBuild("k", func() ([]*multilevel.Hierarchy, error) { return dummyHiers(), nil })
+		waiter <- result{h, hit, err}
+	}()
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.hits == 1
+	})
+	close(release)
+	if err := <-builderErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("builder err = %v, want its own deadline", err)
+	}
+	r := <-waiter
+	if r.err != nil || r.hit || len(r.h) != 1 {
+		t.Errorf("waiter: h=%v hit=%v err=%v, want its own build", r.h, r.hit, r.err)
+	}
+	if st := c.stats(); st.Misses != 2 || st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("stats %+v, want 2 misses, 1 hit, 1 entry", st)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestCacheKeyStable(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		cfg := Config{}.withDefaults()
-		req = req.withDefaults(cfg)
+		req = req.withDefaults()
 		if err := req.validate(cfg); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -34,8 +34,10 @@
 //
 // Concurrency and determinism contract: request handling is fully
 // concurrent; all shared state (cache, metrics, admission counters) is
-// internally synchronized. A request's result is a pure function of its
-// JSON body — cache hit or miss, any worker count — EXCEPT when the run is
+// internally synchronized. Worker counts and refinement stages are the
+// server's Config, never the request's. A request's result is a pure
+// function of its JSON body and the Config's stage switches — cache hit or
+// miss, any worker count — EXCEPT when the run is
 // cut short by timeout, cancellation or shutdown, in which case the response
 // is the best of a timing-dependent prefix of the start sequence and says
 // so via "truncated": true. Graceful shutdown (Server.Shutdown) stops

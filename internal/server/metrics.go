@@ -48,13 +48,7 @@ type metrics struct {
 	// refineLocNS accumulates the localized FM stage at the finest level,
 	// again mirroring PhaseStats.
 	refineLocNS int64
-	// coarsenWorkers / refineWorkers / localizedFMWorkers are the effective
-	// per-descent worker counts of the most recent completed run (after
-	// defaulting and the GOMAXPROCS clamp).
-	coarsenWorkers     int64
-	refineWorkers      int64
-	localizedFMWorkers int64
-	kernel             fm.KernelStats
+	kernel      fm.KernelStats
 }
 
 func newMetrics() *metrics {
@@ -92,16 +86,13 @@ func (m *metrics) observeRejected(reason string) {
 
 // observeRun folds one completed partition run into the aggregate engine
 // counters: starts actually executed, truncation, the objective optimized,
-// the effective coarsening worker count, and the per-phase wall time and
-// FM-kernel work the run recorded in its private PhaseStats.
-func (m *metrics) observeRun(res *multilevel.Result, phases *multilevel.PhaseStats, coarsenWorkers, refineWorkers, localizedFMWorkers int, objective string) {
+// and the per-phase wall time and FM-kernel work the run recorded in its
+// private PhaseStats.
+func (m *metrics) observeRun(res *multilevel.Result, phases *multilevel.PhaseStats, objective string) {
 	atomic.AddInt64(&m.starts, int64(res.Starts))
 	m.mu.Lock()
 	m.objective[objective]++
 	m.mu.Unlock()
-	atomic.StoreInt64(&m.coarsenWorkers, int64(coarsenWorkers))
-	atomic.StoreInt64(&m.refineWorkers, int64(refineWorkers))
-	atomic.StoreInt64(&m.localizedFMWorkers, int64(localizedFMWorkers))
 	if res.Truncated {
 		atomic.AddInt64(&m.truncated, 1)
 	}
@@ -202,10 +193,6 @@ func (m *metrics) writeTo(w io.Writer, cache cacheStats) {
 	fmt.Fprintf(w, "hpartd_phase_seconds_total{phase=\"refine\"} %g\n", float64(atomic.LoadInt64(&m.refineNS))/1e9)
 	fmt.Fprintf(w, "hpartd_phase_seconds_total{phase=\"refine_parallel\"} %g\n", float64(atomic.LoadInt64(&m.refineParNS))/1e9)
 	fmt.Fprintf(w, "hpartd_phase_seconds_total{phase=\"refine_localized\"} %g\n", float64(atomic.LoadInt64(&m.refineLocNS))/1e9)
-
-	gauge("hpartd_coarsen_workers", "Effective intra-descent coarsening parallelism of the most recent run.", atomic.LoadInt64(&m.coarsenWorkers))
-	gauge("hpartd_refine_workers", "Effective parallel-refinement worker count of the most recent run (0 = stage off).", atomic.LoadInt64(&m.refineWorkers))
-	gauge("hpartd_localized_fm_workers", "Effective localized-FM worker count of the most recent run (0 = stage off).", atomic.LoadInt64(&m.localizedFMWorkers))
 
 	k := m.kernel.Snapshot()
 	counter("hpartd_fm_nets_skipped_total", "Nets bypassed by locked-net short-circuiting in the FM kernel.", k.NetsSkipped)

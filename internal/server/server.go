@@ -33,29 +33,29 @@ type Config struct {
 	QueueDepth int
 	// RunWorkers bounds the goroutines each run's starts fan out on
 	// (default 1: concurrency across requests, not within one — the
-	// throughput-optimal choice under load; requests may override with
-	// "workers").
+	// throughput-optimal choice under load; negative means GOMAXPROCS).
 	RunWorkers int
-	// CoarsenWorkers is the default intra-descent coarsening parallelism
-	// (heavy-edge matching goroutines per descent; default 1, serial).
-	// Requests may override with "coarsen_workers"; either way the value is
-	// clamped to GOMAXPROCS and never changes results.
+	// CoarsenWorkers is the intra-descent coarsening parallelism (heavy-edge
+	// matching goroutines per descent; default 1, serial). It never changes
+	// results.
 	CoarsenWorkers int
-	// RefineWorkers is the default worker count for the synchronous-round
-	// parallel refinement stage inside each descent (default 0: the stage
-	// is off and refinement is the serial FM kernel alone, the historical
-	// behavior). Requests may override with "refine_workers"; either way
-	// the value is clamped to GOMAXPROCS. Every count >= 1 is
-	// bit-identical to every other, but switching the stage on at all
-	// changes results versus 0 — see multilevel.Config.RefineWorkers.
+	// RefineWorkers is the worker count of the synchronous-round parallel
+	// refinement stage inside each descent (default 0: the stage is off and
+	// refinement is the serial FM kernel alone, the historical behavior).
+	// Every count >= 1 is bit-identical to every other, but switching the
+	// stage on at all changes results versus 0 — see
+	// multilevel.Config.RefineWorkers.
 	RefineWorkers int
-	// LocalizedFMWorkers is the default worker count for the localized FM
-	// stage at the finest level of each descent (default 0: the stage is off
-	// and the finest level runs the full serial polish, the historical
-	// behavior). Requests may override with "localized_fm_workers"; either
-	// way the value is clamped to GOMAXPROCS. Every count >= 1 is
-	// bit-identical to every other, but switching the stage on at all
-	// changes results versus 0 — see multilevel.Config.LocalizedFMWorkers.
+	// LocalizedFMWorkers is the worker count of the localized FM stage at
+	// the finest level of each descent (default 0: the stage is off and the
+	// finest level runs the full serial polish, the historical behavior).
+	// Every count >= 1 is bit-identical to every other, but switching the
+	// stage on at all changes results versus 0 — see
+	// multilevel.Config.LocalizedFMWorkers.
+	//
+	// These four settings hold for every request; New clamps the three
+	// stage counts to GOMAXPROCS once, since more workers than schedulable
+	// CPUs only add overhead.
 	LocalizedFMWorkers int
 	// CacheEntries is the hierarchy-cache capacity in instances
 	// (default 32).
@@ -86,16 +86,11 @@ func (c Config) withDefaults() Config {
 	if c.CoarsenWorkers == 0 {
 		c.CoarsenWorkers = 1
 	}
-	// RefineWorkers keeps its zero value (stage off); a negative default
-	// would turn every defaulted request into a 400, so normalize it away.
-	if c.RefineWorkers < 0 {
-		c.RefineWorkers = 0
-	}
-	// Same for LocalizedFMWorkers: zero means stage off, negative normalizes
-	// to off rather than poisoning defaulted requests.
-	if c.LocalizedFMWorkers < 0 {
-		c.LocalizedFMWorkers = 0
-	}
+	procs := runtime.GOMAXPROCS(0)
+	c.CoarsenWorkers = min(c.CoarsenWorkers, procs)
+	// A negative stage count means the stage is off, as zero does.
+	c.RefineWorkers = min(max(c.RefineWorkers, 0), procs)
+	c.LocalizedFMWorkers = min(max(c.LocalizedFMWorkers, 0), procs)
 	if c.CacheEntries < 1 {
 		c.CacheEntries = 32
 	}
@@ -242,7 +237,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, endpoint, http.StatusBadRequest, 0, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	req = req.withDefaults(s.cfg)
+	req = req.withDefaults()
 	if err := req.validate(s.cfg); err != nil {
 		var tooLarge errTooLarge
 		if errors.As(err, &tooLarge) {
@@ -286,13 +281,16 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 
 	// The run context: client disconnect or per-request timeout cancels it,
 	// and so does the server's hard-cancel at the drain deadline.
+	// timeout_ms is clamped in milliseconds before the conversion, which
+	// would overflow to a negative duration for huge values.
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
+		if req.TimeoutMS <= s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		}
 	}
+	timeout = min(timeout, s.cfg.MaxTimeout)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	stop := context.AfterFunc(s.runCtx, cancel)
@@ -347,15 +345,14 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, int, string) 
 	phases := &multilevel.PhaseStats{}
 	objective, _ := fm.ParseObjective(req.Objective) // validated on admission
 	mlCfg := multilevel.Config{
-		Objective:       objective,
-		MaxPassFraction: req.Cutoff,
-		RefineMaxPasses: req.RefinePasses,
-		Workers:         req.Workers,
-		CoarsenWorkers:  req.CoarsenWorkers,
-		RefineWorkers:   req.RefineWorkers,
-		Stats:           phases,
+		Objective:          objective,
+		MaxPassFraction:    req.Cutoff,
+		Workers:            s.cfg.RunWorkers,
+		CoarsenWorkers:     s.cfg.CoarsenWorkers,
+		RefineWorkers:      s.cfg.RefineWorkers,
+		LocalizedFMWorkers: s.cfg.LocalizedFMWorkers,
+		Stats:              phases,
 	}
-	mlCfg.LocalizedFMWorkers = req.LocalizedFMWorkers
 	if req.Policy == "lifo" {
 		mlCfg.Policy = fm.LIFO
 	}
@@ -426,7 +423,7 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, int, string) 
 		}
 		return nil, http.StatusUnprocessableEntity, err.Error()
 	}
-	s.metrics.observeRun(res, phases, req.CoarsenWorkers, req.RefineWorkers, req.LocalizedFMWorkers, objective.String())
+	s.metrics.observeRun(res, phases, objective.String())
 	if ferr := prob.Feasible(res.Assignment); ferr != nil {
 		return nil, http.StatusInternalServerError, "internal error: infeasible result: " + ferr.Error()
 	}
@@ -436,27 +433,24 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, int, string) 
 		assignment[v] = int(part)
 	}
 	return &Response{
-		Instance:           name,
-		Vertices:           prob.H.NumVertices(),
-		Nets:               prob.H.NumNets(),
-		Pins:               prob.H.NumPins(),
-		K:                  prob.K,
-		Fixed:              prob.NumFixed(),
-		Cut:                res.Cut,
-		KMinus1:            res.KMinus1,
-		SOED:               res.SOED,
-		Objective:          objective.String(),
-		Assignment:         assignment,
-		Starts:             res.Starts,
-		RequestedStarts:    req.Starts,
-		Truncated:          res.Truncated,
-		Levels:             res.Levels,
-		Cache:              cacheKind,
-		CoarsenWorkers:     req.CoarsenWorkers,
-		RefineWorkers:      req.RefineWorkers,
-		LocalizedFMWorkers: req.LocalizedFMWorkers,
-		PartWeights:        partition.PartWeights(prob.H, res.Assignment, prob.K),
-		Phases:             phases,
+		Instance:        name,
+		Vertices:        prob.H.NumVertices(),
+		Nets:            prob.H.NumNets(),
+		Pins:            prob.H.NumPins(),
+		K:               prob.K,
+		Fixed:           prob.NumFixed(),
+		Cut:             res.Cut,
+		KMinus1:         res.KMinus1,
+		SOED:            res.SOED,
+		Objective:       objective.String(),
+		Assignment:      assignment,
+		Starts:          res.Starts,
+		RequestedStarts: req.Starts,
+		Truncated:       res.Truncated,
+		Levels:          res.Levels,
+		Cache:           cacheKind,
+		PartWeights:     partition.PartWeights(prob.H, res.Assignment, prob.K),
+		Phases:          phases,
 	}, 0, ""
 }
 

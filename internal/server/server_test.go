@@ -247,6 +247,16 @@ func TestPartitionTimeoutTruncates(t *testing.T) {
 	}
 }
 
+// TestPartitionHugeTimeout: a timeout_ms beyond what a time.Duration holds
+// is clamped to the server maximum, not overflowed into an instant timeout.
+func TestPartitionHugeTimeout(t *testing.T) {
+	s := New(Config{})
+	rec, resp := post(t, s.Handler(), presetBody(`"timeout_ms":10000000000000`))
+	if resp == nil || resp.Truncated {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
 // TestShutdownDrains: in-flight requests finish with 200 during a graceful
 // drain; requests arriving after drain begins get 503.
 func TestShutdownDrains(t *testing.T) {
