@@ -58,7 +58,8 @@
 // parts: "direct" (default) coarsens the full k-way problem once and refines
 // with direct k-way FM at every level, "rb" decomposes into recursive
 // multilevel bisections (any k >= 2, not just powers of two) with a final
-// k-way FM polish.
+// k-way FM polish. Any other -kway value is an error, whatever the engine
+// and k.
 //
 // -cpuprofile/-memprofile write pprof profiles of the whole run; multilevel
 // phases carry pprof labels
@@ -211,6 +212,9 @@ func run(o options) error {
 	if o.starts < 1 {
 		return fmt.Errorf("-starts %d: want at least 1", o.starts)
 	}
+	if o.kway != "direct" && o.kway != "rb" {
+		return fmt.Errorf("-kway %q: want direct or rb", o.kway)
+	}
 	p, name, err := loadProblem(o)
 	if err != nil {
 		return err
@@ -283,7 +287,7 @@ func run(o options) error {
 				return err
 			}
 			best, score = res.Assignment, res.Score
-		case o.kway == "rb":
+		default:
 			// Recursive bisection per start, then direct k-way FM polish on
 			// the full problem.
 			for s := 0; s < o.starts; s++ {
@@ -299,8 +303,6 @@ func run(o options) error {
 					best, score = ref.Assignment, ref.Score
 				}
 			}
-		default:
-			return fmt.Errorf("unknown -kway mode %q (want direct or rb)", o.kway)
 		}
 	case "lifo", "clip":
 		policy := fm.LIFO

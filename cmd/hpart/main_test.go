@@ -236,6 +236,23 @@ func TestStartsBelowOne(t *testing.T) {
 	}
 }
 
+// TestUnknownKWay: an unknown -kway is an error on every engine and at
+// every k, and through the real flag parser hpart exits 1; a 2-way or
+// flat-engine run must not ignore it.
+func TestUnknownKWay(t *testing.T) {
+	dir := t.TempDir()
+	writeBundle(t, dir, "tiny")
+	for _, engine := range []string{"ml", "clip", "lifo"} {
+		o := testOpts(dir, "tiny")
+		o.engine, o.kway = engine, "bogus"
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "-kway") {
+			t.Errorf("engine %s, -kway bogus: %v, want a -kway error", engine, err)
+		}
+	}
+	wantExit1(t, "-dir "+dir+" -base tiny -kway bogus")
+	wantExit1(t, "-dir "+dir+" -base tiny -engine clip -kway bogus")
+}
+
 // wantExit1 runs hpart's main on args through the real flag parser, in a
 // child test process that takes the HPART_TEST_ARGS branch of TestCutoffNaN,
 // and fails t unless it exits with status 1.

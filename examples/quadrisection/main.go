@@ -38,7 +38,7 @@ func main() {
 
 	// Left half of the chip becomes a quadrisection instance; everything in
 	// the right half floats in its sibling block.
-	block := benchgen.Rect{X0: 0, Y0: 0, X1: side / 2, Y1: side * 1.0001}
+	block := geometry.Rect{X0: 0, Y0: 0, X1: side / 2, Y1: side * 1.0001}
 	sibling := []geometry.Rect{{X0: side / 2, Y0: 0, X1: side * 1.0001, Y1: side * 1.0001}}
 	inst, err := benchgen.DeriveQuad(pl, pr.Name+"_quadB", block, sibling, 0.05)
 	if err != nil {

@@ -9,15 +9,18 @@
 //     block similarly induce terminals;
 //   - instances are named by the level at which they occur (L0, L1_V0, ...).
 //
-// This construction deliberately creates more terminal vertices than there
-// are external nets (terminals are per external pin, not per net), which
-// does not affect the partitioning problem because terminals have zero area.
+// Each external vertex induces one terminal, shared by every net that
+// connects it to the block, so the terminal and external-net counts differ
+// (a net may reach several external vertices, and a vertex may lie on
+// several nets). Terminals have zero area, so this does not change the
+// partitioning problem. DeriveQuad builds the 4-way variant with OR-region
+// terminals.
 package benchgen
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/geometry"
 	"repro/internal/hypergraph"
 	"repro/internal/partition"
 	"repro/internal/place"
@@ -41,32 +44,13 @@ func (d CutDir) String() string {
 	return "H"
 }
 
-// Rect is an axis-parallel rectangle in placement coordinates.
-type Rect struct {
-	X0, Y0, X1, Y1 float64
-}
-
-// Contains reports whether (x, y) lies in the rectangle (inclusive on the
-// low edges, exclusive on the high edges except at the outer boundary —
-// callers pass blocks that tile the chip, so shared edges must not double
-// count).
-func (r Rect) Contains(x, y float64) bool {
-	return x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1
-}
-
 // Spec names a benchmark instance: a block rectangle plus a cutline
-// direction.
+// direction. Unlike geometry.Rect.Contains, block membership is half-open:
+// a cell exactly on the block's high X or Y edge lies outside it.
 type Spec struct {
 	Name  string
-	Block Rect
+	Block geometry.Rect
 	Cut   CutDir
-	// WirelengthWeights, when set, derives a placement-specific objective
-	// (the paper's footnote on "net bounding boxes and Steiner tree
-	// estimators"): each net's weight becomes 1 plus its placed bounding-box
-	// extent perpendicular to the cutline, scaled to [1, 16], so the
-	// partitioner prefers to cut nets that already span the cutline region
-	// and spares short local nets.
-	WirelengthWeights bool
 }
 
 // InstanceStats are the Table IV parameters of a derived instance.
@@ -89,62 +73,57 @@ type Instance struct {
 }
 
 // Derive builds the benchmark instance for spec over the placement, with a
-// relative balance tolerance tol (the paper uses 0.02).
+// relative balance tolerance tol (the paper uses 0.02). Each terminal is
+// fixed in the side of the cutline nearest its vertex's placed location,
+// clamped into the block, so a pad left of the block propagates to the left
+// partition.
 func Derive(pl *place.Placement, spec Spec, tol float64) (*Instance, error) {
-	h := pl.H
-	nv := h.NumVertices()
-	mid := (spec.Block.X0 + spec.Block.X1) / 2
-	if spec.Cut == Horizontal {
-		mid = (spec.Block.Y0 + spec.Block.Y1) / 2
-	}
+	cx, cy := spec.Block.Center()
+	return derive(pl, spec.Name, spec.Block, 2, tol, func(v int) (partition.Mask, error) {
+		at := geometry.PropagationRegion(spec.Block, geometry.Point(pl.X[v], pl.Y[v]))
+		pos, mid := at.X0, cx
+		if spec.Cut == Horizontal {
+			pos, mid = at.Y0, cy
+		}
+		if pos >= mid {
+			return partition.Single(1), nil
+		}
+		return partition.Single(0), nil
+	})
+}
 
+// derive is the one §IV construction behind Derive and DeriveQuad: the
+// cells of block become free vertices of a k-way problem, each net is
+// visited once, and each external vertex on a net becomes one zero-area
+// terminal, shared by all its nets, allowed in the parts terminal(v)
+// returns.
+func derive(pl *place.Placement, name string, block geometry.Rect, k int, tol float64,
+	terminal func(v int) (partition.Mask, error)) (*Instance, error) {
+	h := pl.H
 	b := hypergraph.NewBuilder(1)
 	b.DropSingletons = true
 	b.DedupPins = true
-	subOf := make([]int32, nv)
-	for i := range subOf {
-		subOf[i] = -1
-	}
+	subOf := make([]int32, h.NumVertices())
 	var cellOf []int32
 	var masks []partition.Mask
-	free := partition.AllParts(2)
-	inBlock := func(v int) bool {
-		return !h.IsPad(v) && spec.Block.Contains(pl.X[v], pl.Y[v])
-	}
-	for v := 0; v < nv; v++ {
-		if inBlock(v) {
-			id := b.AddCell(h.VertexName(v), h.Weight(v))
-			subOf[v] = int32(id)
+	free := partition.AllParts(k)
+	for v := range subOf {
+		subOf[v] = -1
+		if inBlock(pl, block, v) {
+			subOf[v] = int32(b.AddCell(h.VertexName(v), h.Weight(v)))
 			cellOf = append(cellOf, int32(v))
 			masks = append(masks, free)
 		}
 	}
 	nCells := len(cellOf)
-	if nCells < 2 {
-		return nil, fmt.Errorf("benchgen: block %q contains %d cells; need at least 2", spec.Name, nCells)
+	if nCells < k {
+		return nil, fmt.Errorf("benchgen: block %q contains %d cells; need at least %d", name, nCells, k)
 	}
 
-	// closestSide returns the partition nearest an external vertex's placed
-	// location (positions clamped into the block first, so a pad left of
-	// the block propagates to the left partition).
-	closestSide := func(v int) int {
-		var pos float64
-		if spec.Cut == Vertical {
-			pos = clamp(pl.X[v], spec.Block.X0, spec.Block.X1)
-		} else {
-			pos = clamp(pl.Y[v], spec.Block.Y0, spec.Block.Y1)
-		}
-		if pos >= mid {
-			return 1
-		}
-		return 0
-	}
-
-	// Walk nets once; external pins become (deduplicated) terminals.
 	externalNets := 0
 	netSeen := make([]bool, h.NumNets())
 	var pins []int
-	for _, pv := range cellOf {
+	for _, pv := range cellOf[:nCells] {
 		for _, en := range h.NetsOf(int(pv)) {
 			if netSeen[en] {
 				continue
@@ -153,24 +132,23 @@ func Derive(pl *place.Placement, spec Spec, tol float64) (*Instance, error) {
 			pins = pins[:0]
 			external := false
 			for _, u := range h.Pins(int(en)) {
-				if subOf[u] >= 0 && inBlock(int(u)) {
-					pins = append(pins, int(subOf[u]))
-					continue
-				}
-				external = true
 				if subOf[u] < 0 {
-					id := b.AddPad(h.VertexName(int(u)))
-					subOf[u] = int32(id)
-					cellOf = append(cellOf, int32(u))
-					masks = append(masks, partition.Single(closestSide(int(u))))
+					mask, err := terminal(int(u))
+					if err != nil {
+						return nil, fmt.Errorf("benchgen: terminal for %s: %w", h.VertexName(int(u)), err)
+					}
+					subOf[u] = int32(b.AddPad(h.VertexName(int(u))))
+					cellOf = append(cellOf, u)
+					masks = append(masks, mask)
 				}
+				external = external || int(subOf[u]) >= nCells
 				pins = append(pins, int(subOf[u]))
 			}
 			if external {
 				externalNets++
 			}
 			if len(pins) >= 2 {
-				b.AddWeightedNet(netWeight(pl, spec, int(en)), pins...)
+				b.AddNet(pins...)
 			}
 		}
 	}
@@ -180,16 +158,15 @@ func Derive(pl *place.Placement, spec Spec, tol float64) (*Instance, error) {
 	}
 	prob := &partition.Problem{
 		H:       sub,
-		K:       2,
-		Balance: partition.NewBisection(sub, tol),
+		K:       k,
+		Balance: partition.NewUniform(sub, k, tol),
 		Allowed: masks,
 	}
 	if err := prob.Validate(); err != nil {
 		return nil, fmt.Errorf("benchgen: derived instance invalid: %w", err)
 	}
-	st := hypergraph.ComputeStats(sub)
 	return &Instance{
-		Name:    spec.Name,
+		Name:    name,
 		Problem: prob,
 		CellOf:  cellOf,
 		Stats: InstanceStats{
@@ -197,9 +174,18 @@ func Derive(pl *place.Placement, spec Spec, tol float64) (*Instance, error) {
 			Nets:         sub.NumNets(),
 			Pads:         sub.NumVertices() - nCells,
 			ExternalNets: externalNets,
-			MaxPct:       st.MaxWeightPct,
+			MaxPct:       hypergraph.ComputeStats(sub).MaxWeightPct,
 		},
 	}, nil
+}
+
+// inBlock reports whether placement vertex v is a cell inside block. The
+// block is half-open (low edges in, high edges out), so blocks that tile the
+// chip never share a cell; blocks reaching the chip's high edges extend
+// slightly past it.
+func inBlock(pl *place.Placement, block geometry.Rect, v int) bool {
+	x, y := pl.X[v], pl.Y[v]
+	return !pl.H.IsPad(v) && x >= block.X0 && x < block.X1 && y >= block.Y0 && y < block.Y1
 }
 
 // StandardSpecs returns the paper-style block family for a placement: block
@@ -207,22 +193,17 @@ func Derive(pl *place.Placement, spec Spec, tol float64) (*Instance, error) {
 // (L1_H0), and D the bottom-left quadrant (L2_V0_H0); each appears with a
 // vertical and a horizontal cutline, giving eight instances per circuit.
 func StandardSpecs(pl *place.Placement, base string) []Spec {
-	w, h := pl.Width, pl.Height
 	// Blocks extend slightly past the chip so boundary cells are included
-	// (Contains is half-open).
-	full := Rect{0, 0, w * 1.0001, h * 1.0001}
-	left := Rect{0, 0, w / 2, h * 1.0001}
-	bottom := Rect{0, 0, w * 1.0001, h / 2}
-	quad := Rect{0, 0, w / 2, h / 2}
+	// (membership is half-open).
+	w, h := pl.Width, pl.Height
 	blocks := []struct {
-		suffix string
-		level  string
-		r      Rect
+		suffix, level string
+		r             geometry.Rect
 	}{
-		{"A", "L0", full},
-		{"B", "L1_V0", left},
-		{"C", "L1_H0", bottom},
-		{"D", "L2_V0_H0", quad},
+		{"A", "L0", geometry.Rect{X1: w * 1.0001, Y1: h * 1.0001}},
+		{"B", "L1_V0", geometry.Rect{X1: w / 2, Y1: h * 1.0001}},
+		{"C", "L1_H0", geometry.Rect{X1: w * 1.0001, Y1: h / 2}},
+		{"D", "L2_V0_H0", geometry.Rect{X1: w / 2, Y1: h / 2}},
 	}
 	var specs []Spec
 	for _, blk := range blocks {
@@ -235,47 +216,4 @@ func StandardSpecs(pl *place.Placement, base string) []Spec {
 		}
 	}
 	return specs
-}
-
-// netWeight returns the net weight for a derived instance: 1 for plain
-// min-cut, or a wirelength-derived weight when the spec asks for the
-// placement-specific objective.
-func netWeight(pl *place.Placement, spec Spec, e int) int64 {
-	if !spec.WirelengthWeights {
-		return 1
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range pl.H.Pins(e) {
-		pos := pl.X[v]
-		if spec.Cut == Horizontal {
-			pos = pl.Y[v]
-		}
-		lo = math.Min(lo, pos)
-		hi = math.Max(hi, pos)
-	}
-	span := spec.Block.X1 - spec.Block.X0
-	if spec.Cut == Horizontal {
-		span = spec.Block.Y1 - spec.Block.Y0
-	}
-	if span <= 0 {
-		return 1
-	}
-	w := 1 + int64(math.Round(15*(hi-lo)/span))
-	if w < 1 {
-		w = 1
-	}
-	if w > 16 {
-		w = 16
-	}
-	return w
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

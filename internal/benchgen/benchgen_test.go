@@ -3,6 +3,7 @@ package benchgen_test
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/fm"
 	"repro/internal/gen"
 	"repro/internal/geometry"
+	"repro/internal/hypergraph"
 	"repro/internal/multilevel"
 	"repro/internal/partition"
 	"repro/internal/place"
@@ -150,7 +152,7 @@ func TestDeriveTerminalSides(t *testing.T) {
 	pl := testPlacement(t, 300, 4)
 	spec := benchgen.Spec{
 		Name:  "half",
-		Block: benchgen.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100.01},
+		Block: geometry.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100.01},
 		Cut:   benchgen.Vertical, // cutline at x=25
 	}
 	inst, err := benchgen.Derive(pl, spec, 0.02)
@@ -182,7 +184,7 @@ func TestDeriveTerminalSides(t *testing.T) {
 
 func TestDeriveErrors(t *testing.T) {
 	pl := testPlacement(t, 300, 5)
-	empty := benchgen.Spec{Name: "empty", Block: benchgen.Rect{X0: -10, Y0: -10, X1: -5, Y1: -5}}
+	empty := benchgen.Spec{Name: "empty", Block: geometry.Rect{X0: -10, Y0: -10, X1: -5, Y1: -5}}
 	if _, err := benchgen.Derive(pl, empty, 0.02); err == nil {
 		t.Error("want error for empty block")
 	}
@@ -213,16 +215,33 @@ func TestCutDirString(t *testing.T) {
 	}
 }
 
+// TestRectContains checks block membership: a block is half-open, so a cell
+// on its low edges is inside and one exactly on a high edge is not (it
+// becomes a terminal), and blocks that tile the chip never share a cell.
 func TestRectContains(t *testing.T) {
-	r := benchgen.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}
-	if !r.Contains(0, 0) || r.Contains(10, 5) || r.Contains(5, -1) {
-		t.Error("Contains boundary semantics wrong (half-open)")
+	b := hypergraph.NewBuilder(1)
+	for _, name := range []string{"corner", "centre", "east", "north"} {
+		b.AddCell(name, 1)
+	}
+	b.AddNet(0, 1, 2, 3)
+	h, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := &place.Placement{H: h, X: []float64{0, 5, 10, 5}, Y: []float64{0, 5, 5, 10}, Width: 10, Height: 10}
+	spec := benchgen.Spec{Name: "edges", Block: geometry.Rect{X1: 10, Y1: 10}}
+	inst, err := benchgen.Derive(pl, spec, 0.5)
+	if err != nil {
+		t.Fatalf("Derive: %v", err)
+	}
+	if inst.Stats.Cells != 2 || inst.Stats.Pads != 2 || !slices.Equal(inst.CellOf, []int32{0, 1, 2, 3}) {
+		t.Errorf("stats %+v, CellOf %v: want cells {0,1} and terminals {2,3} (half-open block)", inst.Stats, inst.CellOf)
 	}
 }
 
 func TestDeriveQuad(t *testing.T) {
 	pl := testPlacement(t, 500, 8)
-	block := benchgen.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100.01} // left half
+	block := geometry.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100.01} // left half
 	// External cells float in the sibling (right) half of the chip.
 	sibling := []geometry.Rect{{X0: 50, Y0: 0, X1: 100.01, Y1: 100.01}}
 	inst, err := benchgen.DeriveQuad(pl, "quadB", block, sibling, 0.05)
@@ -271,56 +290,8 @@ func TestDeriveQuad(t *testing.T) {
 
 func TestDeriveQuadErrors(t *testing.T) {
 	pl := testPlacement(t, 300, 9)
-	empty := benchgen.Rect{X0: -5, Y0: -5, X1: -1, Y1: -1}
+	empty := geometry.Rect{X0: -5, Y0: -5, X1: -1, Y1: -1}
 	if _, err := benchgen.DeriveQuad(pl, "e", empty, nil, 0.05); err == nil {
 		t.Error("want error for empty block")
-	}
-}
-
-func TestWirelengthWeights(t *testing.T) {
-	pl := testPlacement(t, 400, 11)
-	base := benchgen.Spec{
-		Name:  "plain",
-		Block: benchgen.Rect{X0: 0, Y0: 0, X1: 100.01, Y1: 100.01},
-		Cut:   benchgen.Vertical,
-	}
-	weighted := base
-	weighted.Name = "weighted"
-	weighted.WirelengthWeights = true
-
-	plain, err := benchgen.Derive(pl, base, 0.02)
-	if err != nil {
-		t.Fatalf("Derive plain: %v", err)
-	}
-	wl, err := benchgen.Derive(pl, weighted, 0.02)
-	if err != nil {
-		t.Fatalf("Derive weighted: %v", err)
-	}
-	if plain.Stats.Nets != wl.Stats.Nets {
-		t.Fatalf("net counts differ: %d vs %d", plain.Stats.Nets, wl.Stats.Nets)
-	}
-	varied := false
-	for e := 0; e < wl.Problem.H.NumNets(); e++ {
-		w := wl.Problem.H.NetWeight(e)
-		if w < 1 || w > 16 {
-			t.Fatalf("net %d weight %d outside [1,16]", e, w)
-		}
-		if w != 1 {
-			varied = true
-		}
-		if plain.Problem.H.NetWeight(e) != 1 {
-			t.Fatalf("plain instance has weighted net %d", e)
-		}
-	}
-	if !varied {
-		t.Error("wirelength weighting produced all-unit weights")
-	}
-	// The weighted instance is partitionable and its cut reflects weights.
-	res, err := multilevel.Partition(wl.Problem, multilevel.Config{}, rand.New(rand.NewPCG(11, 11)))
-	if err != nil {
-		t.Fatalf("Partition: %v", err)
-	}
-	if res.Cut != partition.Cut(wl.Problem.H, res.Assignment) {
-		t.Error("cut mismatch on weighted instance")
 	}
 }

@@ -1,10 +1,7 @@
 package benchgen
 
 import (
-	"fmt"
-
 	"repro/internal/geometry"
-	"repro/internal/hypergraph"
 	"repro/internal/partition"
 	"repro/internal/place"
 )
@@ -23,111 +20,16 @@ import (
 // the sibling half to the left of the block thus propagates to the block's
 // left edge strip and may go to either left-side quadrant, exactly the
 // paper's OR example.
-func DeriveQuad(pl *place.Placement, name string, block Rect, externalRegions []geometry.Rect, tol float64) (*Instance, error) {
-	gBlock := geometry.Rect{X0: block.X0, Y0: block.Y0, X1: block.X1, Y1: block.Y1}
-	layout := geometry.QuadrisectionOf(gBlock)
-	if err := layout.Validate(); err != nil {
-		return nil, err
-	}
-	h := pl.H
-	nv := h.NumVertices()
-
-	b := hypergraph.NewBuilder(1)
-	b.DropSingletons = true
-	b.DedupPins = true
-	subOf := make([]int32, nv)
-	for i := range subOf {
-		subOf[i] = -1
-	}
-	var cellOf []int32
-	var masks []partition.Mask
-	free := partition.AllParts(4)
-	inBlock := func(v int) bool {
-		return !h.IsPad(v) && block.Contains(pl.X[v], pl.Y[v])
-	}
-	for v := 0; v < nv; v++ {
-		if inBlock(v) {
-			id := b.AddCell(h.VertexName(v), h.Weight(v))
-			subOf[v] = int32(id)
-			cellOf = append(cellOf, int32(v))
-			masks = append(masks, free)
-		}
-	}
-	nCells := len(cellOf)
-	if nCells < 4 {
-		return nil, fmt.Errorf("benchgen: block %q contains %d cells; need at least 4 for quadrisection", name, nCells)
-	}
-
-	externalNets := 0
-	netSeen := make([]bool, h.NumNets())
-	var pins []int
-	for ci := 0; ci < nCells; ci++ {
-		pv := cellOf[ci]
-		for _, en := range h.NetsOf(int(pv)) {
-			if netSeen[en] {
-				continue
-			}
-			netSeen[en] = true
-			pins = pins[:0]
-			external := false
-			for _, u := range h.Pins(int(en)) {
-				if subOf[u] >= 0 && inBlock(int(u)) {
-					pins = append(pins, int(subOf[u]))
-					continue
-				}
-				external = true
-				if subOf[u] < 0 {
-					src := geometry.Point(pl.X[u], pl.Y[u])
-					for _, er := range externalRegions {
-						if er.Contains(pl.X[u], pl.Y[u]) {
-							src = er
-							break
-						}
-					}
-					region := geometry.PropagationRegion(gBlock, src)
-					mask, err := layout.MaskForRegion(region)
-					if err != nil {
-						return nil, fmt.Errorf("benchgen: terminal for %s: %w", h.VertexName(int(u)), err)
-					}
-					id := b.AddPad(h.VertexName(int(u)))
-					subOf[u] = int32(id)
-					cellOf = append(cellOf, int32(u))
-					masks = append(masks, mask)
-				}
-				pins = append(pins, int(subOf[u]))
-			}
-			if external {
-				externalNets++
-			}
-			if len(pins) >= 2 {
-				b.AddNet(pins...)
+func DeriveQuad(pl *place.Placement, name string, block geometry.Rect, externalRegions []geometry.Rect, tol float64) (*Instance, error) {
+	layout := geometry.QuadrisectionOf(block)
+	return derive(pl, name, block, 4, tol, func(v int) (partition.Mask, error) {
+		src := geometry.Point(pl.X[v], pl.Y[v])
+		for _, er := range externalRegions {
+			if er.Contains(pl.X[v], pl.Y[v]) {
+				src = er
+				break
 			}
 		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("benchgen: %w", err)
-	}
-	prob := &partition.Problem{
-		H:       sub,
-		K:       4,
-		Balance: partition.NewUniform(sub, 4, tol),
-		Allowed: masks,
-	}
-	if err := prob.Validate(); err != nil {
-		return nil, fmt.Errorf("benchgen: derived quad instance invalid: %w", err)
-	}
-	st := hypergraph.ComputeStats(sub)
-	return &Instance{
-		Name:    name,
-		Problem: prob,
-		CellOf:  cellOf,
-		Stats: InstanceStats{
-			Cells:        nCells,
-			Nets:         sub.NumNets(),
-			Pads:         sub.NumVertices() - nCells,
-			ExternalNets: externalNets,
-			MaxPct:       st.MaxWeightPct,
-		},
-	}, nil
+		return layout.MaskForRegion(geometry.PropagationRegion(block, src))
+	})
 }
