@@ -6,9 +6,7 @@
 //
 //	hpart -dir bench -base IBM01SA_L0_V [-engine ml|lifo|clip] [-starts 4]
 //	      [-kway direct|rb] [-objective cut|km1] [-cutoff 0.25] [-seed 1]
-//	      [-workers 0] [-coarsen-workers 1] [-refine-workers 1]
-//	      [-localized-fm-workers 1]
-//	      [-shared-coarsen] [-hierarchies 2] [-stats] [-cpuprofile cpu.pprof]
+//	      [-workers 0] [-hierarchies 0] [-stats] [-cpuprofile cpu.pprof]
 //	      [-memprofile mem.pprof] [-out solution.sol]
 //
 //	hpart -hgr circuit.hgr [-fix circuit.fix] [-k 2] [-tol 0.02]
@@ -33,33 +31,24 @@
 // (connectivity-minus-one). Whatever the choice, the result line reports
 // cut, km1 and soed of the winning assignment.
 //
-// With the ml engine, independent starts run on -workers goroutines
-// (0 = GOMAXPROCS); the result is identical for every worker count.
-// -coarsen-workers parallelizes the heavy-edge matching inside each
-// coarsening descent on top of that (default 1, serial; 0 = GOMAXPROCS;
-// contraction is always serial). It too never changes results: hierarchies, cuts and
-// fingerprints are bit-identical for every value.
-// -refine-workers (ml engine) enables the deterministic synchronous-round
-// parallel refinement stage inside each descent (default 1: stage on;
-// 0 disables it, restoring serial-only refinement; 0 < n clamps to
-// GOMAXPROCS). Every count >= 1 returns bit-identical results; turning the
-// stage on at all selects a different — typically faster, comparably good —
-// move sequence than serial-only refinement.
-// -localized-fm-workers (ml engine) enables the deterministic localized FM
-// stage at the finest level of each descent (default 1: stage on; 0 disables
-// it, restoring the full serial polish; clamped to GOMAXPROCS). Every count
-// >= 1 returns bit-identical results; turning the stage on replaces most of
-// the finest-level serial polish with bounded localized searches plus a
-// one-pass tail.
-// -shared-coarsen (2-way bundles only) amortises coarsening across starts:
-// -hierarchies owner starts build and fully refine private hierarchies, the
-// remaining starts resample those hierarchies as cheap pass-cutoff follower
-// descents. For k > 2 bundles, -kway selects how the ml engine reaches k
-// parts: "direct" (default) coarsens the full k-way problem once and refines
-// with direct k-way FM at every level, "rb" decomposes into recursive
-// multilevel bisections (any k >= 2, not just powers of two) with a final
-// k-way FM polish. Any other -kway value is an error, whatever the engine
-// and k.
+// With the ml engine, -workers N (0 = GOMAXPROCS) is the run's one worker
+// budget: min(N, starts) goroutines run independent starts, and each
+// descent's coarsening, synchronous-round and localized FM stages share
+// what is left, max(1, N / min(N, starts)) goroutines, capped at GOMAXPROCS
+// (-kway rb runs its starts in turn, so its descents share all N). Every
+// stage always runs; the result is bit-identical for every N.
+// -hierarchies H (ml engine; 0, the default, shares nothing) amortises
+// coarsening across starts: the first H starts build and fully refine
+// private hierarchies, the remaining starts resample those hierarchies as
+// cheap pass-cutoff follower descents; H >= -starts is the plain run. It
+// applies to 2-way instances and to -kway direct; a negative H, or a
+// nonzero H with a flat engine or with -kway rb at k > 2, is an error.
+//
+// For k > 2 instances, -kway selects how the ml engine reaches k parts:
+// "direct" (default) coarsens the full k-way problem once and refines with
+// direct k-way FM at every level, "rb" decomposes into recursive multilevel
+// bisections (any k >= 2, not just powers of two) with a final k-way FM
+// polish. Any other -kway value is an error, whatever the engine and k.
 //
 // -cpuprofile/-memprofile write pprof profiles of the whole run; multilevel
 // phases carry pprof labels
@@ -102,19 +91,15 @@ type options struct {
 	fixSeed     uint64
 	writeFix    string
 
-	engine           string
-	kway             string
-	objective        string
-	starts           int
-	cutoff           float64
-	seed             uint64
-	workers          int
-	coarsenWorkers   int
-	refineWorkers    int
-	localizedWorkers int
-	shared           bool
-	hierarchies      int
-	stats            bool
+	engine      string
+	kway        string
+	objective   string
+	starts      int
+	cutoff      float64
+	seed        uint64
+	workers     int
+	hierarchies int
+	stats       bool
 
 	out        string
 	writeParts string
@@ -137,12 +122,8 @@ func main() {
 	flag.IntVar(&o.starts, "starts", 1, "independent starts; the best result is kept")
 	flag.Float64Var(&o.cutoff, "cutoff", 1, "pass cutoff fraction after the first pass, in [0,1] (0 or 1 = none)")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
-	flag.IntVar(&o.workers, "workers", 0, "goroutines for parallel multistart (0 = GOMAXPROCS)")
-	flag.IntVar(&o.coarsenWorkers, "coarsen-workers", 1, "heavy-edge matching goroutines inside each coarsening descent (0 = GOMAXPROCS; never changes results)")
-	flag.IntVar(&o.refineWorkers, "refine-workers", 1, "parallel-refinement workers per descent (0 disables the round stage; counts >= 1 are bit-identical; clamped to GOMAXPROCS)")
-	flag.IntVar(&o.localizedWorkers, "localized-fm-workers", 1, "localized-FM workers at the finest level (0 disables the stage; counts >= 1 are bit-identical; clamped to GOMAXPROCS)")
-	flag.BoolVar(&o.shared, "shared-coarsen", false, "share coarsening hierarchies across ml starts (2-way only)")
-	flag.IntVar(&o.hierarchies, "hierarchies", 2, "shared hierarchies to build with -shared-coarsen")
+	flag.IntVar(&o.workers, "workers", 0, "worker budget, spent on starts first and the rest inside each descent (0 = GOMAXPROCS; never changes results)")
+	flag.IntVar(&o.hierarchies, "hierarchies", 0, "coarsening hierarchies the ml starts share (0 = none shared)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.BoolVar(&o.stats, "stats", false, "print per-phase timings and FM kernel work counters after the run")
@@ -215,6 +196,9 @@ func run(o options) error {
 	if o.kway != "direct" && o.kway != "rb" {
 		return fmt.Errorf("-kway %q: want direct or rb", o.kway)
 	}
+	if o.hierarchies < 0 {
+		return fmt.Errorf("-hierarchies %d: want 0 (no sharing) or at least 1", o.hierarchies)
+	}
 	p, name, err := loadProblem(o)
 	if err != nil {
 		return err
@@ -231,23 +215,14 @@ func run(o options) error {
 		}
 	}
 	if o.writeFix != "" {
-		f, err := os.Create(o.writeFix)
-		if err != nil {
+		if err := writeFile(o.writeFix, func(w io.Writer) error { return hgr.WriteFix(w, p) }); err != nil {
 			return err
 		}
-		werr := hgr.WriteFix(f, p)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("wrote %s\n", o.writeFix)
 	}
 	fmt.Printf("instance %s: %v, k=%d, fixed=%d (%.1f%%)\n",
 		name, p.H, p.K, p.NumFixed(), 100*p.FixedFraction())
-	if o.shared && (o.engine != "ml" || p.K != 2) {
-		return fmt.Errorf("-shared-coarsen requires the ml engine on a 2-way instance (engine=%s, k=%d)", o.engine, p.K)
+	if o.hierarchies > 0 && (o.engine != "ml" || (p.K > 2 && o.kway == "rb")) {
+		return fmt.Errorf("-hierarchies requires the ml engine on a 2-way instance or with -kway direct (engine=%s, kway=%s, k=%d)", o.engine, o.kway, p.K)
 	}
 	rng := rand.New(rand.NewPCG(o.seed, 0x42))
 	t0 := time.Now()
@@ -260,28 +235,15 @@ func run(o options) error {
 	}
 	switch o.engine {
 	case "ml":
-		coarsenWorkers := o.coarsenWorkers
-		if coarsenWorkers == 0 {
-			coarsenWorkers = runtime.GOMAXPROCS(0)
+		concurrent := o.starts // -kway rb runs its starts one after another
+		if p.K > 2 && o.kway == "rb" {
+			concurrent = 1
 		}
-		refineWorkers := o.refineWorkers
-		if max := runtime.GOMAXPROCS(0); refineWorkers > max {
-			refineWorkers = max
-		}
-		localizedWorkers := o.localizedWorkers
-		if max := runtime.GOMAXPROCS(0); localizedWorkers > max {
-			localizedWorkers = max
-		}
-		cfg := multilevel.Config{Objective: obj, MaxPassFraction: o.cutoff, Workers: o.workers, CoarsenWorkers: coarsenWorkers, RefineWorkers: refineWorkers, LocalizedFMWorkers: localizedWorkers, Stats: phases}
+		workers, stage := budget(o.workers, concurrent)
+		cfg := multilevel.Config{Objective: obj, MaxPassFraction: o.cutoff, Workers: workers, CoarsenWorkers: stage, RefineWorkers: stage, LocalizedFMWorkers: stage, Stats: phases}
 		switch {
 		case p.K == 2 || o.kway == "direct":
-			spec := multilevel.Spec{Starts: o.starts, KWay: p.K > 2}
-			if o.shared {
-				spec.Hierarchies = o.hierarchies
-				if spec.Hierarchies < 1 {
-					spec.Hierarchies = (o.starts + 3) / 4
-				}
-			}
+			spec := multilevel.Spec{Starts: o.starts, KWay: p.K > 2, Hierarchies: o.hierarchies}
 			res, err := multilevel.Solve(context.Background(), p, cfg, spec, rng)
 			if err != nil {
 				return err
@@ -333,31 +295,44 @@ func run(o options) error {
 		return fmt.Errorf("internal error: result infeasible: %w", err)
 	}
 	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
+		if err := writeFile(o.out, func(w io.Writer) error { return bookshelf.WriteSolution(w, p, best) }); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := bookshelf.WriteSolution(f, p, best); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.out)
 	}
 	if o.writeParts != "" {
-		f, err := os.Create(o.writeParts)
-		if err != nil {
-			return err
-		}
-		werr := hgr.WriteParts(f, best)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("wrote %s\n", o.writeParts)
+		return writeFile(o.writeParts, func(w io.Writer) error { return hgr.WriteParts(w, best) })
 	}
 	return nil
+}
+
+// budget splits the -workers budget n (<= 0 means GOMAXPROCS) over a run of
+// starts: the starts get min(n, starts) workers first, and each descent's
+// coarsening, round and localized stages share what is left, at most
+// GOMAXPROCS. Stage counts >= 1 never change results, so the split changes
+// speed only.
+func budget(n, starts int) (workers, stage int) {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	workers = min(n, starts)
+	return workers, min(max(1, n/workers), runtime.GOMAXPROCS(0))
+}
+
+// writeFile creates path, fills it with write and closes it, returning the
+// first create, write or close error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		fmt.Printf("wrote %s\n", path)
+	}
+	return err
 }
 
 // flatStats returns the kernel-counter sink for the flat engines (nil when

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hgr"
 	"repro/internal/hypergraph"
+	"repro/internal/multilevel"
 	"repro/internal/partition"
 )
 
@@ -40,15 +43,13 @@ func writeBundle(t *testing.T, dir, base string) *partition.Problem {
 	return p
 }
 
-// testOpts mirrors the flag defaults plus the worker counts the old tests
-// pinned; individual tests override fields from here.
+// testOpts mirrors the flag defaults; individual tests override fields from
+// here.
 func testOpts(dir, base string) options {
 	return options{
 		dir: dir, base: base, k: 2, tol: 0.02, fixSeed: 1,
 		engine: "ml", kway: "direct", objective: "cut",
 		starts: 1, cutoff: 1, seed: 1,
-		coarsenWorkers: 1, refineWorkers: 1, localizedWorkers: 1,
-		hierarchies: 2,
 	}
 }
 
@@ -57,7 +58,7 @@ func TestRunMultilevel(t *testing.T) {
 	p := writeBundle(t, dir, "tiny")
 	out := filepath.Join(dir, "tiny.sol")
 	o := testOpts(dir, "tiny")
-	o.starts, o.workers, o.coarsenWorkers, o.refineWorkers, o.localizedWorkers = 2, 2, 2, 2, 2
+	o.starts, o.workers = 2, 2
 	o.out = out
 	if err := run(o); err != nil {
 		t.Fatalf("run: %v", err)
@@ -76,18 +77,18 @@ func TestRunMultilevel(t *testing.T) {
 	}
 }
 
-// TestRunSharedCoarsen exercises -shared-coarsen end to end: a 2-way ml run
-// with fewer hierarchies than starts must write a feasible solution, and the
-// flag must be rejected for flat engines and k>2 bundles.
+// TestRunSharedCoarsen exercises -hierarchies end to end: a 2-way ml run
+// with fewer hierarchies than starts must write a feasible solution
+// (TestHierarchiesErrors covers the rejected combinations).
 func TestRunSharedCoarsen(t *testing.T) {
 	dir := t.TempDir()
 	p := writeBundle(t, dir, "tiny")
 	out := filepath.Join(dir, "tiny_shared.sol")
 	o := testOpts(dir, "tiny")
-	o.starts, o.workers, o.coarsenWorkers, o.refineWorkers, o.localizedWorkers = 4, 2, 2, 2, 2
-	o.shared, o.out = true, out
+	o.starts, o.workers, o.hierarchies = 4, 2, 2
+	o.out = out
 	if err := run(o); err != nil {
-		t.Fatalf("run -shared-coarsen: %v", err)
+		t.Fatalf("run -hierarchies 2: %v", err)
 	}
 	f, err := os.Open(out)
 	if err != nil {
@@ -101,11 +102,6 @@ func TestRunSharedCoarsen(t *testing.T) {
 	if err := p.Feasible(a); err != nil {
 		t.Errorf("shared solution infeasible: %v", err)
 	}
-	bad := testOpts(dir, "tiny")
-	bad.engine, bad.refineWorkers, bad.localizedWorkers, bad.shared = "clip", 0, 0, true
-	if err := run(bad); err == nil {
-		t.Error("want error for -shared-coarsen with a flat engine")
-	}
 }
 
 // TestRunObjectiveKM1 exercises -objective km1 end to end on both the 2-way
@@ -116,7 +112,7 @@ func TestRunObjectiveKM1(t *testing.T) {
 	out := filepath.Join(dir, "tiny_km1.sol")
 	o := testOpts(dir, "tiny")
 	o.objective = "km1"
-	o.starts, o.workers, o.coarsenWorkers, o.refineWorkers, o.localizedWorkers = 2, 2, 2, 2, 2
+	o.starts, o.workers = 2, 2
 	o.out = out
 	if err := run(o); err != nil {
 		t.Fatalf("run -objective km1: %v", err)
@@ -134,7 +130,7 @@ func TestRunObjectiveKM1(t *testing.T) {
 		t.Errorf("km1 solution infeasible: %v", err)
 	}
 	flat := testOpts(dir, "tiny")
-	flat.engine, flat.objective, flat.refineWorkers, flat.localizedWorkers = "clip", "km1", 0, 0
+	flat.engine, flat.objective = "clip", "km1"
 	if err := run(flat); err != nil {
 		t.Errorf("flat engine with -objective km1: %v", err)
 	}
@@ -151,7 +147,6 @@ func TestRunFlatEngines(t *testing.T) {
 	for _, engine := range []string{"lifo", "clip"} {
 		o := testOpts(dir, "tiny")
 		o.engine, o.cutoff, o.seed = engine, 0.25, 2
-		o.refineWorkers, o.localizedWorkers = 0, 0
 		if err := run(o); err != nil {
 			t.Errorf("engine %s: %v", engine, err)
 		}
@@ -312,7 +307,7 @@ func TestRunKWayBundle(t *testing.T) {
 		out := filepath.Join(dir, "quad_"+mode+".sol")
 		o := testOpts(dir, "quad")
 		o.kway = mode
-		o.starts, o.workers, o.coarsenWorkers, o.refineWorkers, o.localizedWorkers = 2, 2, 2, 2, 2
+		o.starts, o.workers = 2, 2
 		o.out = out
 		if err := run(o); err != nil {
 			t.Fatalf("run ml k=4 -kway=%s: %v", mode, err)
@@ -340,7 +335,7 @@ func TestRunKWayBundle(t *testing.T) {
 		t.Error("want error for unknown -kway mode")
 	}
 	flat := testOpts(dir, "quad")
-	flat.engine, flat.seed, flat.refineWorkers, flat.localizedWorkers = "lifo", 2, 0, 0
+	flat.engine, flat.seed = "lifo", 2
 	if err := run(flat); err != nil {
 		t.Fatalf("run flat k=4: %v", err)
 	}
@@ -506,5 +501,126 @@ func TestRunHGRFixFraction(t *testing.T) {
 	}
 	if want := int(0.2 * float64(hp.H.NumVertices())); fixed < want {
 		t.Errorf("written fix file fixes %d vertices, want at least %d", fixed, want)
+	}
+}
+
+// TestBudget pins the -workers split: starts first, the rest to each
+// descent's stages, at least one and at most GOMAXPROCS stage workers.
+func TestBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct{ n, starts, workers, stage int }{
+		{0, 1, 1, 4},
+		{-3, 1000, 4, 1},
+		{2, 8, 2, 1},
+		{3, 4, 3, 1},
+		{8, 4, 4, 2},
+		{7, 2, 2, 3},
+		{4, 1, 1, 4},
+		{1, 1, 1, 1},
+		{9, 1, 1, 4},
+		{100000, 1, 1, 4},
+		{100000, 2, 2, 4},
+	} {
+		workers, stage := budget(tc.n, tc.starts)
+		if workers != tc.workers || stage != tc.stage {
+			t.Errorf("budget(%d, %d) = (%d, %d), want (%d, %d)", tc.n, tc.starts, workers, stage, tc.workers, tc.stage)
+		}
+	}
+}
+
+// TestHierarchiesKWayMatchesSolve: -hierarchies 2 -starts 4 on a k = 4 .hgr
+// writes exactly the partition multilevel.Solve returns for Spec{Starts: 4,
+// KWay: true, Hierarchies: 2} under hpart's seeding, at any -workers.
+func TestHierarchiesKWayMatchesSolve(t *testing.T) {
+	dir := t.TempDir()
+	writeHGRSuite(t, dir, 0.1)
+	hgrPath, fixPath := filepath.Join(dir, "circuit.hgr"), filepath.Join(dir, "circuit.fix")
+	hf, err := os.Open(hgrPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hf.Close()
+	ff, err := os.Open(fixPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ff.Close()
+	p, err := hgr.ReadProblem(hf, ff, 4, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := multilevel.Config{MaxPassFraction: 1, CoarsenWorkers: 1, RefineWorkers: 1, LocalizedFMWorkers: 1}
+	res, err := multilevel.Solve(context.Background(), p, cfg,
+		multilevel.Spec{Starts: 4, KWay: true, Hierarchies: 2}, rand.New(rand.NewPCG(1, 0x42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := hgr.WriteParts(&want, res.Assignment); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3, 8} {
+		o := testOpts("", "")
+		o.hgrPath, o.fixPath, o.k, o.tol = hgrPath, fixPath, 4, 0.1
+		o.starts, o.hierarchies, o.workers = 4, 2, workers
+		o.writeParts = filepath.Join(dir, fmt.Sprintf("w%d.part", workers))
+		if err := run(o); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		got, err := os.ReadFile(o.writeParts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want.String() {
+			t.Errorf("workers %d: -hierarchies 2 partition differs from Solve's", workers)
+		}
+	}
+}
+
+// TestHierarchiesErrors: a negative -hierarchies, and a nonzero one with a
+// flat engine or with -kway rb at k > 2, is an error; through the real flag
+// parser hpart exits 1.
+func TestHierarchiesErrors(t *testing.T) {
+	dir := t.TempDir()
+	writeBundle(t, dir, "tiny")
+	writeHGRSuite(t, dir, 0.1)
+	hgrPath := filepath.Join(dir, "circuit.hgr")
+	neg := testOpts(dir, "tiny")
+	neg.hierarchies = -1
+	flat := testOpts(dir, "tiny")
+	flat.engine, flat.hierarchies = "lifo", 2
+	rb := testOpts("", "")
+	rb.hgrPath, rb.k, rb.tol, rb.kway, rb.starts, rb.hierarchies = hgrPath, 4, 0.1, "rb", 4, 2
+	for name, o := range map[string]options{"negative": neg, "flat engine": flat, "kway rb": rb} {
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "-hierarchies") {
+			t.Errorf("%s: %v, want a -hierarchies error", name, err)
+		}
+	}
+	wantExit1(t, "-dir "+dir+" -base tiny -hierarchies -1")
+	wantExit1(t, "-dir "+dir+" -base tiny -engine clip -hierarchies 2")
+	wantExit1(t, "-hgr "+hgrPath+" -k 4 -tol 0.1 -kway rb -starts 4 -hierarchies 2")
+}
+
+// TestWriteErrors: a failed write of any of the three output files is an
+// error, not a silently short file.
+func TestWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	writeBundle(t, dir, "tiny")
+	for _, flag := range []string{"-write-fix", "-out", "-write-parts"} {
+		o := testOpts(dir, "tiny")
+		switch flag {
+		case "-write-fix":
+			o.writeFix = "/dev/full"
+		case "-out":
+			o.out = "/dev/full"
+		case "-write-parts":
+			o.writeParts = "/dev/full"
+		}
+		if err := run(o); err == nil {
+			t.Errorf("%s /dev/full: want a write error", flag)
+		}
 	}
 }

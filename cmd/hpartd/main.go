@@ -3,8 +3,8 @@
 // It wraps the multilevel fixed-vertex partitioner in a long-running service
 // with a hierarchy cache, admission control and Prometheus metrics — see
 // internal/server for the endpoint contract and README.md for usage examples.
-// The worker and stage flags hold for every request (requests carry no
-// machine settings); the three stage counts are clamped to GOMAXPROCS.
+// -run-workers holds for every request (requests carry no machine
+// settings); each descent runs its three stages on one goroutine.
 //
 // Usage:
 //
@@ -17,16 +17,6 @@
 //	-queue int          admission queue depth (default 2*concurrency)
 //	-cache int          hierarchy cache capacity in instances (default 32)
 //	-run-workers int    goroutines per run's multistart fan-out (default 1)
-//	-coarsen-workers int  heavy-edge matching goroutines inside each
-//	                    coarsening descent (default 1; never changes results)
-//	-refine-workers int  worker count for the synchronous-round parallel
-//	                    refinement stage in each descent (default 1: stage
-//	                    on; 0 disables it, restoring serial-only refinement;
-//	                    every count >= 1 is bit-identical)
-//	-localized-fm-workers int  worker count for the localized FM stage at
-//	                    the finest level of each descent (default 1: stage
-//	                    on; 0 disables it, restoring the full serial polish;
-//	                    every count >= 1 is bit-identical)
 //	-max-body int       request body limit in bytes (default 32 MiB)
 //	-max-starts int     per-request multistart limit (default 64)
 //	-timeout duration   default per-request timeout (default 1m)
@@ -57,9 +47,6 @@ func main() {
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 2*concurrency)")
 	cache := flag.Int("cache", 32, "hierarchy cache capacity in instances")
 	runWorkers := flag.Int("run-workers", 1, "goroutines per run's multistart fan-out")
-	coarsenWorkers := flag.Int("coarsen-workers", 1, "heavy-edge matching goroutines inside each coarsening descent (clamped to GOMAXPROCS; never changes results)")
-	refineWorkers := flag.Int("refine-workers", 1, "parallel-refinement workers per descent (0 disables the round stage; counts >= 1 are bit-identical; clamped to GOMAXPROCS)")
-	localizedFMWorkers := flag.Int("localized-fm-workers", 1, "localized-FM workers at the finest level (0 disables the stage; counts >= 1 are bit-identical; clamped to GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", 32<<20, "request body limit in bytes")
 	maxStarts := flag.Int("max-starts", 64, "per-request multistart limit")
 	timeout := flag.Duration("timeout", time.Minute, "default per-request timeout")
@@ -72,9 +59,9 @@ func main() {
 		QueueDepth:         *queue,
 		CacheEntries:       *cache,
 		RunWorkers:         *runWorkers,
-		CoarsenWorkers:     *coarsenWorkers,
-		RefineWorkers:      *refineWorkers,
-		LocalizedFMWorkers: *localizedFMWorkers,
+		CoarsenWorkers:     1,
+		RefineWorkers:      1,
+		LocalizedFMWorkers: 1,
 		MaxBodyBytes:       *maxBody,
 		MaxStarts:          *maxStarts,
 		DefaultTimeout:     *timeout,

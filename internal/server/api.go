@@ -120,6 +120,15 @@ type FixSpec struct {
 	Parts  []int `json:"parts"`
 }
 
+// mask returns the allowed parts as a mask; validate has checked each part.
+func (f FixSpec) mask() partition.Mask {
+	var m partition.Mask
+	for _, q := range f.Parts {
+		m = m.With(q)
+	}
+	return m
+}
+
 // Response is the JSON body of a successful POST /partition.
 type Response struct {
 	Instance string `json:"instance"`
@@ -225,6 +234,16 @@ func (r Request) validate(cfg Config) error {
 	if r.Starts > cfg.MaxStarts {
 		return fmt.Errorf("starts %d exceeds server limit %d", r.Starts, cfg.MaxStarts)
 	}
+	for _, fx := range r.Fixed {
+		if len(fx.Parts) == 0 {
+			return fmt.Errorf("fixed vertex %d has no allowed parts", fx.Vertex)
+		}
+		for _, q := range fx.Parts {
+			if q < 0 || q >= r.K {
+				return fmt.Errorf("fixed vertex %d names part %d outside [0, %d)", fx.Vertex, q, r.K)
+			}
+		}
+	}
 	if r.Preset != nil {
 		if _, err := gen.PresetByName(r.Preset.Name); err != nil {
 			return fmt.Errorf("unknown preset %q", r.Preset.Name)
@@ -300,11 +319,10 @@ func (r Request) cacheKey(prob *partition.Problem) string {
 			Word(uint64(int64(r.Tolerance * 1e9))).
 			Word(uint64(int64(r.FixFraction * 1e9))).
 			Word(r.FixSeed)
+		// One vertex word and one mask word per entry, so entries cannot
+		// run into each other.
 		for _, fx := range r.Fixed {
-			f = f.Word(uint64(fx.Vertex))
-			for _, p := range fx.Parts {
-				f = f.Word(uint64(p))
-			}
+			f = f.Word(uint64(fx.Vertex)).Word(uint64(fx.mask()))
 		}
 		return fmt.Sprintf("preset:%s:%g:%016x", r.Preset.Name, r.Preset.Scale, f.Sum())
 	}
@@ -431,17 +449,7 @@ func applyConstraints(p *partition.Problem, r Request) error {
 		if fx.Vertex < 0 || fx.Vertex >= nv {
 			return fmt.Errorf("fixed vertex %d outside [0, %d)", fx.Vertex, nv)
 		}
-		if len(fx.Parts) == 0 {
-			return fmt.Errorf("fixed vertex %d has no allowed parts", fx.Vertex)
-		}
-		var m partition.Mask
-		for _, q := range fx.Parts {
-			if q < 0 || q >= r.K {
-				return fmt.Errorf("fixed vertex %d names part %d outside [0, %d)", fx.Vertex, q, r.K)
-			}
-			m = m.With(q)
-		}
-		p.Restrict(fx.Vertex, m)
+		p.Restrict(fx.Vertex, fx.mask())
 	}
 	partition.ApplyFixFraction(p, r.FixFraction, r.FixSeed)
 	return nil

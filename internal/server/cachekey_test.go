@@ -57,3 +57,51 @@ func TestCacheKeyStable(t *testing.T) {
 		}
 	}
 }
+
+// fixedBodies are two preset requests whose "fixed" lists flatten to the
+// same words (vertex 0, then parts 1, 1, 1) but fix different vertex sets:
+// the first fixes vertex 0 alone, the second vertices 0 and 1.
+var fixedBodies = [2]string{
+	`{"preset":{"name":"IBM01S","scale":0.05},"starts":2,"fixed":[{"vertex":0,"parts":[1,1,1]}]}`,
+	`{"preset":{"name":"IBM01S","scale":0.05},"starts":2,"fixed":[{"vertex":0,"parts":[1]},{"vertex":1,"parts":[1]}]}`,
+}
+
+// TestCacheKeyFixedEntries: each "fixed" entry contributes its own vertex
+// and mask to a preset key, so the two lists above get different keys.
+func TestCacheKeyFixedEntries(t *testing.T) {
+	var keys [2]string
+	for i, body := range fixedBodies {
+		var req Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		req = req.withDefaults()
+		if err := req.validate(Config{}.withDefaults()); err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = req.cacheKey(nil)
+	}
+	if keys[0] == keys[1] {
+		t.Errorf("different fixed lists share cache key %s", keys[0])
+	}
+}
+
+// TestPartitionFixedListsDoNotShareCache: after the first request warms the
+// cache, the second must build its own hierarchies and honour both of its
+// fixed vertices instead of being served the first request's instance.
+func TestPartitionFixedListsDoNotShareCache(t *testing.T) {
+	s := New(Config{})
+	if rec, _ := post(t, s.Handler(), fixedBodies[0]); rec.Code != 200 {
+		t.Fatalf("first request: %d %s", rec.Code, rec.Body.String())
+	}
+	rec, resp := post(t, s.Handler(), fixedBodies[1])
+	if rec.Code != 200 {
+		t.Fatalf("second request: %d %s", rec.Code, rec.Body.String())
+	}
+	if resp.Cache != "miss" || resp.Fixed != 2 {
+		t.Errorf("second request: cache %q, fixed %d; want a miss with 2 fixed vertices", resp.Cache, resp.Fixed)
+	}
+	if resp.Assignment[0] != 1 || resp.Assignment[1] != 1 {
+		t.Errorf("second request put vertices 0 and 1 in parts %d and %d, want 1 and 1", resp.Assignment[0], resp.Assignment[1])
+	}
+}

@@ -34,7 +34,7 @@ type metrics struct {
 	count   int64
 
 	inflight  int64
-	queued    int64
+	queued    int64 // admitted requests waiting for a worker slot; admission reads it too
 	truncated int64
 	starts    int64
 

@@ -124,8 +124,7 @@ type Server struct {
 	cache   *hierCache
 	metrics *metrics
 
-	sem    chan struct{} // worker slots; len == in-flight runs
-	queued int64         // requests waiting on sem
+	sem chan struct{} // worker slots; len == in-flight runs
 
 	draining  atomic.Bool
 	drainCh   chan struct{} // closed when Shutdown begins
@@ -249,30 +248,34 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: bounded queue in front of the worker semaphore.
-	if n := atomic.AddInt64(&s.queued, 1); n > int64(s.cfg.QueueDepth) {
-		atomic.AddInt64(&s.queued, -1)
-		s.metrics.observeRejected("queue_full")
-		s.writeError(w, endpoint, http.StatusTooManyRequests, s.retryAfterSec(), "queue full")
-		return
+	// Admission: bounded queue in front of the worker semaphore. One
+	// counter serves admission, /healthz and /metrics; it is raised only
+	// while below QueueDepth, so it never counts a request about to get 429.
+	queued := &s.metrics.queued
+	for {
+		n := atomic.LoadInt64(queued)
+		if n >= int64(s.cfg.QueueDepth) {
+			s.metrics.observeRejected("queue_full")
+			s.writeError(w, endpoint, http.StatusTooManyRequests, s.retryAfterSec(), "queue full")
+			return
+		}
+		if atomic.CompareAndSwapInt64(queued, n, n+1) {
+			break
+		}
 	}
-	atomic.AddInt64(&s.metrics.queued, 1)
 	select {
 	case s.sem <- struct{}{}:
+		atomic.AddInt64(queued, -1)
 	case <-r.Context().Done():
-		atomic.AddInt64(&s.queued, -1)
-		atomic.AddInt64(&s.metrics.queued, -1)
+		atomic.AddInt64(queued, -1)
 		s.writeError(w, endpoint, 499, 0, "client went away while queued")
 		return
 	case <-s.drainCh:
-		atomic.AddInt64(&s.queued, -1)
-		atomic.AddInt64(&s.metrics.queued, -1)
+		atomic.AddInt64(queued, -1)
 		s.metrics.observeRejected("draining")
 		s.writeError(w, endpoint, http.StatusServiceUnavailable, 5, "server is draining")
 		return
 	}
-	atomic.AddInt64(&s.queued, -1)
-	atomic.AddInt64(&s.metrics.queued, -1)
 	atomic.AddInt64(&s.metrics.inflight, 1)
 	defer func() {
 		atomic.AddInt64(&s.metrics.inflight, -1)
@@ -482,7 +485,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":        status,
 		"inflight":      atomic.LoadInt64(&s.metrics.inflight),
-		"queued":        atomic.LoadInt64(&s.queued),
+		"queued":        atomic.LoadInt64(&s.metrics.queued),
 		"cache_entries": s.cache.stats().Entries,
 	})
 }

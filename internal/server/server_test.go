@@ -210,7 +210,7 @@ func TestPartitionQueueFull(t *testing.T) {
 		rec, _ := post(t, s.Handler(), presetBody(""))
 		done <- rec
 	}()
-	waitFor(t, func() bool { return atomic.LoadInt64(&s.queued) == 1 })
+	waitFor(t, func() bool { return atomic.LoadInt64(&s.metrics.queued) == 1 })
 
 	rec, _ := post(t, s.Handler(), presetBody(""))
 	if rec.Code != http.StatusTooManyRequests {

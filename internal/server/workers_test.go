@@ -88,8 +88,8 @@ func TestPartitionCoarsenWorkersField(t *testing.T) {
 	checkWorkersInvariance(t, setCoarsen)
 }
 
-// TestPartitionCoarsenWorkersServerDefault: the -coarsen-workers server flag
-// is clamped to GOMAXPROCS.
+// TestPartitionCoarsenWorkersServerDefault: Config.CoarsenWorkers is clamped
+// to GOMAXPROCS.
 func TestPartitionCoarsenWorkersServerDefault(t *testing.T) {
 	checkWorkersClamp(t, setCoarsen, func(c Config) int { return c.CoarsenWorkers })
 }
@@ -100,8 +100,8 @@ func TestPartitionRefineWorkersField(t *testing.T) {
 	checkWorkersInvariance(t, setRefine)
 }
 
-// TestPartitionRefineWorkersServerDefault: the -refine-workers server flag
-// is clamped to GOMAXPROCS and switches the parallel refinement stage on.
+// TestPartitionRefineWorkersServerDefault: Config.RefineWorkers is clamped
+// to GOMAXPROCS and switches the parallel refinement stage on.
 func TestPartitionRefineWorkersServerDefault(t *testing.T) {
 	resp := checkWorkersClamp(t, setRefine, func(c Config) int { return c.RefineWorkers })
 	if resp.Phases.RefineParallelNS == 0 {
@@ -115,9 +115,8 @@ func TestPartitionLocalizedFMWorkersField(t *testing.T) {
 	checkWorkersInvariance(t, setLocalizedFM)
 }
 
-// TestPartitionLocalizedFMWorkersServerDefault: the -localized-fm-workers
-// server flag is clamped to GOMAXPROCS and switches the localized FM stage
-// on.
+// TestPartitionLocalizedFMWorkersServerDefault: Config.LocalizedFMWorkers
+// is clamped to GOMAXPROCS and switches the localized FM stage on.
 func TestPartitionLocalizedFMWorkersServerDefault(t *testing.T) {
 	resp := checkWorkersClamp(t, setLocalizedFM, func(c Config) int { return c.LocalizedFMWorkers })
 	if resp.Phases.RefineLocalizedNS == 0 {
