@@ -38,9 +38,10 @@
 // (-kway rb runs its starts in turn, so its descents share all N). Every
 // stage always runs; the result is bit-identical for every N.
 // -hierarchies H (ml engine; 0, the default, shares nothing) amortises
-// coarsening across starts: the first H starts build and fully refine
-// private hierarchies, the remaining starts resample those hierarchies as
-// cheap pass-cutoff follower descents; H >= -starts is the plain run. It
+// coarsening across starts: the first H starts build and refine private
+// hierarchies, the remaining starts are extra starts on those hierarchies,
+// each with its own initial partitioning and refinement; H >= -starts is
+// the plain run. It
 // applies to 2-way instances and to -kway direct; a negative H, or a
 // nonzero H with a flat engine or with -kway rb at k > 2, is an error.
 //
@@ -49,6 +50,12 @@
 // direct k-way FM at every level, "rb" decomposes into recursive multilevel
 // bisections (any k >= 2, not just powers of two) with a final k-way FM
 // polish. Any other -kway value is an error, whatever the engine and k.
+//
+// -cutoff f limits every FM pass after the first to max(1, f*movable)
+// moves. The flat engines and -kway rb's final polish run full passes, so it
+// acts on all of them; inside a multilevel descent only the coarsest-level
+// initial partitioning runs more than one pass, so that is the only place
+// it acts there (every uncoarsening polish is a single pass).
 //
 // -cpuprofile/-memprofile write pprof profiles of the whole run; multilevel
 // phases carry pprof labels
@@ -120,7 +127,7 @@ func main() {
 	flag.StringVar(&o.kway, "kway", "direct", "k>2 strategy for the ml engine: direct (direct k-way multilevel) or rb (recursive bisection)")
 	flag.StringVar(&o.objective, "objective", "cut", "metric to optimize and select by: cut or km1")
 	flag.IntVar(&o.starts, "starts", 1, "independent starts; the best result is kept")
-	flag.Float64Var(&o.cutoff, "cutoff", 1, "pass cutoff fraction after the first pass, in [0,1] (0 or 1 = none)")
+	flag.Float64Var(&o.cutoff, "cutoff", 1, "pass cutoff fraction after the first pass, in [0,1] (0 or 1 = none); inside ml descents it acts only in the coarsest-level initial partitioning")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.IntVar(&o.workers, "workers", 0, "worker budget, spent on starts first and the rest inside each descent (0 = GOMAXPROCS; never changes results)")
 	flag.IntVar(&o.hierarchies, "hierarchies", 0, "coarsening hierarchies the ml starts share (0 = none shared)")

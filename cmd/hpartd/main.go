@@ -55,17 +55,14 @@ func main() {
 	flag.Parse()
 
 	srv := server.New(server.Config{
-		Concurrency:        *concurrency,
-		QueueDepth:         *queue,
-		CacheEntries:       *cache,
-		RunWorkers:         *runWorkers,
-		CoarsenWorkers:     1,
-		RefineWorkers:      1,
-		LocalizedFMWorkers: 1,
-		MaxBodyBytes:       *maxBody,
-		MaxStarts:          *maxStarts,
-		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTimeout,
+		Concurrency:    *concurrency,
+		QueueDepth:     *queue,
+		CacheEntries:   *cache,
+		RunWorkers:     *runWorkers,
+		MaxBodyBytes:   *maxBody,
+		MaxStarts:      *maxStarts,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/bookshelf"
 )
 
 func TestRunWritesPlacement(t *testing.T) {
@@ -42,22 +40,45 @@ func TestRunUnknownPreset(t *testing.T) {
 	}
 }
 
+// TestRunWritesGSRC: -gsrc writes a .nodes/.nets/.pl trio that places every
+// vertex and marks pads, and only pads, /FIXED.
 func TestRunWritesGSRC(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "ibm")
 	if err := run("IBM01S", 0.02, 1, "", base); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	got, err := bookshelf.ReadGSRC(dir, "ibm")
-	if err != nil {
-		t.Fatalf("ReadGSRC: %v", err)
+	lines := func(ext, banner string) [][]string {
+		b, err := os.ReadFile(base + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := strings.Split(strings.TrimSpace(string(b)), "\n")
+		if !strings.HasPrefix(ls[0], banner) {
+			t.Fatalf("%s banner %q, want %q", ext, ls[0], banner)
+		}
+		var out [][]string
+		for _, l := range ls[1:] {
+			out = append(out, strings.Fields(l))
+		}
+		return out
 	}
-	if got.H.NumVertices() < 200 {
-		t.Errorf("vertices = %d", got.H.NumVertices())
+	pads := map[string]bool{}
+	for _, f := range lines(".nodes", "UCLA nodes") {
+		if len(f) == 4 && f[3] == "terminal" {
+			pads[f[0]] = true
+		}
 	}
-	fixedPads := 0
-	for v := 0; v < got.H.NumVertices(); v++ {
-		if got.H.IsPad(v) && got.Fixed[v] {
+	lines(".nets", "UCLA nets")
+	placed, fixedPads := lines(".pl", "UCLA pl"), 0
+	if len(placed) < 200 {
+		t.Errorf("vertices placed = %d", len(placed))
+	}
+	for _, f := range placed {
+		if f[len(f)-1] == "/FIXED" {
+			if !pads[f[0]] {
+				t.Errorf("non-pad %s marked /FIXED", f[0])
+			}
 			fixedPads++
 		}
 	}

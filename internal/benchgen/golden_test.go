@@ -24,13 +24,13 @@ func TestDeriveGolden(t *testing.T) {
 	want := map[string]uint64{
 		"IBM01SA_L0_V":       0xbbefcaa16783ed01,
 		"IBM01SA_L0_H":       0xb7d48f58204131bb,
-		"IBM01SB_L1_V0_V":    0xaeb720df79812243,
-		"IBM01SB_L1_V0_H":    0xc4378b025b835c44,
-		"IBM01SC_L1_H0_V":    0x8578c23182134ad0,
-		"IBM01SC_L1_H0_H":    0xe3ed1c4ab3a482a2,
-		"IBM01SD_L2_V0_H0_V": 0x81459ca1f7499119,
-		"IBM01SD_L2_V0_H0_H": 0x688f261dc8c00432,
-		"IBM01SB_quad":       0x462723833e8c07e4,
+		"IBM01SB_L1_V0_V":    0x2e1815c850eb2488,
+		"IBM01SB_L1_V0_H":    0xa981fe6cd42816e4,
+		"IBM01SC_L1_H0_V":    0xbf93bb8b8b3ed04e,
+		"IBM01SC_L1_H0_H":    0xeaf0c3766465f6ad,
+		"IBM01SD_L2_V0_H0_V": 0x9bd2cb944fac6876,
+		"IBM01SD_L2_V0_H0_H": 0x52b6415270e33b84,
+		"IBM01SB_quad":       0xec37c67e979b8cc5,
 	}
 	pr, err := gen.PresetByName("IBM01S")
 	if err != nil {

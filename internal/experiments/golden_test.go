@@ -45,8 +45,6 @@ func TestStudyGoldens(t *testing.T) {
 		GoodStarts: 2,
 		Seed:       24,
 	}
-	stages := multilevel.Config{RefineWorkers: 2, LocalizedFMWorkers: 2}
-
 	studies := []struct {
 		name    string
 		workers bool
@@ -54,16 +52,6 @@ func TestStudyGoldens(t *testing.T) {
 	}{
 		{"sweep", true, func(w int) (string, error) {
 			res, err := experiments.RunSweep("T200", h, sweep(w, multilevel.Config{}))
-			if err != nil {
-				return "", err
-			}
-			for i := range res.Points {
-				res.Points[i].AvgCPU = 0
-			}
-			return rowsHash([]any{res.BestFreeCut, res.GoodSolution, res.RandBest, res.Points}), nil
-		}},
-		{"sweep-stages", true, func(w int) (string, error) {
-			res, err := experiments.RunSweep("T200", h, sweep(w, stages))
 			if err != nil {
 				return "", err
 			}
@@ -109,16 +97,15 @@ func TestStudyGoldens(t *testing.T) {
 		}},
 	}
 	want := map[string]string{
-		"sweep":        "0873500a5826cc97",
-		"sweep-stages": "86ccd5bde11e1f4a",
-		"constraint":   "3026ccb613b0c439",
-		"starts":       "701b5a767fb618dd",
-		"objective":    "f2d04c7b31298155",
-		"multiway":     "b53edda4ec9209ce",
-		"table2":       "a5e0701316af9f67",
-		"table3":       "c9ebf566804d7bd6",
-		"profile":      "eb43de3b70617ecf",
-		"policy":       "0126550a47930d90",
+		"sweep":      "86ccd5bde11e1f4a",
+		"constraint": "29cff2dad9365743",
+		"starts":     "e4669fdb97bb3935",
+		"objective":  "e5a1d3c14a19ba0a",
+		"multiway":   "889af47f46451846",
+		"table2":     "8e746d876e0e1ae8",
+		"table3":     "3c77609eef382d2e",
+		"profile":    "eb43de3b70617ecf",
+		"policy":     "b3eceafe438cc86a",
 	}
 	for _, s := range studies {
 		workerCounts := []int{1}

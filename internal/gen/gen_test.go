@@ -9,7 +9,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/multilevel"
 	"repro/internal/partition"
-	"repro/internal/rent"
 )
 
 func smallParams(seed uint64) gen.Params {
@@ -156,7 +155,7 @@ func TestRentLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := nl.H
-	var samples []rent.Sample
+	var samples []rentSample
 	// Blocks: subdivide the grid into 2^d x 2^d tiles for d = 1..3 and count
 	// cells and external nets per tile.
 	for d := 1; d <= 3; d++ {
@@ -184,13 +183,13 @@ func TestRentLocality(t *testing.T) {
 		}
 		for i := range cells {
 			if cells[i] > 0 && terms[i] > 0 {
-				samples = append(samples, rent.Sample{Cells: cells[i], Terminals: terms[i]})
+				samples = append(samples, rentSample{Cells: cells[i], Terminals: terms[i]})
 			}
 		}
 	}
-	_, pFit, err := rent.Fit(samples)
+	_, pFit, err := fitRent(samples)
 	if err != nil {
-		t.Fatalf("Fit: %v", err)
+		t.Fatalf("fitRent: %v", err)
 	}
 	t.Logf("fitted Rent exponent = %.3f (target %.2f)", pFit, p.RentExponent)
 	if pFit < 0.35 || pFit > 0.95 {

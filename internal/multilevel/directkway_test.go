@@ -184,7 +184,7 @@ func TestDirectKWayNotWorseThanRB(t *testing.T) {
 
 // TestSolveKWaySpec covers the Spec combinations the direct k-way path
 // shares with the 2-way one: k > 2 demands Spec.KWay, Hierarchies equal to
-// Starts reproduces the unshared run bit for bit, and follower starts over
+// Starts reproduces the unshared run bit for bit, and extra starts over
 // shared k-way hierarchies stay feasible and worker-count invariant.
 func TestSolveKWaySpec(t *testing.T) {
 	h := clusters(4, 60, 3)

@@ -7,13 +7,14 @@
 // The coarsening parameters are the paper's, fixed as package constants.
 //
 // Solve is the one multistart entry point. Its Spec selects the number of
-// starts, 2-way or direct k-way descents, shared coarsening hierarchies with
-// cheap "follower" descents, and adaptive patience. Partition and
+// starts, 2-way or direct k-way descents, extra starts on shared coarsening
+// hierarchies, and adaptive patience. Partition and
 // RecursiveBisect run single starts; BuildHierarchies and
 // MultistartOnHierarchies split coarsening from refinement for the hpartd
 // hierarchy cache. Every descent — 2-way and k-way — refines each level
 // with the same step: synchronous rounds, localized FM at the finest level,
-// then the serial polish.
+// then a one-pass serial polish. The worker counts size these stages and
+// never switch them off, so there is one pipeline.
 //
 // # Concurrency
 //

@@ -14,11 +14,11 @@ func BuildHierarchy(p *partition.Problem, cfg Config, rng *rand.Rand) *Hierarchy
 	return coarsen(p, cfg, false, rng)
 }
 
-// Descend runs one full-refinement start over the hierarchy.
+// Descend runs one refinement start over the hierarchy.
 func (h *Hierarchy) Descend(rng *rand.Rand) (*Result, error) {
 	sc := fm.GetScratch()
 	defer fm.PutScratch(sc)
-	return h.descendWith(rng, false, sc)
+	return h.descendWith(rng, sc)
 }
 
 // Coarsest returns the coarsest problem of the stack.

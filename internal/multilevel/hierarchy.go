@@ -67,21 +67,11 @@ func coarsen(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) *Hiera
 
 // descendWith runs one refinement start over the hierarchy on a
 // caller-provided FM scratch (scratch contents never influence results, so
-// the multistart scheduler pins one per worker). Owner descents
-// (follower=false) refine with the full configured FM discipline and replay
-// a single start's phases bit-identically; follower descents
-// — extra starts resampling a hierarchy another start owns — apply
-// followerPassFraction as a pass cutoff during uncoarsening refinement,
-// trading a sliver of per-start quality for a large reduction in per-start
-// cost (the coarsest initial partitioning, where start diversity comes from,
-// stays at full strength).
-func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (*Result, error) {
+// the multistart scheduler pins one per worker).
+func (h *Hierarchy) descendWith(rng *rand.Rand, sc *fm.Scratch) (*Result, error) {
 	cfg := h.cfg
-	r := refiner{cfg: cfg, polish: refineConfig(cfg), pairwise: h.kway && h.Root().K > 2, rng: rng, sc: sc}
-	if follower {
-		r.polish.MaxPassFraction = followerCutoff(cfg)
-	}
-	initCfg := refineConfig(cfg)
+	r := refiner{cfg: cfg, polish: polishConfig(cfg), pairwise: h.kway && h.Root().K > 2, rng: rng, sc: sc}
+	initCfg := initConfig(cfg)
 
 	// Initial partitioning at the deepest level that admits a feasible
 	// start; heavy clusters can make the very coarsest level infeasible, in
@@ -160,17 +150,28 @@ func (h *Hierarchy) initial(lp *partition.Problem, initCfg fm.Config, rng *rand.
 	return best
 }
 
-// refineConfig is the serial FM configuration of the uncoarsening polish,
-// before polishConfig's per-level pass cap.
-func refineConfig(cfg Config) fm.Config {
+// initConfig is the serial FM configuration of the coarsest-level initial
+// partitioning: full passes under the configured pass cutoff.
+func initConfig(cfg Config) fm.Config {
 	return fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, Stats: kernelStats(cfg.Stats)}
+}
+
+// polishConfig is the serial FM configuration of the uncoarsening polish:
+// one pass, since the rounds replace the repeated passes at every level and
+// the localized searches carry the hill-climbing at the finest one. The
+// remaining pass sweeps up whatever those stages left behind; being the
+// first pass, the pass cutoff never shortens it.
+func polishConfig(cfg Config) fm.Config {
+	c := initConfig(cfg)
+	c.MaxPasses = 1
+	return c
 }
 
 // refiner is the one per-level refinement step every descent runs, with
 // what all the levels of one descent share.
 type refiner struct {
 	cfg    Config
-	polish fm.Config // serial polish config before polishConfig's per-level cap
+	polish fm.Config // the one-pass serial polish (polishConfig)
 	// pairwise adds the 2-way pair sweeps after the polish (direct k-way
 	// descents at k > 2 only).
 	pairwise bool
@@ -179,95 +180,38 @@ type refiner struct {
 }
 
 // level refines the projected assignment a of level lvl's problem p on one
-// fm.Level built once for the level: the optional synchronous rounds, then
-// (at the finest level) the localized FM stage, then the serial FM polish,
+// fm.Level built once for the level: the synchronous rounds, then (at the
+// finest level) the localized FM stage, then the one-pass serial polish,
 // plus pairwise sweeps when enabled (k-way passes move single vertices; the
 // pair sweeps recover the 2-way hill-climbing power recursive bisection gets
 // for free). Each stage updates the level's pin counts, part weights,
 // assignment and running objective in place and hands its gain table on, so
-// nothing is rebuilt between stages. The level is built under the first
-// stage's phase; the polish and the sweeps are tracked under the refine
-// phase.
+// nothing is rebuilt between stages. The level is built under the rounds'
+// phase; the polish and the sweeps are tracked under the refine phase.
+//
+// The rounds draw one commit-order salt per level and the localized stage
+// one search salt at the finest level, whatever the worker counts, so the
+// RNG stream — and every downstream draw — is the same for every count.
 func (r *refiner) level(p *partition.Problem, a partition.Assignment, lvl int) (partition.Assignment, error) {
 	var lv *fm.Level
 	var err error
-	build := func() { lv, err = fm.NewLevel(p, a, fm.Config{Objective: r.cfg.Objective}, r.sc) }
-	if r.cfg.RefineWorkers >= 1 {
-		r.cfg.Stats.track(phaseRefineParallel, build)
-	} else {
-		r.cfg.Stats.track(phaseRefine, build)
-	}
+	r.cfg.Stats.track(phaseRefineParallel, func() { lv, err = fm.NewLevel(p, a, fm.Config{Objective: r.cfg.Objective}, r.sc) })
 	if err != nil {
 		return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
 	}
-	parallelRounds(lv, r.cfg, r.rng)
-	localizedRounds(lv, r.cfg, lvl, r.rng)
-	polish := polishConfig(r.polish, r.cfg, lvl)
+	salt := r.rng.Uint64()
+	r.cfg.Stats.track(phaseRefineParallel, func() { lv.Rounds(r.cfg.RefineWorkers, salt) })
+	if lvl == 0 {
+		salt := r.rng.Uint64()
+		r.cfg.Stats.track(phaseRefineLocalized, func() { lv.Localized(r.cfg.LocalizedFMWorkers, salt) })
+	}
 	r.cfg.Stats.track(phaseRefine, func() {
-		lv.Polish(polish)
+		lv.Polish(r.polish)
 		if r.pairwise {
-			lv.Pairwise(polish, 2)
+			lv.Pairwise(r.polish, 2)
 		}
 	})
 	return lv.Assignment(), nil
-}
-
-// parallelRounds runs the Config.RefineWorkers synchronous-round stage on the
-// level when enabled, tracked under the refine_parallel phase. The
-// commit-order salt is drawn from rng with exactly one draw per call whatever
-// the worker count, so the RNG stream — and therefore every downstream draw —
-// is identical for all RefineWorkers values >= 1. Disabled (< 1), it leaves
-// the level unchanged and consumes nothing.
-func parallelRounds(lv *fm.Level, cfg Config, rng *rand.Rand) {
-	if cfg.RefineWorkers < 1 {
-		return
-	}
-	salt := rng.Uint64()
-	cfg.Stats.track(phaseRefineParallel, func() { lv.Rounds(cfg.RefineWorkers, salt) })
-}
-
-// localizedRounds runs the Config.LocalizedFMWorkers localized parallel FM
-// stage on the level when enabled, tracked under the refine_localized phase.
-// The stage only runs at the finest level (lvl 0) — that is where the
-// full-budget serial polish used to dominate every solve; coarse levels are
-// cheap enough for the round stage plus a one-pass polish. The salt is drawn
-// from rng with exactly one draw per enabled finest level whatever the
-// worker count, so the RNG stream stays identical for all LocalizedFMWorkers
-// values >= 1. Disabled (< 1) or above the finest level, it leaves the level
-// unchanged and consumes nothing.
-func localizedRounds(lv *fm.Level, cfg Config, lvl int, rng *rand.Rand) {
-	if cfg.LocalizedFMWorkers < 1 || lvl != 0 {
-		return
-	}
-	salt := rng.Uint64()
-	cfg.Stats.track(phaseRefineLocalized, func() { lv.Localized(cfg.LocalizedFMWorkers, salt) })
-}
-
-// polishConfig caps the serial FM polish to one pass at coarse levels while
-// the parallel round stage is on — the rounds replace the polish's repeated
-// passes there, and the remaining pass contributes the hill-climbing the
-// greedy rounds cannot. The finest level (lvl 0) keeps the full configured
-// pass budget unless the localized FM stage is on: localized searches carry
-// the hill-climbing there, so the serial kernel shrinks to a short one-pass
-// tail that sweeps up whatever the bounded searches left behind.
-func polishConfig(fmCfg fm.Config, cfg Config, lvl int) fm.Config {
-	if cfg.RefineWorkers >= 1 && lvl > 0 {
-		fmCfg.MaxPasses = 1
-	}
-	if cfg.LocalizedFMWorkers >= 1 && lvl == 0 {
-		fmCfg.MaxPasses = 1
-	}
-	return fmCfg
-}
-
-// followerCutoff resolves the pass cutoff for follower descents:
-// followerPassFraction, unless the run-wide MaxPassFraction is already an
-// even stricter cutoff.
-func followerCutoff(cfg Config) float64 {
-	if cfg.MaxPassFraction > 0 && cfg.MaxPassFraction < followerPassFraction {
-		return cfg.MaxPassFraction
-	}
-	return followerPassFraction
 }
 
 // PhaseStats accumulates wall time per engine phase. Attach one to
@@ -283,14 +227,13 @@ type PhaseStats struct {
 	CoarsenNS int64 `json:"coarsen_ns"`
 	InitNS    int64 `json:"init_ns"`
 	RefineNS  int64 `json:"refine_ns"`
-	// RefineParallelNS is the wall time of the synchronous-round parallel
-	// refinement stage (Config.RefineWorkers); RefineNS keeps counting only
-	// the serial FM polish, so the two split the refinement phase.
+	// RefineParallelNS is the wall time of the synchronous-round
+	// refinement stage, level builds included; RefineNS counts only the
+	// serial FM polish, so the two split the refinement phase.
 	RefineParallelNS int64 `json:"refine_parallel_ns"`
-	// RefineLocalizedNS is the wall time of the localized parallel FM stage
-	// (Config.LocalizedFMWorkers) at the finest level; RefineNS keeps
-	// counting only the serial FM tail, so the three refine counters split
-	// the refinement phase.
+	// RefineLocalizedNS is the wall time of the localized FM stage at the
+	// finest level; with RefineNS and RefineParallelNS it splits the
+	// refinement phase three ways.
 	RefineLocalizedNS int64 `json:"refine_localized_ns"`
 	// Kernel accumulates the FM kernel's net-state-aware work counters (nets
 	// skipped, pin scans avoided, bucket updates saved) across every FM run a

@@ -13,22 +13,22 @@ import (
 // vertex count to clusteringRatio of the finer one, or after maxLevels
 // levels; nets with more than hugeNetThreshold pins are ignored while scoring
 // matches (they carry almost no clustering signal and cost quadratic time);
-// the coarsest level takes the best of initialTries refined starts; and
-// follower descents (Spec.Hierarchies, MultistartOnHierarchies) refine under
-// the pass cutoff followerPassFraction. No other setting changes what
-// coarsening builds, so CoarseningFingerprint hashes the first four.
+// and the coarsest level takes the best of initialTries refined starts. No
+// other setting changes what coarsening builds, so CoarseningFingerprint
+// hashes the first four.
 const (
-	coarsestSize         = 120
-	clusteringRatio      = 0.9
-	maxLevels            = 40
-	hugeNetThreshold     = 50
-	initialTries         = 4
-	followerPassFraction = 0.10
+	coarsestSize     = 120
+	clusteringRatio  = 0.9
+	maxLevels        = 40
+	hugeNetThreshold = 50
+	initialTries     = 4
 )
 
-// Config controls the multilevel partitioner. The zero value reproduces the
-// paper's engine configuration: CLIP refinement over the fixed heavy-edge
-// coarsening above, with no V-cycling.
+// Config controls the multilevel partitioner. The zero value runs the one
+// pipeline every descent runs: the fixed heavy-edge coarsening above, a
+// CLIP-refined initial partitioning at the coarsest level, then at every
+// uncoarsening level synchronous rounds, localized FM (finest level only)
+// and a one-pass CLIP polish; no V-cycling.
 type Config struct {
 	// Policy is the FM refinement discipline; the zero value is the paper's
 	// engine default, CLIP. (The paper notes LIFO gives very similar
@@ -41,8 +41,11 @@ type Config struct {
 	// Coarsening is objective-independent, so cached hierarchies may serve
 	// either objective.
 	Objective fm.Objective
-	// MaxPassFraction applies the paper's pass cutoff to every refinement FM
-	// run (0 or 1 disables; values outside [0,1] are rejected).
+	// MaxPassFraction applies the paper's pass cutoff to every FM pass after
+	// the first (0 or 1 disables; values outside [0,1] are rejected). In a
+	// multilevel descent only the coarsest-level initial partitioning runs
+	// more than one pass, so that is the only place the cutoff acts: every
+	// uncoarsening polish is a single pass.
 	MaxPassFraction float64
 	// Workers bounds the pool of goroutines that Solve and
 	// MultistartOnHierarchies run independent starts on (<= 0 means
@@ -50,38 +53,20 @@ type Config struct {
 	// goroutine). It never affects results: output is bit-identical for
 	// every worker count.
 	Workers int
-	// CoarsenWorkers parallelizes the heavy-edge matching inside each
-	// coarsening descent: its propose and resolve scans split over this many
-	// goroutines (default/<= 0 means 1, fully serial on the calling
-	// goroutine). Contraction is always serial. Like Workers it never
-	// affects results — matching is propose/resolve with deterministic
-	// conflict resolution, so hierarchies, cuts and fingerprints are
-	// bit-identical for every value.
-	CoarsenWorkers int
-	// RefineWorkers enables the deterministic synchronous-round parallel
-	// refinement stage (fm.Level.Rounds) during uncoarsening: at every
-	// level the stage runs before the serial FM polish, and at coarse levels
-	// the polish is capped to a single pass (the rounds replace its repeated
-	// passes; the finest level keeps the full configured polish). <= 0
-	// disables the stage entirely — refinement is exactly the serial-only
-	// path, bit for bit. Any value >= 1 produces bit-identical results to
-	// every other value >= 1 (the rounds are propose/commit with a
-	// deterministic commit order; worker chunks only split the scans), but
-	// enabling the stage does change results relative to serial-only: the
-	// rounds commit their own move sequence and draw one RNG value per
-	// refined level.
-	RefineWorkers int
-	// LocalizedFMWorkers enables the deterministic localized parallel FM
-	// stage (fm.Level.Localized) at the finest level of every descent:
-	// bounded FM searches seeded from boundary vertices run on this many
-	// workers and replace the full-budget serial polish there, which drops to
-	// a single-pass serial tail. <= 0 disables the stage — the finest level
-	// keeps the full configured serial polish, bit for bit the seed pipeline.
-	// Any value >= 1 produces bit-identical results to every other value
-	// >= 1 (searches are pure functions of the round-start state and batch
-	// index; the work queue only balances load), but enabling the stage does
-	// change results relative to off: the searches commit their own move
-	// sequence and draw one RNG value at the finest level of each descent.
+	// CoarsenWorkers, RefineWorkers and LocalizedFMWorkers are the
+	// goroutine counts inside one descent (<= 0 means 1): the heavy-edge
+	// matching's propose and resolve scans (contraction is always serial),
+	// the synchronous-round refinement stage (fm.Level.Rounds) every
+	// uncoarsening level runs, and the localized FM stage (fm.Level.Localized)
+	// the finest level runs. They size the stages and never switch them
+	// off: every descent runs the same pipeline, and hierarchies, cuts and
+	// fingerprints are bit-identical for every value. Matching resolves
+	// conflicts deterministically, the rounds commit in a deterministic
+	// order, and localized searches are pure functions of the round-start
+	// state and batch index, so worker chunks and the work queue only split
+	// the scans.
+	CoarsenWorkers     int
+	RefineWorkers      int
 	LocalizedFMWorkers int
 	// Stats, when non-nil, accumulates per-phase wall time (coarsen /
 	// initial partitioning / the three refinement stages) and the FM
@@ -174,7 +159,7 @@ func partitionOne(p *partition.Problem, cfg Config, kway bool, rng *rand.Rand) (
 	}
 	sc := fm.GetScratch()
 	defer fm.PutScratch(sc)
-	return coarsen(p, cfg, kway, rng).descendWith(rng, false, sc)
+	return coarsen(p, cfg, kway, rng).descendWith(rng, sc)
 }
 
 func project(coarse partition.Assignment, clusterOf []int32) partition.Assignment {

@@ -48,7 +48,7 @@ func BuildHierarchies(ctx context.Context, p *partition.Problem, cfg Config, n i
 
 // withRefinement returns a Hierarchy that shares h's (immutable) coarsening
 // stack but descends with cfg's refinement settings — policy, objective,
-// pass cutoffs, worker counts and the stats sink. Coarsening reads no Config
+// pass cutoff, worker counts and the stats sink. Coarsening reads no Config
 // field that changes its result, so a cached hierarchy serves any request.
 func (h *Hierarchy) withRefinement(cfg Config) *Hierarchy {
 	return &Hierarchy{levels: h.levels, cfg: cfg, kway: h.kway}
@@ -71,11 +71,9 @@ func CoarseningFingerprint() uint64 {
 // MultistartOnHierarchies runs `starts` refinement-only descents over
 // prebuilt hierarchies — the hpartd warm path, where the hierarchies come
 // from the cache and no request pays for coarsening. Start i descends
-// hierarchy i % len(hiers) on rand.NewPCG(baseSeed, i); the first
-// len(hiers) starts refine at full strength (owner discipline), later
-// starts apply the follower pass cutoff exactly as Solve's shared-hierarchy
-// followers do. The outcome is a pure function of (hiers, cfg, starts,
-// baseSeed) for any worker count; under cancellation Solve's
+// hierarchy i % len(hiers) on rand.NewPCG(baseSeed, i), as Solve's starts
+// on shared hierarchies do. The outcome is a pure function of (hiers, cfg,
+// starts, baseSeed) for any worker count; under cancellation Solve's
 // best-of-completed-prefix contract applies. Hierarchies are immutable, so
 // any number of concurrent calls may share them.
 func MultistartOnHierarchies(ctx context.Context, hiers []*Hierarchy, cfg Config, starts int, baseSeed uint64) (*Result, error) {
@@ -92,7 +90,7 @@ func MultistartOnHierarchies(ctx context.Context, hiers []*Hierarchy, cfg Config
 	s := newScheduler(ctx, cfg.Workers, 0, starts)
 	defer s.release()
 	s.run(s.requested, func(i int, sc *fm.Scratch) (*Result, error) {
-		return bound[i%len(bound)].descendWith(startRNG(baseSeed, i), i >= len(bound), sc)
+		return bound[i%len(bound)].descendWith(startRNG(baseSeed, i), sc)
 	})
 	return s.result()
 }

@@ -19,13 +19,13 @@ type Spec struct {
 	// KWay runs direct k-way starts instead of 2-way ones
 	// (Partition); it is required for k > 2.
 	KWay bool
-	// Hierarchies, when in [1, Starts), shares coarsening: starts
-	// 0..Hierarchies-1 are owners that each build a hierarchy and refine it
-	// at full strength, exactly as an unshared start does; every later start
-	// i is a follower that resamples hierarchy i % Hierarchies with a fresh
-	// coarsest-level initial partitioning and a refinement under a 10% pass
-	// cutoff. Coarsening cost is amortised Hierarchies/Starts-fold. Any other value gives every start its own
-	// hierarchy, so Hierarchies == Starts reproduces the unshared run.
+	// Hierarchies, when in [1, Starts), shares coarsening: start j <
+	// Hierarchies builds hierarchy j and descends it exactly as an unshared
+	// start does; every later start i is an extra start on hierarchy
+	// i % Hierarchies, with its own coarsest-level initial partitioning and
+	// refinement. Coarsening cost is amortised Hierarchies/Starts-fold. Any
+	// other value gives every start its own hierarchy, so Hierarchies ==
+	// Starts reproduces the unshared run.
 	Hierarchies int
 	// Patience, when >= 1, stops the run once that many consecutive starts
 	// fail to improve the best result; Result.Starts reports how many
@@ -62,27 +62,27 @@ func Solve(ctx context.Context, p *partition.Problem, cfg Config, spec Spec, rng
 	baseSeed := rng.Uint64()
 	s := newScheduler(ctx, cfg.Workers, spec.Patience, spec.Starts)
 	defer s.release()
-	owners := spec.Hierarchies
-	if owners < 1 || owners > s.requested {
-		owners = s.requested
+	built := spec.Hierarchies
+	if built < 1 || built > s.requested {
+		built = s.requested
 	}
-	var hiers []*Hierarchy // kept only while followers need to resample them
-	if owners < s.requested {
-		hiers = make([]*Hierarchy, owners)
+	var hiers []*Hierarchy // kept only while extra starts need to resample them
+	if built < s.requested {
+		hiers = make([]*Hierarchy, built)
 	}
-	// Owner start j builds hierarchy j and descends on the same RNG: the
+	// Start j < built builds hierarchy j and descends on the same RNG: the
 	// exact single-start sequence (Partition, or its direct k-way twin).
-	s.run(owners, func(j int, sc *fm.Scratch) (*Result, error) {
+	s.run(built, func(j int, sc *fm.Scratch) (*Result, error) {
 		r := startRNG(baseSeed, j)
 		h := coarsen(p, cfg, spec.KWay, r)
 		if hiers != nil {
 			hiers[j] = h
 		}
-		return h.descendWith(r, false, sc)
+		return h.descendWith(r, sc)
 	})
-	// Followers fan out over the completed, immutable hierarchies.
+	// The extra starts fan out over the completed, immutable hierarchies.
 	s.run(s.requested, func(i int, sc *fm.Scratch) (*Result, error) {
-		return hiers[i%owners].descendWith(startRNG(baseSeed, i), true, sc)
+		return hiers[i%built].descendWith(startRNG(baseSeed, i), sc)
 	})
 	return s.result()
 }

@@ -26,9 +26,11 @@ import (
 // experiments because placement splits must track region capacity, not
 // exact bisection) and runs the paper's pass cutoff, passFraction, on every
 // FM pass after the first (Table III: with terminals dominating, the cutoff
-// costs no quality). An infeasible bisection retries at doubled tolerances
-// up to maxTolerance, and recursion stops once a region holds at most
-// minBlockCells cells.
+// costs no quality). Only each bisection's coarsest-level initial
+// partitioning runs more than one pass, so that is where the cutoff acts;
+// the uncoarsening polish is a single pass. An infeasible bisection retries
+// at doubled tolerances up to maxTolerance, and recursion stops once a
+// region holds at most minBlockCells cells.
 const (
 	tolerance     = 0.1
 	passFraction  = 0.1

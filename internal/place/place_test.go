@@ -223,7 +223,7 @@ func TestPlaceWorkersDeterministic(t *testing.T) {
 // Workers 1 and 3. Any change to the region sub-problems, the bisection
 // settings or the RNG draws moves it.
 func TestPlaceGolden(t *testing.T) {
-	const wantHash, wantHPWL = 0x4382c0f10cd85dee, 11398.583333333348
+	const wantHash, wantHPWL = 0x9797536d5435d821, 11076.666666666668
 	nl := testNetlist(t, 400, 11)
 	fx, fy := padCoords(nl, 80, 80)
 	for _, workers := range []int{1, 3} {

@@ -1,7 +1,6 @@
 // Package rent provides Rent's-rule analytics: expected terminal counts for
-// blocks of a given size, the block-size thresholds of the paper's Table I,
-// and an empirical Rent-parameter fit for generated netlists and
-// placer-derived blocks.
+// blocks of a given size and the block-size thresholds of the paper's
+// Table I.
 //
 // Rent's rule states that a block of C cells in a layout with Rent parameter
 // p exposes on average T = k * C^p external (propagated) terminals, where k
@@ -51,46 +50,6 @@ func BlockSizeThreshold(p, k, pct float64) (float64, error) {
 		return 0, fmt.Errorf("rent: pins per cell k=%v must be positive", k)
 	}
 	return math.Pow(k*(1-pct)/pct, 1/(1-p)), nil
-}
-
-// Sample is one (block size, external terminal count) observation, e.g.
-// measured on a block of a top-down placement hierarchy.
-type Sample struct {
-	Cells     int
-	Terminals int
-}
-
-// Fit estimates (k, p) from samples by least squares on
-// log T = log k + p log C. Samples with non-positive cells or terminals are
-// ignored; it returns an error when fewer than two usable, distinct block
-// sizes remain.
-func Fit(samples []Sample) (k, p float64, err error) {
-	var n float64
-	var sx, sy, sxx, sxy float64
-	sizes := map[int]bool{}
-	for _, s := range samples {
-		if s.Cells <= 0 || s.Terminals <= 0 {
-			continue
-		}
-		x := math.Log(float64(s.Cells))
-		y := math.Log(float64(s.Terminals))
-		n++
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-		sizes[s.Cells] = true
-	}
-	if n < 2 || len(sizes) < 2 {
-		return 0, 0, fmt.Errorf("rent: need samples at >= 2 distinct block sizes, have %d", len(sizes))
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, fmt.Errorf("rent: degenerate samples")
-	}
-	p = (n*sxy - sx*sy) / den
-	k = math.Exp((sy - p*sx) / n)
-	return k, p, nil
 }
 
 // TableIRow is one row of the paper's Table I: for a Rent parameter p, the

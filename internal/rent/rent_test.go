@@ -84,39 +84,6 @@ func TestTableI(t *testing.T) {
 	}
 }
 
-func TestFitRecoversParameters(t *testing.T) {
-	// Exact power-law samples.
-	var samples []rent.Sample
-	for _, c := range []int{16, 64, 256, 1024, 4096} {
-		tm := rent.ExpectedTerminals(float64(c), 0.68, 3.5)
-		samples = append(samples, rent.Sample{Cells: c, Terminals: int(math.Round(tm))})
-	}
-	k, p, err := rent.Fit(samples)
-	if err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	if math.Abs(p-0.68) > 0.02 {
-		t.Errorf("fitted p = %v, want ~0.68", p)
-	}
-	if math.Abs(k-3.5) > 0.5 {
-		t.Errorf("fitted k = %v, want ~3.5", k)
-	}
-}
-
-func TestFitErrors(t *testing.T) {
-	if _, _, err := rent.Fit(nil); err == nil {
-		t.Error("want error for no samples")
-	}
-	same := []rent.Sample{{Cells: 8, Terminals: 4}, {Cells: 8, Terminals: 5}}
-	if _, _, err := rent.Fit(same); err == nil {
-		t.Error("want error for single distinct size")
-	}
-	junk := []rent.Sample{{Cells: -1, Terminals: 4}, {Cells: 8, Terminals: 0}}
-	if _, _, err := rent.Fit(junk); err == nil {
-		t.Error("want error when all samples unusable")
-	}
-}
-
 func TestThresholdPropertyMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		p := 0.4 + float64(seed%50)/100 // 0.40..0.89
@@ -129,22 +96,5 @@ func TestThresholdPropertyMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFitWithNoise(t *testing.T) {
-	// Noisy power-law samples still fit within a loose band.
-	var samples []rent.Sample
-	for i, c := range []int{32, 64, 128, 256, 512, 1024, 2048} {
-		tm := rent.ExpectedTerminals(float64(c), 0.65, 3.5)
-		noise := 1.0 + 0.1*float64(i%3-1) // ±10%
-		samples = append(samples, rent.Sample{Cells: c, Terminals: int(tm * noise)})
-	}
-	_, p, err := rent.Fit(samples)
-	if err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	if p < 0.55 || p > 0.75 {
-		t.Errorf("noisy fit p = %v, want near 0.65", p)
 	}
 }

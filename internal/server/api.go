@@ -52,8 +52,9 @@ type Request struct {
 	// Starts is the number of multistart descents (default 4).
 	Starts int `json:"starts,omitempty"`
 	// Hierarchies is the number of coarsening hierarchies backing a k = 2
-	// run (default min(2, starts)); starts beyond it are follower descents
-	// with the pass cutoff, exactly as Solve's Spec.Hierarchies followers.
+	// run (default min(2, starts)); starts beyond it are extra starts on
+	// those hierarchies, each with its own initial partitioning and
+	// refinement, exactly as Solve's Spec.Hierarchies.
 	Hierarchies int `json:"hierarchies,omitempty"`
 	// Policy selects the FM discipline: "clip" (default) or "lifo".
 	Policy string `json:"policy,omitempty"`
@@ -63,8 +64,10 @@ type Request struct {
 	// cut, km1 and soed of the winning assignment. Cut and km1 requests
 	// never share hierarchy-cache entries (the key covers the objective).
 	Objective string `json:"objective,omitempty"`
-	// Cutoff applies the paper's pass-length cutoff fraction to refinement
-	// (0 or 1 disables).
+	// Cutoff applies the paper's pass-length cutoff fraction to every FM
+	// pass after the first (0 or 1 disables). Only the coarsest-level
+	// initial partitioning runs more than one pass, so that is the only
+	// place it acts; every uncoarsening polish is a single pass.
 	Cutoff float64 `json:"cutoff,omitempty"`
 	// Seed makes the run deterministic (default 1).
 	Seed uint64 `json:"seed,omitempty"`

@@ -35,27 +35,17 @@ type Config struct {
 	// (default 1: concurrency across requests, not within one — the
 	// throughput-optimal choice under load; negative means GOMAXPROCS).
 	RunWorkers int
-	// CoarsenWorkers is the intra-descent coarsening parallelism (heavy-edge
-	// matching goroutines per descent; default 1, serial). It never changes
-	// results.
-	CoarsenWorkers int
-	// RefineWorkers is the worker count of the synchronous-round parallel
-	// refinement stage inside each descent (default 0: the stage is off and
-	// refinement is the serial FM kernel alone, the historical behavior).
-	// Every count >= 1 is bit-identical to every other, but switching the
-	// stage on at all changes results versus 0 — see
-	// multilevel.Config.RefineWorkers.
-	RefineWorkers int
-	// LocalizedFMWorkers is the worker count of the localized FM stage at
-	// the finest level of each descent (default 0: the stage is off and the
-	// finest level runs the full serial polish, the historical behavior).
-	// Every count >= 1 is bit-identical to every other, but switching the
-	// stage on at all changes results versus 0 — see
-	// multilevel.Config.LocalizedFMWorkers.
+	// CoarsenWorkers, RefineWorkers and LocalizedFMWorkers are the
+	// goroutine counts of the coarsening, round and localized FM stages
+	// inside each descent (default 1; <= 0 means 1). They size the stages
+	// and never switch them off, and no count changes a result — see
+	// multilevel.Config.
 	//
 	// These four settings hold for every request; New clamps the three
 	// stage counts to GOMAXPROCS once, since more workers than schedulable
 	// CPUs only add overhead.
+	CoarsenWorkers     int
+	RefineWorkers      int
 	LocalizedFMWorkers int
 	// CacheEntries is the hierarchy-cache capacity in instances
 	// (default 32).
@@ -83,14 +73,10 @@ func (c Config) withDefaults() Config {
 	if c.RunWorkers == 0 {
 		c.RunWorkers = 1
 	}
-	if c.CoarsenWorkers == 0 {
-		c.CoarsenWorkers = 1
-	}
 	procs := runtime.GOMAXPROCS(0)
-	c.CoarsenWorkers = min(c.CoarsenWorkers, procs)
-	// A negative stage count means the stage is off, as zero does.
-	c.RefineWorkers = min(max(c.RefineWorkers, 0), procs)
-	c.LocalizedFMWorkers = min(max(c.LocalizedFMWorkers, 0), procs)
+	c.CoarsenWorkers = min(max(c.CoarsenWorkers, 1), procs)
+	c.RefineWorkers = min(max(c.RefineWorkers, 1), procs)
+	c.LocalizedFMWorkers = min(max(c.LocalizedFMWorkers, 1), procs)
 	if c.CacheEntries < 1 {
 		c.CacheEntries = 32
 	}

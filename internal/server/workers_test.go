@@ -9,13 +9,13 @@ import (
 	"testing"
 )
 
-// checkWorkersInvariance: a server built with the worker setting at 1, 2
-// and 4 returns the answer the setting returns at 1, bit for bit, with
+// checkWorkersInvariance: a server built with the worker setting at 0, 1,
+// 2 and 4 returns the answer the setting returns at 0, bit for bit, with
 // repeat requests served from the hierarchy cache.
 func checkWorkersInvariance(t *testing.T, set func(*Config, int)) {
 	t.Helper()
 	var base *Response
-	for _, n := range []int{1, 2, 4} {
+	for _, n := range []int{0, 1, 2, 4} {
 		var cfg Config
 		set(&cfg, n)
 		s := New(cfg)
@@ -32,7 +32,7 @@ func checkWorkersInvariance(t *testing.T, set func(*Config, int)) {
 		}
 		for _, r := range []*Response{cold, warm} {
 			if r.Cut != base.Cut || !slices.Equal(r.Assignment, base.Assignment) {
-				t.Fatalf("workers %d: cut %d differs from the answer at 1 (cut %d)", n, r.Cut, base.Cut)
+				t.Fatalf("workers %d: cut %d differs from the answer at 0 (cut %d)", n, r.Cut, base.Cut)
 			}
 		}
 	}
@@ -56,18 +56,18 @@ func checkWorkersClamp(t *testing.T, set func(*Config, int), get func(Config) in
 }
 
 // TestConfigWorkersInvariance: the starts' fan-out width never changes the
-// answer, and the time spent in each stage a server switches on is visible
-// in /metrics.
+// answer, and a zero-value server runs every refinement stage, with the
+// time spent in each visible in /metrics.
 func TestConfigWorkersInvariance(t *testing.T) {
 	checkWorkersInvariance(t, func(c *Config, n int) { c.RunWorkers = n })
 
-	s := New(Config{RefineWorkers: 1, LocalizedFMWorkers: 1})
+	s := New(Config{})
 	_, resp := post(t, s.Handler(), presetBody(""))
 	if resp == nil {
 		t.Fatal("request failed")
 	}
 	if resp.Phases.RefineParallelNS == 0 || resp.Phases.RefineLocalizedNS == 0 {
-		t.Errorf("stages configured on did not run: phases %+v", resp.Phases)
+		t.Errorf("a refinement stage did not run: phases %+v", resp.Phases)
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
@@ -94,14 +94,14 @@ func TestPartitionCoarsenWorkersServerDefault(t *testing.T) {
 	checkWorkersClamp(t, setCoarsen, func(c Config) int { return c.CoarsenWorkers })
 }
 
-// TestPartitionRefineWorkersField: every Config.RefineWorkers >= 1 returns
-// the identical answer while still hitting the hierarchy cache.
+// TestPartitionRefineWorkersField: every Config.RefineWorkers returns the
+// identical answer while still hitting the hierarchy cache.
 func TestPartitionRefineWorkersField(t *testing.T) {
 	checkWorkersInvariance(t, setRefine)
 }
 
 // TestPartitionRefineWorkersServerDefault: Config.RefineWorkers is clamped
-// to GOMAXPROCS and switches the parallel refinement stage on.
+// to GOMAXPROCS, and the round stage runs.
 func TestPartitionRefineWorkersServerDefault(t *testing.T) {
 	resp := checkWorkersClamp(t, setRefine, func(c Config) int { return c.RefineWorkers })
 	if resp.Phases.RefineParallelNS == 0 {
@@ -109,14 +109,14 @@ func TestPartitionRefineWorkersServerDefault(t *testing.T) {
 	}
 }
 
-// TestPartitionLocalizedFMWorkersField: every Config.LocalizedFMWorkers >= 1
+// TestPartitionLocalizedFMWorkersField: every Config.LocalizedFMWorkers
 // returns the identical answer while still hitting the hierarchy cache.
 func TestPartitionLocalizedFMWorkersField(t *testing.T) {
 	checkWorkersInvariance(t, setLocalizedFM)
 }
 
 // TestPartitionLocalizedFMWorkersServerDefault: Config.LocalizedFMWorkers
-// is clamped to GOMAXPROCS and switches the localized FM stage on.
+// is clamped to GOMAXPROCS, and the localized FM stage runs.
 func TestPartitionLocalizedFMWorkersServerDefault(t *testing.T) {
 	resp := checkWorkersClamp(t, setLocalizedFM, func(c Config) int { return c.LocalizedFMWorkers })
 	if resp.Phases.RefineLocalizedNS == 0 {
